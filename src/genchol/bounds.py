@@ -19,6 +19,7 @@ import numpy as np
 
 from .densela import (
     ConditionViolated,
+    ShapeError,
     _require_lower_triangular,
     cond_bauer_skeel,
     fro_norm,
@@ -48,6 +49,7 @@ __all__ = [
     "bound_3_13",
     "bound_3_14",
     "bound_3_15",
+    "operator_inverse_norm",
     "bound_3_17",
     "eps_componentwise",
     "check_condition_4_2",
@@ -239,6 +241,39 @@ def bound_3_15(w_inv_norm: float, dk_fro: float) -> float:
     return 2.0 * w_inv_norm * dk_fro
 
 
+def operator_inverse_norm(l_dense, signature) -> float:
+    """||W^-1||_2 for W(X) = X J L^T + L J X^T, from the closed-form inverse.
+
+    For symmetric G, W^-1(G) = L low(L^-1 G L^-T) J, where low keeps the lower
+    triangle and halves the diagonal.  Column k of the explicit q x q W^-1
+    (q = p(p+1)/2, in the bases of ``oracle.build_w``) is the image of the
+    duvec basis element at lower position (i, j): G = E_ij + E_ji, so
+    L^-1 G L^-T = u_i u_j^T + u_j u_i^T with u_i column i of L^-1, and half
+    that when i == j, where G = E_ii.  ``oracle.build_w`` followed by
+    ``oracle.w_inverse_norm`` computes the same norm by definition.
+    """
+    l = np.asarray(l_dense, dtype=np.float64)
+    jvec = np.asarray(signature, dtype=np.float64)
+    linv = lower_tri_inverse(l)  # raises on singular input
+    p = l.shape[0]
+    if jvec.shape != (p,):
+        raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
+    jj, ii = np.triu_indices(p)  # lower positions (ii, jj) in column-stacked order
+    q = ii.size
+    ui = linv[:, ii].T
+    uj = linv[:, jj].T
+    g = ui[:, :, None] * uj[:, None, :]
+    g = g + g.transpose(0, 2, 1)
+    g[ii == jj] *= 0.5
+    low = np.tril(g)
+    low[:, np.arange(p), np.arange(p)] *= 0.5
+    # one deterministic product over the stacked (p, q*p) block L [low_1 ... low_q]
+    x = matmul(l, low.transpose(1, 0, 2).reshape(p, q * p))
+    x = x.reshape(p, q, p).transpose(1, 0, 2) * jvec[None, None, :]
+    winv = x[:, ii, jj].T
+    return float(np.linalg.svd(winv, compute_uv=False)[0])
+
+
 def bound_3_17(
     l_dense, k, dk_fro: float, d_set: ScalingCandidateSet
 ) -> tuple[float, str, tuple[str, ...]]:
@@ -354,7 +389,7 @@ def bound_4_9_coeff(l_tilde_dense, eps: float, d_set: ScalingCandidateSet) -> fl
 # --- reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormwiseBoundReport:
     """All normwise bound values with their applicability flags.
 
@@ -402,7 +437,7 @@ class NormwiseBoundReport:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentwiseBoundReport:
     """Componentwise bound values for a computed factor."""
 
@@ -458,8 +493,12 @@ class NormwiseEvaluator:
         self.dlinv2 = {}
         self.dinv2 = {}
         for label, d in self.d_set:
-            self.kappas[label] = _kappa_scaled(l, d)
-            self.dlinv2[label] = spectral_norm(d[:, None] * self.linv)
+            if label == "identity":  # D = I: the SVDs of L and L^-1 above
+                self.kappas[label] = self.kappa_l
+                self.dlinv2[label] = self.linv2
+            else:
+                self.kappas[label] = _kappa_scaled(l, d)
+                self.dlinv2[label] = spectral_norm(d[:, None] * self.linv)
             self.dinv2[label] = float(np.max(1.0 / d))
         # first minimal candidate wins, so ties resolve deterministically
         self.kappa_label = min(self.kappas, key=self.kappas.get)

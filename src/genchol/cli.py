@@ -3,9 +3,11 @@
 Exit codes are a fixed function of what happened:
   0  success (and, for campaigns, zero violations)
   1  I/O, parse, or usage problem
-  2  factorization breakdown or invalid saddle structure
+  2  factorization breakdown or invalid saddle structure (including a
+     campaign trial with no valid draw within the retry cap)
   3  the primary applicability condition failed in `bounds`
   4  at least one bound violation in a campaign
+  5  numerical kernel failure (an iterative kernel did not converge)
 
 Output files are written atomically (temp file plus rename).
 """
@@ -39,9 +41,11 @@ from .bounds import (
     NormwiseEvaluator,
     W_BOUND_MAX_ORDER,
     EPS_CONVENTIONS,
+    operator_inverse_norm,
     report_to_json,
 )
 from .harness import (
+    CampaignError,
     EnsembleConfig,
     emit_report,
     emit_rows,
@@ -51,7 +55,7 @@ from .harness import (
     run_normwise_campaign,
     summarize,
 )
-from .oracle import build_w, w_inverse_norm
+from .oracle import build_w
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 100
@@ -211,10 +215,9 @@ def _cmd_bounds(args) -> int:
             raise _UsageError(
                 f"--with-w-bound supports order at most {W_BOUND_MAX_ORDER}, got {p}"
             )
-        w_op = build_w(factor)
-        w_norm = w_inverse_norm(w_op)
+        w_norm = operator_inverse_norm(l_dense, factor.spec.signature())
         if args.dump_w:
-            write_text_atomic(args.dump_w, format_matrix(w_op.entries))
+            write_text_atomic(args.dump_w, format_matrix(build_w(factor).entries))
     evaluator = NormwiseEvaluator(l_dense, k, w_norm)
     actual_dl = None
     if args.with_actual:
@@ -313,10 +316,13 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"genchol: error: {exc}", file=sys.stderr)
         return 1
-    except (FactorizationError, SaddleValidationError) as exc:
+    except (FactorizationError, SaddleValidationError, CampaignError) as exc:
         print(f"genchol: factorization failed: {exc}", file=sys.stderr)
         return 2
-    except (ShapeError, ValueError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
+        print(f"genchol: numerical kernel failure: {exc}", file=sys.stderr)
+        return 5
+    except (ShapeError, ValueError) as exc:
         print(f"genchol: error: {exc}", file=sys.stderr)
         return 1
 

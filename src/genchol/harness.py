@@ -41,9 +41,10 @@ from .bounds import (
     EPS_CONVENTIONS,
     build_componentwise_report,
     eps_componentwise,
+    operator_inverse_norm,
     _json_scalar,
 )
-from .oracle import build_w, compensated_residual, w_inverse_norm
+from .oracle import compensated_residual
 
 __all__ = [
     "EnsembleConfig",
@@ -231,7 +232,7 @@ def _cell(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormwiseTrialRecord:
     trial: int
     m: int
@@ -245,9 +246,14 @@ class NormwiseTrialRecord:
     violation: bool
     diag_3_8_ok: bool
     cond318_strength_ok: bool
-    tightness: dict
 
     CSV_COLUMNS = NORMWISE_CSV_COLUMNS
+
+    @property
+    def tightness(self) -> dict[str, float | None]:
+        """bound/actual for each rigorous bound (see ``_domination``)."""
+        r = self.report
+        return _domination(r.actual_dl_fro, r.rigorous_bounds())[2]
 
     def csv_cells(self) -> list[str]:
         r = self.report
@@ -281,7 +287,7 @@ class NormwiseTrialRecord:
         return items
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentwiseTrialRecord:
     trial: int
     m: int
@@ -294,12 +300,20 @@ class ComponentwiseTrialRecord:
     worst_ratio: float
     violation: bool
     skipped: bool
-    tightness: dict
     eps_gamma_min_paper: float
     eps_gamma_max_safe: float
     breakdown: bool = False
 
     CSV_COLUMNS = COMPONENTWISE_CSV_COLUMNS
+
+    @property
+    def tightness(self) -> dict[str, float | None]:
+        """bound/actual for each rigorous bound; empty when the record was
+        skipped or has no measured dL."""
+        r = self.report
+        if self.skipped or r.actual_dl_fro is None:
+            return {}
+        return _domination(r.actual_dl_fro, r.rigorous_bounds())[2]
 
     def csv_cells(self) -> list[str]:
         r = self.report
@@ -369,7 +383,7 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
                 k = assemble_k(s)
                 w_norm = None
                 if cfg.p <= W_BOUND_MAX_ORDER:
-                    w_norm = w_inverse_norm(build_w(factor))
+                    w_norm = operator_inverse_norm(l_dense, factor.spec.signature())
                 ev = NormwiseEvaluator(l_dense, k, w_norm)
                 direction = gen_sym_perturbation(cfg.p, 1.0, rng)
                 trial_records = []
@@ -379,7 +393,7 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
                     perturbed = factorize_dense(k + dk, cfg.m, cfg.n, "K+dK")
                     dl = factor_to_dense(perturbed) - l_dense
                     report = ev.report(dk_fro, actual_dl=dl)
-                    worst, violated, tight = _domination(
+                    worst, violated, _ = _domination(
                         report.actual_dl_fro, report.rigorous_bounds()
                     )
                     x = ev.linv2 * ev.linv2 * dk_fro
@@ -398,7 +412,6 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
                         violation=violated,
                         diag_3_8_ok=lhs38 <= rhs38 + VIOLATION_SLACK,
                         cond318_strength_ok=ev.condition_318_strength_ok(dk_fro),
-                        tightness=tight,
                     ))
                 records.extend(trial_records)
                 break
@@ -466,9 +479,9 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
         )
         skipped = (not report.cond_4_2_ok) or breakdown
         if skipped or actual_dl is None:
-            worst, violated, tight = 0.0, False, {}
+            worst, violated = 0.0, False
         else:
-            worst, violated, tight = _domination(
+            worst, violated, _ = _domination(
                 report.actual_dl_fro, report.rigorous_bounds()
             )
         if not bw_ok:
@@ -485,7 +498,6 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
             worst_ratio=worst,
             violation=violated,
             skipped=skipped,
-            tightness=tight,
             eps_gamma_min_paper=eps_componentwise(cfg.m, cfg.n, convention="min-paper"),
             eps_gamma_max_safe=eps_componentwise(cfg.m, cfg.n, convention="max-safe"),
             breakdown=breakdown,
@@ -520,7 +532,7 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
         factor = _sweep_factor(kind, gamma)
         l_dense = factor_to_dense(factor)
         k = reconstruct(factor)
-        w_norm = w_inverse_norm(build_w(factor))
+        w_norm = operator_inverse_norm(l_dense, factor.spec.signature())
         ev = NormwiseEvaluator(l_dense, k, w_norm)
         report = ev.report(dk_fro)
         if kind == "remark32":

@@ -5,10 +5,12 @@ import pytest
 
 from genchol.densela import (
     ConditionViolated,
+    ShapeError,
     SingularMatrixError,
     UNIT_ROUNDOFF,
     cond_bauer_skeel,
     fro_norm,
+    kappa2,
     lower_tri_inverse,
     matmul,
     spectral_norm,
@@ -33,11 +35,13 @@ from genchol.bounds import (
     check_condition_3_1,
     check_condition_4_2,
     eps_componentwise,
+    operator_inverse_norm,
     report_to_json,
     scaling_candidates,
 )
 from genchol.factorization import GenCholFactor, factor_to_dense, factorize, reconstruct
 from genchol.harness import make_saddle
+from genchol.oracle import build_w, w_inverse_norm
 
 U = UNIT_ROUNDOFF
 IDENTITY_ONLY = lambda p: ScalingCandidateSet(("identity",), (np.ones(p),))
@@ -262,6 +266,56 @@ class TestBound315:
             bound_3_15(w_norm, dk)
 
 
+def _w_norms(f):
+    """(closed-form fast path, by-definition oracle) for one factor."""
+    fast = operator_inverse_norm(factor_to_dense(f), f.spec.signature())
+    return fast, w_inverse_norm(build_w(f))
+
+
+class TestOperatorInverseNorm:
+    def test_matches_oracle_every_split(self, rng):
+        for p in range(1, 11):
+            for m in range(p, 0, -1):  # n = p - m runs from 0 to p - 1
+                f = GenCholFactor.from_dense(random_lower(p, rng), m, p - m)
+                fast, oracle = _w_norms(f)
+                assert fast == pytest.approx(oracle, rel=1e-12), (p, m)
+
+    def test_matches_oracle_on_ill_conditioned_saddles(self, rng):
+        for m, n in ((4, 3), (6, 6)):
+            s, _, _ = make_saddle(m, n, 1e8, rng)
+            fast, oracle = _w_norms(factorize(s))
+            assert fast == pytest.approx(oracle, rel=1e-12), (m, n)
+
+    @pytest.mark.parametrize("l_val", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_order_one(self, l_val, sign):
+        # W(x) = 2 j l x, so ||W^-1||_2 = 1 / (2 l) for either sign j
+        assert operator_inverse_norm([[l_val]], [sign]) == pytest.approx(
+            1.0 / (2.0 * l_val), rel=1e-15
+        )
+
+    def test_identity_with_signature(self):
+        f = GenCholFactor.from_blocks([[1.0]], [[0.0]], [[1.0]])
+        fast, oracle = _w_norms(f)
+        assert fast == pytest.approx(1.0, rel=1e-14)
+        assert fast == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_gamma_families(self, gamma):
+        for f in (
+            GenCholFactor.from_blocks([[1.0 / gamma]], [[1.0]], [[1.0]]),  # remark32
+            GenCholFactor.from_blocks([[1.0]], [[gamma]], [[1.0]]),  # remark33
+        ):
+            fast, oracle = _w_norms(f)
+            assert fast == pytest.approx(oracle, rel=1e-12)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ShapeError):
+            operator_inverse_norm(np.eye(3), [1.0, -1.0])
+        with pytest.raises(SingularMatrixError):
+            operator_inverse_norm(np.diag([1.0, 0.0]), [1.0, -1.0])
+
+
 class TestBound317:
     def test_zero(self):
         k = np.diag([1.0, -1.0])
@@ -401,6 +455,12 @@ class TestReports:
         assert rep.b_3_14 == bound_3_14(l, 1e-4)
         assert rep.b_3_15 == bound_3_15(w_norm, 1e-4)
         assert rep.b_3_17 == bound_3_17(l, k, 1e-4, d_set)[0]
+
+    def test_identity_candidate_reuses_unscaled_svds(self, rng):
+        l = random_lower(5, rng)
+        ev = NormwiseEvaluator(l, matmul(l, l.T))
+        assert ev.kappas["identity"] == kappa2(l)
+        assert ev.dlinv2["identity"] == spectral_norm(lower_tri_inverse(l))
 
     def test_json_round_trip(self, rng):
         import json

@@ -2,7 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from genchol import cli
+from genchol.densela import ConvergenceError, fro_norm, read_matrix
+from genchol.factorization import factorize, read_saddle
+from genchol.harness import CampaignError
+from genchol.oracle import build_w, w_inverse_norm
 
 SADDLE_42 = "1 1\n4 2\n2 -1\n"
 
@@ -111,6 +118,20 @@ class TestBounds:
         lines = wpath.read_text().splitlines()
         assert lines[0] == "3 3"  # order p(p+1)/2 = 3 for p = 2
 
+    def test_dump_w_is_the_oracle_matrix(self, tmp_path, saddle_file):
+        # the bound uses the closed-form W^-1; --dump-w still writes build_w's W
+        dk = tmp_path / "dk.txt"
+        dk.write_text("2 2\n1e-3 2e-4\n2e-4 -1e-3\n")
+        wpath, out = tmp_path / "w.txt", tmp_path / "rep.json"
+        argv = ["bounds", str(saddle_file), str(dk), "--with-w-bound",
+                "--dump-w", str(wpath), "--out", str(out)]
+        assert cli.main(argv) == 0
+        w = build_w(factorize(read_saddle(saddle_file)))
+        assert np.array_equal(read_matrix(wpath), w.entries)
+        rep = json.loads(out.read_text())
+        expected = 2.0 * w_inverse_norm(w) * fro_norm(read_matrix(dk))
+        assert rep["b_3_15"] == pytest.approx(expected, rel=1e-12)
+
     def test_dump_w_requires_w_bound(self, tmp_path, saddle_file):
         dk = tmp_path / "dk.txt"
         dk.write_text("2 2\n0 0\n0 0\n")
@@ -145,6 +166,28 @@ class TestVerify:
             "--out", str(tmp_path / "v.csv"),
         )
         assert res.returncode == 1
+
+
+    @pytest.mark.parametrize(
+        "exc, code, message",
+        [
+            (ConvergenceError("one-sided Jacobi did not converge"), 5,
+             "numerical kernel failure"),
+            (CampaignError("trial 0: no valid draw in 100 attempts"), 2,
+             "factorization failed"),
+        ],
+    )
+    def test_campaign_failure_exit_codes(self, monkeypatch, capsys, tmp_path,
+                                         exc, code, message):
+        def failing_campaign(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_normwise_campaign", failing_campaign)
+        out = tmp_path / "v.csv"
+        assert cli.main(["verify", "--trials", "1", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and str(exc) in err
+        assert not out.exists()
 
 
 class TestBackward:

@@ -144,6 +144,41 @@ class TestNormwiseCampaign:
             x = r.report.linv_2**2 * r.report.dk_fro
             assert x == pytest.approx(r.dk_level, rel=1e-12)
 
+    def test_operator_bound_matches_oracle(self, monkeypatch):
+        # b_3_15 comes from the closed-form W^-1; build_w is its check
+        from genchol import harness
+        from genchol.factorization import factorize
+        from genchol.oracle import build_w, w_inverse_norm
+
+        factors = []
+
+        def recording_factorize(s):
+            factors.append(factorize(s))
+            return factors[-1]
+
+        monkeypatch.setattr(harness, "factorize", recording_factorize)
+        records = run_normwise_campaign(EnsembleConfig(m=6, n=6, trials=10, seed=41))
+        assert len(factors) == 10  # one draw per trial, so factors[t] is trial t's
+        checked = 0
+        for r in records:
+            w_norm = w_inverse_norm(build_w(factors[r.trial]))
+            assert r.report.cond_3_16_ok == (w_norm * w_norm * r.report.dk_fro < 0.25)
+            if r.report.b_3_15 is not None:
+                expected = 2.0 * w_norm * r.report.dk_fro
+                assert r.report.b_3_15 == pytest.approx(expected, rel=1e-12)
+                checked += 1
+        assert checked >= 10
+
+    def test_tightness_derived_from_report(self):
+        (rec,) = run_normwise_campaign(
+            EnsembleConfig(m=2, n=1, trials=1, dk_levels=(1e-4,), seed=2)
+        )
+        actual = rec.report.actual_dl_fro
+        assert rec.tightness == {
+            name: value / actual for name, value in rec.report.rigorous_bounds().items()
+        }
+        assert not hasattr(rec, "__dict__")
+
 
 class TestComponentwiseCampaign:
     def test_zero_eps_trivial(self):
@@ -186,6 +221,16 @@ class TestComponentwiseCampaign:
     def test_deterministic(self):
         cfg = EnsembleConfig(m=2, n=2, trials=4, seed=3)
         assert run_componentwise_campaign(cfg) == run_componentwise_campaign(cfg)
+
+    def test_skipped_records_have_no_tightness(self, tmp_path):
+        # eps this large fails condition 4.2, and some refactorizations break down
+        cfg = EnsembleConfig(m=2, n=2, trials=3, seed=3, eps_synth=0.3)
+        records = run_componentwise_campaign(cfg)
+        assert all(r.skipped and r.tightness == {} for r in records)
+        assert any(r.breakdown for r in records)
+        emit_report(records, "json", tmp_path / "c.json")
+        for obj in json.loads((tmp_path / "c.json").read_text()):
+            assert not any(key.startswith("ratio_") for key in obj)
 
 
 class TestGammaSweep:
