@@ -29,9 +29,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rows32 = run_gamma_sweep("remark32", [1e-2, 1e-3, 1e-4], args.dk_fro)
-    cols32 = tuple(rows32[0].keys())
-    emit_rows(cols32, [tuple(r[c] for c in cols32) for r in rows32],
-              "csv", out / "sweep_column_scaling.csv")
+    emit_rows(rows32, "csv", out / "sweep_column_scaling.csv")
     for row in rows32:
         print(
             f"g={row['gamma']:.0e}: kappa(L)={row['kappa_l']:.4g} "
@@ -41,9 +39,7 @@ def main() -> int:
 
     gammas = [10.0, 100.0, 1000.0]
     rows33 = run_gamma_sweep("remark33", gammas, args.dk_fro)
-    cols33 = tuple(rows33[0].keys())
-    emit_rows(cols33, [tuple(r[c] for c in cols33) for r in rows33],
-              "csv", out / "sweep_operator_conditioning.csv")
+    emit_rows(rows33, "csv", out / "sweep_operator_conditioning.csv")
     slope = loglog_slope(gammas, [r["winv2"] for r in rows33])
     print(f"operator-inverse norm grows with slope {slope:.3f} in gamma")
     for row in rows33:

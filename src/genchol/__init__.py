@@ -42,7 +42,6 @@ from .bounds import (
     NormwiseEvaluator,
     ScalingCandidateSet,
     build_componentwise_report,
-    build_normwise_report,
     eps_componentwise,
     report_to_json,
     scaling_candidates,

@@ -7,31 +7,31 @@ the shape of the factorization algorithm's backward rounding error.  Each
 bound is guarded by an explicit applicability condition, checked strictly;
 infima over positive diagonal scalings are approximated by a small labelled
 candidate set and the winning label is always reported so tightness is
-auditable.
+auditable.  ``NormwiseEvaluator.report`` and ``build_componentwise_report``
+are the only places the formulas are evaluated; a bound whose condition
+fails is None in the report, next to its false ``cond_*_ok`` flag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .densela import (
-    ConditionViolated,
     ShapeError,
     _require_lower_triangular,
     cond_bauer_skeel,
     fro_norm,
     gamma_k,
-    kappa2,
     lower_tri_inverse,
     matmul,
     singular_values,
     spectral_norm,
     vec_norm2,
     UNIT_ROUNDOFF,
-    format_float,
+    format_json_scalar,
 )
 
 __all__ = [
@@ -41,22 +41,8 @@ __all__ = [
     "ComponentwiseBoundReport",
     "NormwiseEvaluator",
     "scaling_candidates",
-    "check_condition_3_1",
-    "bound_3_3",
-    "bound_3_4",
-    "bound_3_11_coeff",
-    "bound_3_12",
-    "bound_3_13",
-    "bound_3_14",
-    "bound_3_15",
     "operator_inverse_norm",
-    "bound_3_17",
     "eps_componentwise",
-    "check_condition_4_2",
-    "bound_4_3",
-    "bound_4_4",
-    "bound_4_9_coeff",
-    "build_normwise_report",
     "build_componentwise_report",
     "report_to_json",
     "NEAR_BOUNDARY_EPS",
@@ -127,23 +113,8 @@ def _kappa_scaled(l: np.ndarray, d: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def _min_kappa(l: np.ndarray, d_set: ScalingCandidateSet) -> tuple[float, str]:
-    best = None
-    best_label = None
-    for label, d in d_set:
-        k = _kappa_scaled(l, d)
-        if best is None or k < best:
-            best = k
-            best_label = label
-    return best, best_label
-
-
 def _b33_value(linv2: float, kappa: float, dk_fro: float, x: float) -> float:
     return SQRT2 * linv2 * kappa * dk_fro / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
-
-
-def _b34_value(linv2: float, kappa: float, dk_fro: float) -> float:
-    return (2.0 + SQRT2) * (linv2 * kappa * dk_fro)
 
 
 def _b312_style_value(linv2: float, kappa: float, dk_fro: float, xx: float) -> float:
@@ -152,93 +123,6 @@ def _b312_style_value(linv2: float, kappa: float, dk_fro: float, xx: float) -> f
 
 def _b317_lhs(kappa_l: float, l2: float, dlinv2: float, dinv2: float, rel: float) -> float:
     return kappa_l * l2 * dlinv2 * dinv2 * rel
-
-
-def _b317_value(l2: float, kappa_l: float, kappa_d: float, rel: float, lhs: float) -> float:
-    return 2.0 * l2 * kappa_l * kappa_d * rel / (1.0 + math.sqrt(1.0 - 4.0 * lhs))
-
-
-def _b43_value(factor: float, cbs_l: float, eps: float, t: float) -> float:
-    return SQRT2 * factor * cbs_l * eps / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * t))
-
-
-# --- standalone bound operations ----------------------------------------------
-
-
-def check_condition_3_1(l_dense, dk_fro: float) -> bool:
-    """Strict test ||L^-1||_2^2 ||dK||_F < 1/2."""
-    linv2 = spectral_norm(lower_tri_inverse(l_dense))
-    return linv2 * linv2 * dk_fro < 0.5
-
-
-def bound_3_3(l_dense, dk_fro: float, d_set: ScalingCandidateSet) -> tuple[float, str]:
-    """Rigorous normwise bound with scaling search; needs the strict 1/2 test."""
-    l = np.asarray(l_dense, dtype=np.float64)
-    linv2 = spectral_norm(lower_tri_inverse(l))
-    x = linv2 * linv2 * dk_fro
-    if not x < 0.5:
-        raise ConditionViolated("3.1", f"||L^-1||_2^2 ||dK||_F = {x}")
-    kappa, label = _min_kappa(l, d_set)
-    return _b33_value(linv2, kappa, dk_fro, x), label
-
-
-def bound_3_4(l_dense, dk_fro: float, d_set: ScalingCandidateSet) -> tuple[float, str]:
-    """Weakened closed form of bound_3_3: (2 + sqrt(2)) times first order."""
-    l = np.asarray(l_dense, dtype=np.float64)
-    linv2 = spectral_norm(lower_tri_inverse(l))
-    x = linv2 * linv2 * dk_fro
-    if not x < 0.5:
-        raise ConditionViolated("3.1", f"||L^-1||_2^2 ||dK||_F = {x}")
-    kappa, label = _min_kappa(l, d_set)
-    return _b34_value(linv2, kappa, dk_fro), label
-
-
-def bound_3_11_coeff(l_dense, dk_fro: float, d_set: ScalingCandidateSet) -> float:
-    """First-order coefficient times ||dK||_F (higher-order term dropped)."""
-    l = np.asarray(l_dense, dtype=np.float64)
-    linv2 = spectral_norm(lower_tri_inverse(l))
-    kappa, _ = _min_kappa(l, d_set)
-    return linv2 * kappa * dk_fro
-
-
-def bound_3_12(l_dense, dk_fro: float) -> float:
-    """Classic matrix-equation bound; its test uses the Frobenius norm of L^-1."""
-    l = np.asarray(l_dense, dtype=np.float64)
-    linv = lower_tri_inverse(l)
-    linv2 = spectral_norm(linv)
-    linv_f = fro_norm(linv)
-    x_f = linv_f * linv_f * dk_fro
-    if not x_f < 0.5:
-        raise ConditionViolated("3.12-condition", f"||L^-1||_F^2 ||dK||_F = {x_f}")
-    return _b312_style_value(linv2, kappa2(l), dk_fro, x_f)
-
-
-def bound_3_13(l_dense, dk_fro: float) -> float:
-    """Sharper variant of bound_3_12 with the spectral norm inside the root."""
-    l = np.asarray(l_dense, dtype=np.float64)
-    linv2 = spectral_norm(lower_tri_inverse(l))
-    x = linv2 * linv2 * dk_fro
-    if not x < 0.5:
-        raise ConditionViolated("3.1", f"||L^-1||_2^2 ||dK||_F = {x}")
-    return _b312_style_value(linv2, kappa2(l), dk_fro, x)
-
-
-def bound_3_14(l_dense, dk_fro: float) -> float:
-    """bound_3_3 evaluated with the identity scaling only."""
-    l = np.asarray(l_dense, dtype=np.float64)
-    linv2 = spectral_norm(lower_tri_inverse(l))
-    x = linv2 * linv2 * dk_fro
-    if not x < 0.5:
-        raise ConditionViolated("3.1", f"||L^-1||_2^2 ||dK||_F = {x}")
-    return _b33_value(linv2, kappa2(l), dk_fro, x)
-
-
-def bound_3_15(w_inv_norm: float, dk_fro: float) -> float:
-    """Operator-matrix bound 2 ||W^-1||_2 ||dK||_F; needs the strict 1/4 test."""
-    lhs = w_inv_norm * w_inv_norm * dk_fro
-    if not lhs < 0.25:
-        raise ConditionViolated("3.16", f"||W^-1||_2^2 ||dK||_F = {lhs}")
-    return 2.0 * w_inv_norm * dk_fro
 
 
 def operator_inverse_norm(l_dense, signature) -> float:
@@ -274,40 +158,6 @@ def operator_inverse_norm(l_dense, signature) -> float:
     return float(np.linalg.svd(winv, compute_uv=False)[0])
 
 
-def bound_3_17(
-    l_dense, k, dk_fro: float, d_set: ScalingCandidateSet
-) -> tuple[float, str, tuple[str, ...]]:
-    """Refined matrix-equation bound; candidates failing its 1/4 test are excluded.
-
-    Returns (value, winning label, excluded labels); raises when no candidate
-    passes the condition.
-    """
-    l = np.asarray(l_dense, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    linv = lower_tri_inverse(l)
-    sl = singular_values(l)
-    l2, kappa_l = float(sl[0]), float(sl[0] / sl[-1])
-    k2 = spectral_norm(k)
-    rel = dk_fro / k2
-    best = None
-    best_label = None
-    excluded = []
-    for label, d in d_set:
-        dlinv2 = spectral_norm(d[:, None] * linv)
-        dinv2 = float(np.max(1.0 / d))
-        lhs = _b317_lhs(kappa_l, l2, dlinv2, dinv2, rel)
-        if not lhs < 0.25:
-            excluded.append(label)
-            continue
-        value = _b317_value(l2, kappa_l, _kappa_scaled(l, d), rel, lhs)
-        if best is None or value < best:
-            best = value
-            best_label = label
-    if best is None:
-        raise ConditionViolated("3.18", "no scaling candidate satisfies the 1/4 test")
-    return best, best_label, tuple(excluded)
-
-
 def eps_componentwise(
     m: int, n: int, u: float = UNIT_ROUNDOFF, convention: str = "max-safe"
 ) -> float:
@@ -321,69 +171,6 @@ def eps_componentwise(
     ga = gamma_k(3 * m + 1, u)
     gc = gamma_k(3 * n + 1, u)
     return min(ga, gc) if convention == "min-paper" else max(ga, gc)
-
-
-def check_condition_4_2(l_tilde_dense, eps: float) -> bool:
-    """Strict test cond_F(L~) cond_F(L~^-T) eps < 1/2."""
-    lt = np.asarray(l_tilde_dense, dtype=np.float64)
-    cbs_l = cond_bauer_skeel(lt)
-    cbs_it = cond_bauer_skeel(lower_tri_inverse(lt).T)
-    return cbs_l * cbs_it * eps < 0.5
-
-
-def _componentwise_parts(lt: np.ndarray):
-    _require_lower_triangular(lt)
-    lt_inv = lower_tri_inverse(lt)
-    babs = matmul(np.abs(lt_inv), np.abs(lt))
-    cbs_l = fro_norm(babs)
-    cbs_it = cond_bauer_skeel(lt_inv.T)
-    return babs, cbs_l, cbs_it
-
-
-def _min_componentwise_factor(
-    lt: np.ndarray, babs: np.ndarray, d_set: ScalingCandidateSet
-) -> tuple[float, str]:
-    """min over D of ||L~ D^-1||_2 ||D |L~^-1||L~| ||_2."""
-    best = None
-    best_label = None
-    for label, d in d_set:
-        t1 = spectral_norm(lt * (1.0 / d)[None, :])
-        t2 = spectral_norm(babs * d[:, None])
-        val = t1 * t2
-        if best is None or val < best:
-            best = val
-            best_label = label
-    return best, best_label
-
-
-def bound_4_3(l_tilde_dense, eps: float, d_set: ScalingCandidateSet) -> tuple[float, str]:
-    """Rigorous componentwise bound with scaling search."""
-    lt = np.asarray(l_tilde_dense, dtype=np.float64)
-    babs, cbs_l, cbs_it = _componentwise_parts(lt)
-    t = cbs_l * cbs_it * eps
-    if not t < 0.5:
-        raise ConditionViolated("4.2", f"cond_F(L~) cond_F(L~^-T) eps = {t}")
-    factor, label = _min_componentwise_factor(lt, babs, d_set)
-    return _b43_value(factor, cbs_l, eps, t), label
-
-
-def bound_4_4(l_tilde_dense, eps: float, d_set: ScalingCandidateSet) -> float:
-    """Weakened closed form: (2 + sqrt(2)) times the first-order coefficient."""
-    lt = np.asarray(l_tilde_dense, dtype=np.float64)
-    babs, cbs_l, cbs_it = _componentwise_parts(lt)
-    t = cbs_l * cbs_it * eps
-    if not t < 0.5:
-        raise ConditionViolated("4.2", f"cond_F(L~) cond_F(L~^-T) eps = {t}")
-    factor, _ = _min_componentwise_factor(lt, babs, d_set)
-    return (2.0 + SQRT2) * (factor * cbs_l * eps)
-
-
-def bound_4_9_coeff(l_tilde_dense, eps: float, d_set: ScalingCandidateSet) -> float:
-    """First-order componentwise coefficient times eps."""
-    lt = np.asarray(l_tilde_dense, dtype=np.float64)
-    babs, cbs_l, _ = _componentwise_parts(lt)
-    factor, _ = _min_componentwise_factor(lt, babs, d_set)
-    return factor * cbs_l * eps
 
 
 # --- reports ------------------------------------------------------------------
@@ -419,14 +206,6 @@ class NormwiseBoundReport:
     actual_dl_fro: float | None
     actual_dl_2: float | None
 
-    FIELD_ORDER = (
-        "dk_fro", "linv_2", "cond_3_1_ok", "cond_3_12_ok", "cond_3_16_ok",
-        "cond_3_18_ok", "b_3_3", "b_3_3_label", "b_3_4", "b_3_4_label",
-        "b_3_11_coeff", "b_3_12", "b_3_13", "b_3_14", "b_3_15", "b_3_17",
-        "b_3_17_label", "b_3_17_excluded", "near_boundary", "actual_dl_fro",
-        "actual_dl_2",
-    )
-
     def rigorous_bounds(self) -> dict[str, float]:
         """Present rigorous bounds by name (first-order coefficient excluded)."""
         out = {}
@@ -453,12 +232,6 @@ class ComponentwiseBoundReport:
     near_boundary: str
     actual_dl_fro: float | None
     actual_dl_2: float | None
-
-    FIELD_ORDER = (
-        "eps", "eps_convention", "cond_4_2_ok", "b_4_3", "b_4_3_label", "b_4_4",
-        "b_4_9_coeff", "cond_bs_L", "cond_bs_LinvT", "near_boundary",
-        "actual_dl_fro", "actual_dl_2",
-    )
 
     def rigorous_bounds(self) -> dict[str, float]:
         out = {}
@@ -529,7 +302,7 @@ class NormwiseEvaluator:
                 near.append("b_3_3")
             b33 = _b33_value(self.linv2, self.kappa_min, dk_fro, x)
             b33_label = self.kappa_label
-            b34 = _b34_value(self.linv2, self.kappa_min, dk_fro)
+            b34 = (2.0 + SQRT2) * (self.linv2 * self.kappa_min * dk_fro)
             b34_label = self.kappa_label
             b313 = _b312_style_value(self.linv2, self.kappa_l, dk_fro, x)
             b314 = _b33_value(self.linv2, self.kappa_l, dk_fro, x)
@@ -559,7 +332,10 @@ class NormwiseEvaluator:
                 continue
             if 0.0 < 1.0 - 4.0 * lhs < NEAR_BOUNDARY_EPS and "b_3_17" not in near:
                 near.append("b_3_17")
-            value = _b317_value(self.l2, self.kappa_l, self.kappas[label], rel, lhs)
+            value = (
+                2.0 * self.l2 * self.kappa_l * self.kappas[label] * rel
+                / (1.0 + math.sqrt(1.0 - 4.0 * lhs))
+            )
             if best317 is None or value < best317:
                 best317 = value
                 best317_label = label
@@ -595,22 +371,6 @@ class NormwiseEvaluator:
         )
 
 
-def build_normwise_report(
-    l_dense,
-    k,
-    dk_fro: float,
-    *,
-    w_inv_norm: float | None = None,
-    actual_dl=None,
-) -> NormwiseBoundReport:
-    """One-shot report: every normwise bound whose condition holds.
-
-    ``w_inv_norm`` enables the operator-matrix bound; ``actual_dl`` (a dense
-    factor difference) fills the ground-truth fields.
-    """
-    return NormwiseEvaluator(l_dense, k, w_inv_norm).report(dk_fro, actual_dl)
-
-
 def build_componentwise_report(
     l_tilde_dense,
     eps: float,
@@ -622,19 +382,27 @@ def build_componentwise_report(
     if eps_convention not in EPS_CONVENTIONS:
         raise ValueError(f"unknown convention {eps_convention!r}")
     lt = np.asarray(l_tilde_dense, dtype=np.float64)
-    babs, cbs_l, cbs_it = _componentwise_parts(lt)
+    _require_lower_triangular(lt)
+    lt_inv = lower_tri_inverse(lt)
+    babs = matmul(np.abs(lt_inv), np.abs(lt))
+    cbs_l = fro_norm(babs)
+    cbs_it = cond_bauer_skeel(lt_inv.T)
     t = cbs_l * cbs_it * eps
     cond42 = t < 0.5
     near = []
     b43 = b44 = None
     b43_label = None
-    d_set = scaling_candidates(lt, "componentwise")
-    factor, label = _min_componentwise_factor(lt, babs, d_set)
+    # min over D of ||L~ D^-1||_2 ||D |L~^-1||L~| ||_2; the first minimum wins
+    factor = label = None
+    for cand, d in scaling_candidates(lt, "componentwise"):
+        val = spectral_norm(lt * (1.0 / d)[None, :]) * spectral_norm(babs * d[:, None])
+        if factor is None or val < factor:
+            factor, label = val, cand
     b49 = factor * cbs_l * eps
     if cond42:
         if 0.0 < 1.0 - 2.0 * t < NEAR_BOUNDARY_EPS:
             near.append("b_4_3")
-        b43 = _b43_value(factor, cbs_l, eps, t)
+        b43 = SQRT2 * factor * cbs_l * eps / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * t))
         b43_label = label
         b44 = (2.0 + SQRT2) * (factor * cbs_l * eps)
 
@@ -659,25 +427,10 @@ def build_componentwise_report(
     )
 
 
-def _json_scalar(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format_float(v)
-    if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    raise TypeError(f"cannot serialize {type(v).__name__}")
-
-
 def report_to_json(report) -> str:
     """Flat JSON object, field order fixed, floats at 17 significant digits."""
     parts = [
-        f'"{name}": {_json_scalar(getattr(report, name))}'
-        for name in report.FIELD_ORDER
+        f'"{f.name}": {format_json_scalar(getattr(report, f.name))}'
+        for f in fields(report)
     ]
     return "{" + ", ".join(parts) + "}"

@@ -280,8 +280,7 @@ def _cmd_backward(args) -> int:
 def _cmd_sweep(args) -> int:
     gammas = _float_list(args.gammas)
     rows = run_gamma_sweep(args.kind, gammas, args.dk_fro)
-    columns = tuple(rows[0].keys())
-    emit_rows(columns, [tuple(r[c] for c in columns) for r in rows], args.format, args.out)
+    emit_rows(rows, args.format, args.out)
     if args.kind == "remark33" and len(rows) > 1:
         slope = loglog_slope([r["gamma"] for r in rows], [r["winv2"] for r in rows])
         print(f"sweep remark33: loglog slope of winv2 = {slope:.4f}", file=sys.stderr)

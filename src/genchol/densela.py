@@ -38,6 +38,7 @@ __all__ = [
     "sym_eigenvalues",
     "is_psd",
     "format_float",
+    "format_json_scalar",
     "format_matrix",
     "parse_matrix",
     "read_matrix",
@@ -147,6 +148,47 @@ def _round_robin_rounds(n: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
+@np.errstate(over="raise")  # only tau * tau can overflow; caught there
+def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> bool:
+    """Rotate column pairs of ``a`` in place until a whole sweep needs no
+    rotation; False if ``max_sweeps`` sweeps were not enough."""
+    for _ in range(max_sweeps):
+        rotated = False
+        for ii0, jj0 in index_pairs:
+            ai = a[:, ii0]
+            aj = a[:, jj0]
+            app = np.einsum("ij,ij->j", ai, ai)
+            aqq = np.einsum("ij,ij->j", aj, aj)
+            apq = np.einsum("ij,ij->j", ai, aj)
+            need = apq * apq > tol2 * app * aqq
+            if not np.any(need):
+                continue
+            rotated = True
+            if not np.all(need):
+                ii, jj = ii0[need], jj0[need]
+                ai, aj = ai[:, need], aj[:, need]
+                app, aqq, apq = app[need], aqq[need], apq[need]
+            else:
+                ii, jj = ii0, jj0
+            tau = (aqq - app) / (2.0 * apq)
+            try:
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            except FloatingPointError:
+                # tau * tau overflows for |tau| > ~1.3e154 (singular-value
+                # ratios below ~1e-154); sqrt(1 + tau^2) is |tau| there
+                with np.errstate(over="ignore"):
+                    root = np.sqrt(1.0 + tau * tau)
+                np.copyto(root, np.abs(tau), where=np.isinf(root))
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            a[:, ii] = c * ai - s * aj
+            a[:, jj] = s * ai + c * aj
+        if not rotated:
+            return True
+    return False
+
+
 def singular_values(x, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
     """All singular values, descending, by one-sided Jacobi orthogonalization.
 
@@ -175,36 +217,7 @@ def singular_values(x, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
         (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
         for pairs in rounds
     ]
-    tol2 = tol * tol
-    converged = False
-    for _ in range(max_sweeps):
-        rotated = False
-        for ii0, jj0 in index_pairs:
-            ai = a[:, ii0]
-            aj = a[:, jj0]
-            app = np.einsum("ij,ij->j", ai, ai)
-            aqq = np.einsum("ij,ij->j", aj, aj)
-            apq = np.einsum("ij,ij->j", ai, aj)
-            need = apq * apq > tol2 * app * aqq
-            if not np.any(need):
-                continue
-            rotated = True
-            if not np.all(need):
-                ii, jj = ii0[need], jj0[need]
-                ai, aj = ai[:, need], aj[:, need]
-                app, aqq, apq = app[need], aqq[need], apq[need]
-            else:
-                ii, jj = ii0, jj0
-            tau = (aqq - app) / (2.0 * apq)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            a[:, ii] = c * ai - s * aj
-            a[:, jj] = s * ai + c * aj
-        if not rotated:
-            converged = True
-            break
-    if not converged:
+    if not _jacobi_sweeps(a, index_pairs, tol * tol, max_sweeps):
         raise ConvergenceError(
             f"one-sided Jacobi did not converge within {max_sweeps} sweeps"
         )
@@ -413,6 +426,23 @@ def is_psd(s, rel_tol: float = 1e-10) -> bool:
 
 def format_float(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def format_json_scalar(v) -> str:
+    """JSON text of None, a bool, an int, a float (17 digits) or a str;
+    numpy scalars count as their Python counterparts."""
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
+    if isinstance(v, str):
+        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 def format_matrix(x) -> str:

@@ -16,6 +16,7 @@ import numpy as np
 from .densela import (
     fro_norm,
     format_float,
+    format_json_scalar,
     gamma_k,
     matmul,
     singular_values,
@@ -42,7 +43,6 @@ from .bounds import (
     build_componentwise_report,
     eps_componentwise,
     operator_inverse_norm,
-    _json_scalar,
 )
 from .oracle import compensated_residual
 
@@ -222,16 +222,6 @@ def make_saddle(
 # --- trial records --------------------------------------------------------------
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)
-
-
 @dataclass(frozen=True, slots=True)
 class NormwiseTrialRecord:
     trial: int
@@ -255,25 +245,21 @@ class NormwiseTrialRecord:
         r = self.report
         return _domination(r.actual_dl_fro, r.rigorous_bounds())[2]
 
-    def csv_cells(self) -> list[str]:
+    def csv_values(self) -> tuple:
+        """The values of ``CSV_COLUMNS``, in order."""
         r = self.report
-        return [_cell(v) for v in (
+        return (
             self.trial, self.m, self.n, self.seed, r.dk_fro, r.linv_2,
             r.cond_3_1_ok, r.b_3_3, r.b_3_3_label, r.b_3_4, r.b_3_11_coeff,
             r.cond_3_12_ok, r.b_3_12, r.b_3_13, r.b_3_14, r.cond_3_16_ok,
             r.b_3_15, r.cond_3_18_ok, r.b_3_17, r.b_3_17_label,
             r.actual_dl_fro, r.actual_dl_2, self.worst_ratio, self.violation,
-        )]
+        )
 
     def json_items(self) -> list[tuple[str, object]]:
+        """The CSV columns and values, then the JSON-only fields."""
         r = self.report
-        items = list(zip(self.CSV_COLUMNS, (
-            self.trial, self.m, self.n, self.seed, r.dk_fro, r.linv_2,
-            r.cond_3_1_ok, r.b_3_3, r.b_3_3_label, r.b_3_4, r.b_3_11_coeff,
-            r.cond_3_12_ok, r.b_3_12, r.b_3_13, r.b_3_14, r.cond_3_16_ok,
-            r.b_3_15, r.cond_3_18_ok, r.b_3_17, r.b_3_17_label,
-            r.actual_dl_fro, r.actual_dl_2, self.worst_ratio, self.violation,
-        )))
+        items = list(zip(self.CSV_COLUMNS, self.csv_values()))
         items += [
             ("dk_level", self.dk_level),
             ("kappa_a", self.kappa_a),
@@ -315,25 +301,21 @@ class ComponentwiseTrialRecord:
             return {}
         return _domination(r.actual_dl_fro, r.rigorous_bounds())[2]
 
-    def csv_cells(self) -> list[str]:
+    def csv_values(self) -> tuple:
+        """The values of ``CSV_COLUMNS``, in order."""
         r = self.report
-        return [_cell(v) for v in (
+        return (
             self.trial, self.m, self.n, self.seed, r.eps, r.eps_convention,
             r.cond_4_2_ok, r.b_4_3, r.b_4_3_label, r.b_4_4, r.b_4_9_coeff,
             r.cond_bs_L, r.cond_bs_LinvT, r.actual_dl_fro, r.actual_dl_2,
             self.env_lt_fro, self.env_tl_fro, self.bw_env_ok,
             self.worst_ratio, self.violation, self.skipped,
-        )]
+        )
 
     def json_items(self) -> list[tuple[str, object]]:
+        """The CSV columns and values, then the JSON-only fields."""
         r = self.report
-        items = list(zip(self.CSV_COLUMNS, (
-            self.trial, self.m, self.n, self.seed, r.eps, r.eps_convention,
-            r.cond_4_2_ok, r.b_4_3, r.b_4_3_label, r.b_4_4, r.b_4_9_coeff,
-            r.cond_bs_L, r.cond_bs_LinvT, r.actual_dl_fro, r.actual_dl_2,
-            self.env_lt_fro, self.env_tl_fro, self.bw_env_ok,
-            self.worst_ratio, self.violation, self.skipped,
-        )))
+        items = list(zip(self.CSV_COLUMNS, self.csv_values()))
         items += [
             ("near_boundary", r.near_boundary),
             ("breakdown", self.breakdown),
@@ -573,33 +555,48 @@ def loglog_slope(xs, ys) -> float:
 # --- emission -------------------------------------------------------------------
 
 
-def emit_rows(columns, rows, fmt: str, path) -> None:
-    """Write a table of already-ordered cell values atomically."""
+def _check_emittable(fmt: str, rows, what: str) -> None:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     if not rows:
-        raise ValueError("nothing to emit: no rows")
+        raise ValueError(f"nothing to emit: no {what}")
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format_float(v)
+    return str(v)
+
+
+def _write_csv(path, columns, rows) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(v) for v in row) for row in rows]
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path, objects) -> None:
+    """A JSON array of flat objects, each given as (key, value) pairs."""
+    objs = [
+        "{" + ", ".join(f'"{k}": {format_json_scalar(v)}' for k, v in items) + "}"
+        for items in objects
+    ]
+    write_text_atomic(path, "[\n" + ",\n".join(objs) + "\n]\n")
+
+
+def emit_rows(rows, fmt: str, path) -> None:
+    """Write a table of dict rows atomically; the first row's keys, in order,
+    are the columns."""
+    _check_emittable(fmt, rows, "rows")
+    columns = tuple(rows[0])
+    values = [tuple(row[c] for c in columns) for row in rows]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        _write_csv(path, columns, values)
     else:
-        objs = []
-        for row in rows:
-            parts = [f'"{c}": {_json_scalar(_jsonable(v))}' for c, v in zip(columns, row)]
-            objs.append("{" + ", ".join(parts) + "}")
-        write_text_atomic(path, "[\n" + ",\n".join(objs) + "\n]\n")
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
+        _write_json(path, [zip(columns, v) for v in values])
 
 
 def emit_report(records, fmt: str, path) -> None:
@@ -608,23 +605,12 @@ def emit_report(records, fmt: str, path) -> None:
     Records are ordered by trial index (stable), so concurrent producers can
     hand results over in any order and still get byte-identical files.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if not records:
-        raise ValueError("nothing to emit: no records")
+    _check_emittable(fmt, records, "records")
     records = sorted(records, key=lambda r: r.trial)
     if fmt == "csv":
-        columns = records[0].CSV_COLUMNS
-        lines = [",".join(columns)]
-        for rec in records:
-            lines.append(",".join(rec.csv_cells()))
-        write_text_atomic(path, "\n".join(lines) + "\n")
+        _write_csv(path, records[0].CSV_COLUMNS, [r.csv_values() for r in records])
     else:
-        objs = []
-        for rec in records:
-            parts = [f'"{k}": {_json_scalar(_jsonable(v))}' for k, v in rec.json_items()]
-            objs.append("{" + ", ".join(parts) + "}")
-        write_text_atomic(path, "[\n" + ",\n".join(objs) + "\n]\n")
+        _write_json(path, [r.json_items() for r in records])
 
 
 def summarize(records) -> tuple[int, int, float]:

@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from genchol.densela import (
-    ConditionViolated,
     ShapeError,
     SingularMatrixError,
     UNIT_ROUNDOFF,
@@ -17,23 +17,8 @@ from genchol.densela import (
 )
 from genchol.bounds import (
     NormwiseEvaluator,
-    ScalingCandidateSet,
     SQRT2,
-    bound_3_11_coeff,
-    bound_3_12,
-    bound_3_13,
-    bound_3_14,
-    bound_3_15,
-    bound_3_17,
-    bound_3_3,
-    bound_3_4,
-    bound_4_3,
-    bound_4_4,
-    bound_4_9_coeff,
     build_componentwise_report,
-    build_normwise_report,
-    check_condition_3_1,
-    check_condition_4_2,
     eps_componentwise,
     operator_inverse_norm,
     report_to_json,
@@ -44,7 +29,13 @@ from genchol.harness import make_saddle
 from genchol.oracle import build_w, w_inverse_norm
 
 U = UNIT_ROUNDOFF
-IDENTITY_ONLY = lambda p: ScalingCandidateSet(("identity",), (np.ones(p),))
+
+
+def normwise(l, dk_fro, k=None, w_inv_norm=None):
+    """Normwise report for the factor ``l``; K is L L^T unless given (only
+    bound 3.17 reads K, through ||K||_2)."""
+    l = np.asarray(l, dtype=np.float64)
+    return NormwiseEvaluator(l, matmul(l, l.T) if k is None else k, w_inv_norm).report(dk_fro)
 
 
 def random_lower(p, rng, boost=1.0):
@@ -89,102 +80,95 @@ class TestScalingCandidates:
 
 class TestCondition31:
     def test_just_below(self):
-        assert check_condition_3_1(np.eye(2), 0.49)
+        assert normwise(np.eye(2), 0.49).cond_3_1_ok is True
 
     def test_boundary_is_strict(self):
-        assert not check_condition_3_1(np.eye(2), 0.5)
+        rep = normwise(np.eye(2), 0.5)
+        assert rep.cond_3_1_ok is False
+        assert rep.b_3_3 is None
 
     def test_threshold_matches_svd_oracle(self):
         l = np.array([[1.0, 0.0], [10.0, 1.0]])
         # ||L^-1||_2 frozen from the SVD oracle
         linv2 = 10.099019513592784
         threshold = 0.5 / linv2**2
-        assert check_condition_3_1(l, threshold * 0.999)
-        assert not check_condition_3_1(l, threshold * 1.001)
+        assert normwise(l, threshold * 0.999).cond_3_1_ok is True
+        assert normwise(l, threshold * 1.001).cond_3_1_ok is False
 
 
 class TestBound33:
     def test_zero_perturbation(self):
-        v, label = bound_3_3(np.eye(2), 0.0, IDENTITY_ONLY(2))
-        assert v == 0.0
-        assert label == "identity"
+        rep = normwise(np.eye(2), 0.0)
+        assert rep.b_3_3 == 0.0
+        assert rep.b_3_3_label == "identity"
 
     def test_identity_frozen_value(self):
-        v, _ = bound_3_3(np.eye(2), 0.125, IDENTITY_ONLY(2))
-        assert v == pytest.approx(0.1380810145368474, rel=1e-13)
+        assert normwise(np.eye(2), 0.125).b_3_3 == pytest.approx(
+            0.1380810145368474, rel=1e-13
+        )
 
     def test_scaling_gap(self):
         # equilibration beats the identity by orders of magnitude
         l = np.array([[1e4, 0.0], [1.0, 1.0]])
-        d_set = scaling_candidates(l, "kappa_min")
-        best, label = bound_3_3(l, 1e-6, d_set)
-        ident, _ = bound_3_3(l, 1e-6, IDENTITY_ONLY(2))
-        assert label == "col-equilibrate-L"
-        assert best * 1e3 <= ident
+        rep = normwise(l, 1e-6)
+        assert rep.b_3_3_label == "col-equilibrate-L"
+        assert rep.b_3_3 * 1e3 <= rep.b_3_14  # b_3_14: identity scaling only
 
     def test_condition_violation(self):
-        with pytest.raises(ConditionViolated):
-            bound_3_3(np.eye(2), 0.5, IDENTITY_ONLY(2))
+        rep = normwise(np.eye(2), 0.5)
+        assert rep.cond_3_1_ok is False
+        assert rep.b_3_3 is None and rep.b_3_3_label is None
 
 
 class TestBound34:
     def test_zero_perturbation(self):
-        v, _ = bound_3_4(np.eye(2), 0.0, IDENTITY_ONLY(2))
-        assert v == 0.0
+        assert normwise(np.eye(2), 0.0).b_3_4 == 0.0
 
     def test_fixed_ratio_to_first_order(self, rng):
         l = random_lower(4, rng)
-        d_set = scaling_candidates(l, "kappa_min")
         for dk in (1e-8, 1e-3):
-            v34, _ = bound_3_4(l, dk, d_set)
-            v311 = bound_3_11_coeff(l, dk, d_set)
-            assert v34 / v311 == pytest.approx(2.0 + SQRT2, rel=1e-12)
+            rep = normwise(l, dk)
+            assert rep.b_3_4 / rep.b_3_11_coeff == pytest.approx(2.0 + SQRT2, rel=1e-12)
 
     def test_dominates_bound_33_on_grid(self):
         for x in np.linspace(0.0, 0.499, 25):
-            v33, _ = bound_3_3(np.eye(2), float(x), IDENTITY_ONLY(2))
-            v34, _ = bound_3_4(np.eye(2), float(x), IDENTITY_ONLY(2))
-            assert v33 <= v34 * (1 + 1e-15)
+            rep = normwise(np.eye(2), float(x))
+            assert rep.b_3_3 <= rep.b_3_4 * (1 + 1e-15)
 
     def test_boundary_limit_of_33_over_first_order(self):
         # the rigorous/first-order ratio climbs to 2 + sqrt(2) at the boundary
-        x = 0.5 - 1e-9
-        v33, _ = bound_3_3(np.eye(2), x, IDENTITY_ONLY(2))
-        v311 = bound_3_11_coeff(np.eye(2), x, IDENTITY_ONLY(2))
-        assert v33 / v311 == pytest.approx(2.0 + SQRT2, abs=1e-3)
-        assert v33 / v311 <= 2.0 + SQRT2
+        rep = normwise(np.eye(2), 0.5 - 1e-9)
+        assert rep.b_3_3 / rep.b_3_11_coeff == pytest.approx(2.0 + SQRT2, abs=1e-3)
+        assert rep.b_3_3 / rep.b_3_11_coeff <= 2.0 + SQRT2
 
 
 class TestBound311:
     def test_identity(self):
-        assert bound_3_11_coeff(np.eye(3), 0.3, IDENTITY_ONLY(3)) == pytest.approx(
-            0.3, rel=1e-13
-        )
+        assert normwise(np.eye(3), 0.3).b_3_11_coeff == pytest.approx(0.3, rel=1e-13)
 
     def test_below_bound_33(self, rng):
         l = random_lower(3, rng)
-        d_set = scaling_candidates(l, "kappa_min")
         linv2 = spectral_norm(lower_tri_inverse(l))
         for frac in (0.1, 0.5, 0.9):
-            dk = frac * 0.5 / linv2**2
-            v33, _ = bound_3_3(l, dk, d_set)
-            assert bound_3_11_coeff(l, dk, d_set) <= v33 * (1 + 1e-15)
+            rep = normwise(l, frac * 0.5 / linv2**2)
+            assert rep.b_3_11_coeff <= rep.b_3_3 * (1 + 1e-15)
 
     def test_zero(self):
-        assert bound_3_11_coeff(np.eye(2), 0.0, IDENTITY_ONLY(2)) == 0.0
+        assert normwise(np.eye(2), 0.0).b_3_11_coeff == 0.0
 
 
 class TestBound312And313:
     def test_zero(self):
-        assert bound_3_12(np.eye(2), 0.0) == 0.0
-        assert bound_3_13(np.eye(2), 0.0) == 0.0
+        rep = normwise(np.eye(2), 0.0)
+        assert rep.b_3_12 == 0.0
+        assert rep.b_3_13 == 0.0
 
     def test_identity_frozen_values(self):
         # ||I^-1||_F^2 = 2 feeds the root of the classic bound
-        assert bound_3_12(np.eye(2), 0.2) == pytest.approx(
+        assert normwise(np.eye(2), 0.2).b_3_12 == pytest.approx(
             0.19543950758485484, rel=1e-13
         )
-        assert bound_3_13(np.eye(2), 0.125) == pytest.approx(
+        assert normwise(np.eye(2), 0.125).b_3_13 == pytest.approx(
             0.094734345490753, rel=1e-13
         )
 
@@ -193,33 +177,33 @@ class TestBound312And313:
             l = random_lower(3, rng)
             linv = lower_tri_inverse(l)
             linv_f = fro_norm(linv)
-            dk = 0.4 / linv_f**2
-            assert bound_3_13(l, dk) <= bound_3_12(l, dk) * (1 + 1e-15)
+            rep = normwise(l, 0.4 / linv_f**2)
+            assert rep.b_3_13 <= rep.b_3_12 * (1 + 1e-15)
 
     def test_312_needs_stronger_condition(self):
         # spectral test passes while the Frobenius one fails
-        dk = 0.3
-        assert check_condition_3_1(np.eye(2), dk)
-        with pytest.raises(ConditionViolated):
-            bound_3_12(np.eye(2), dk)
+        rep = normwise(np.eye(2), 0.3)
+        assert rep.cond_3_1_ok is True
+        assert rep.cond_3_12_ok is False
+        assert rep.b_3_12 is None
 
 
 class TestBound314:
     def test_zero(self):
-        assert bound_3_14(np.eye(2), 0.0) == 0.0
+        assert normwise(np.eye(2), 0.0).b_3_14 == 0.0
 
     def test_equals_bound_33_with_identity_candidates(self, rng):
+        # bound 3.3's formula with kappa of the unscaled factor
         l = random_lower(4, rng)
         linv2 = spectral_norm(lower_tri_inverse(l))
         dk = 0.2 / linv2**2
-        v33, _ = bound_3_3(l, dk, IDENTITY_ONLY(4))
-        assert bound_3_14(l, dk) == v33
+        x = linv2 * linv2 * dk
+        v33 = SQRT2 * linv2 * kappa2(l) * dk / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
+        assert normwise(l, dk).b_3_14 == v33
 
     def test_gap_to_best_candidate(self):
-        l = np.array([[1e4, 0.0], [1.0, 1.0]])
-        d_set = scaling_candidates(l, "kappa_min")
-        v33, _ = bound_3_3(l, 1e-8, d_set)
-        assert bound_3_14(l, 1e-8) >= 100.0 * v33
+        rep = normwise(np.array([[1e4, 0.0], [1.0, 1.0]]), 1e-8)
+        assert rep.b_3_14 >= 100.0 * rep.b_3_3
 
     def test_ratio_cap_to_313(self, rng):
         for _ in range(20):
@@ -227,31 +211,30 @@ class TestBound314:
             linv2 = spectral_norm(lower_tri_inverse(l))
             for frac in (0.2, 0.8, 0.98):
                 dk = frac * 0.5 / linv2**2
-                assert bound_3_14(l, dk) <= (SQRT2 + 1.0) * bound_3_13(l, dk) * (
-                    1 + 1e-12
-                )
+                rep = normwise(l, dk)
+                assert rep.b_3_14 <= (SQRT2 + 1.0) * rep.b_3_13 * (1 + 1e-12)
                 # the ratio is (1 + s) / (sqrt(2) - 1 + s), s = sqrt(1 - 2x)
                 s = math.sqrt(1.0 - 2.0 * linv2 * linv2 * dk)
-                assert bound_3_14(l, dk) / bound_3_13(l, dk) == pytest.approx(
+                assert rep.b_3_14 / rep.b_3_13 == pytest.approx(
                     (1.0 + s) / (SQRT2 - 1.0 + s), rel=1e-12
                 )
 
 
 class TestBound315:
     def test_zero(self):
-        assert bound_3_15(1.0, 0.0) == 0.0
+        assert normwise(np.eye(2), 0.0, w_inv_norm=1.0).b_3_15 == 0.0
 
     def test_scalar_case(self):
         # order 1 with entry l: the operator matrix is [2l]
         l_val = 2.0
         w_inv = 1.0 / (2.0 * l_val)
         dk = 0.1
-        assert bound_3_15(w_inv, dk) == pytest.approx(dk / l_val, rel=1e-15)
+        assert normwise([[l_val]], dk, w_inv_norm=w_inv).b_3_15 == pytest.approx(
+            dk / l_val, rel=1e-15
+        )
 
     def test_condition_stronger_than_3_1(self):
         # gamma = 100 family: the 1/4 test fails while the 1/2 test holds
-        from genchol.oracle import build_w, w_inverse_norm
-
         f = GenCholFactor.from_blocks([[1.0]], [[100.0]], [[1.0]])
         l = factor_to_dense(f)
         w_norm = w_inverse_norm(build_w(f))
@@ -261,9 +244,10 @@ class TestBound315:
         assert 0.5 / linv2**2 == pytest.approx(thresh_31, rel=1e-10)
         assert 0.25 / w_norm**2 == pytest.approx(thresh_316, rel=1e-10)
         dk = 1e-6  # inside 3.1, outside 3.16
-        assert check_condition_3_1(l, dk)
-        with pytest.raises(ConditionViolated):
-            bound_3_15(w_norm, dk)
+        rep = normwise(l, dk, k=reconstruct(f), w_inv_norm=w_norm)
+        assert rep.cond_3_1_ok is True
+        assert rep.cond_3_16_ok is False
+        assert rep.b_3_15 is None
 
 
 def _w_norms(f):
@@ -318,16 +302,14 @@ class TestOperatorInverseNorm:
 
 class TestBound317:
     def test_zero(self):
-        k = np.diag([1.0, -1.0])
-        v, label, excluded = bound_3_17(np.eye(2), k, 0.0, IDENTITY_ONLY(2))
-        assert v == 0.0
-        assert label == "identity"
-        assert excluded == ()
+        rep = normwise(np.eye(2), 0.0, k=np.diag([1.0, -1.0]))
+        assert rep.b_3_17 == 0.0
+        assert rep.b_3_17_label == "identity"
+        assert rep.b_3_17_excluded == ""
 
     def test_identity_frozen_value(self):
-        k = np.diag([1.0, -1.0])
-        v, _, _ = bound_3_17(np.eye(2), k, 0.1, IDENTITY_ONLY(2))
-        assert v == pytest.approx(0.11270166537925831, rel=1e-13)
+        rep = normwise(np.eye(2), 0.1, k=np.diag([1.0, -1.0]))
+        assert rep.b_3_17 == pytest.approx(0.11270166537925831, rel=1e-13)
 
     def test_condition_strength(self, rng):
         # left side of the refined test always dominates the basic one
@@ -345,8 +327,11 @@ class TestBound317:
         k = matmul(l * np.array([1.0, -1.0])[None, :], l.T)
         linv2 = spectral_norm(lower_tri_inverse(l))
         dk = 0.4 / linv2**2  # inside 3.1 but outside the refined test
-        with pytest.raises(ConditionViolated):
-            bound_3_17(l, k, dk, IDENTITY_ONLY(2))
+        rep = normwise(l, dk, k=k)
+        assert rep.cond_3_1_ok is True
+        assert rep.cond_3_18_ok is False
+        assert rep.b_3_17 is None
+        assert "identity" in rep.b_3_17_excluded.split(",")
 
 
 class TestEpsComponentwise:
@@ -373,29 +358,31 @@ class TestEpsComponentwise:
 class TestCondition42:
     def test_identity(self):
         p = 4
-        assert check_condition_4_2(np.eye(p), 0.4 / p)
-        assert not check_condition_4_2(np.eye(p), 0.5 / p)
+        assert build_componentwise_report(np.eye(p), 0.4 / p).cond_4_2_ok is True
+        rep = build_componentwise_report(np.eye(p), 0.5 / p)
+        assert rep.cond_4_2_ok is False
+        assert rep.b_4_3 is None
 
     def test_zero_eps(self):
-        assert check_condition_4_2(np.eye(3), 0.0)
+        assert build_componentwise_report(np.eye(3), 0.0).cond_4_2_ok is True
 
     def test_threshold_from_brute_force(self):
         l = np.array([[1.0, 0.0], [50.0, 1.0]])
         prod = cond_bauer_skeel(l) * cond_bauer_skeel(lower_tri_inverse(l).T)
-        assert check_condition_4_2(l, 0.499 / prod)
-        assert not check_condition_4_2(l, 0.501 / prod)
+        assert build_componentwise_report(l, 0.499 / prod).cond_4_2_ok is True
+        assert build_componentwise_report(l, 0.501 / prod).cond_4_2_ok is False
 
 
 class TestComponentwiseBounds:
+    # at L = I every componentwise scaling candidate is the identity
     def test_zero_eps(self):
-        v, _ = bound_4_3(np.eye(3), 0.0, IDENTITY_ONLY(3))
-        assert v == 0.0
+        assert build_componentwise_report(np.eye(3), 0.0).b_4_3 == 0.0
 
     def test_identity_closed_form(self):
         # all norms are closed-form at the identity: the scaled factor has
         # spectral norm 1, the Bauer-Skeel condition is sqrt(p)
         p, eps = 3, 1e-4
-        v, _ = bound_4_3(np.eye(p), eps, IDENTITY_ONLY(p))
+        v = build_componentwise_report(np.eye(p), eps).b_4_3
         expected = (
             SQRT2 * math.sqrt(p) * eps / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * p * eps))
         )
@@ -403,22 +390,20 @@ class TestComponentwiseBounds:
 
     def test_identity_first_order(self):
         p, eps = 3, 1e-4
-        assert bound_4_9_coeff(np.eye(p), eps, IDENTITY_ONLY(p)) == pytest.approx(
+        assert build_componentwise_report(np.eye(p), eps).b_4_9_coeff == pytest.approx(
             math.sqrt(p) * eps, rel=1e-12
         )
 
     def test_fixed_ratio(self, rng):
         l = random_lower(4, rng)
-        d_set = scaling_candidates(l, "componentwise")
-        eps = 1e-8
-        v44 = bound_4_4(l, eps, d_set)
-        v49 = bound_4_9_coeff(l, eps, d_set)
-        assert v44 / v49 == pytest.approx(2.0 + SQRT2, rel=1e-12)
+        rep = build_componentwise_report(l, 1e-8)
+        assert rep.b_4_4 / rep.b_4_9_coeff == pytest.approx(2.0 + SQRT2, rel=1e-12)
 
     def test_condition_violation(self):
         l = np.array([[1.0, 0.0], [1000.0, 1.0]])
-        with pytest.raises(ConditionViolated):
-            bound_4_3(l, 1e-2, scaling_candidates(l, "componentwise"))
+        rep = build_componentwise_report(l, 1e-2)
+        assert rep.cond_4_2_ok is False
+        assert rep.b_4_3 is None and rep.b_4_4 is None
 
 
 class TestReports:
@@ -437,25 +422,6 @@ class TestReports:
         for name, value in rep.rigorous_bounds().items():
             assert value >= 0.0, name
 
-    def test_evaluator_matches_standalone_ops(self, rng):
-        s, _, _ = make_saddle(3, 2, 100.0, rng)
-        f = factorize(s)
-        l = factor_to_dense(f)
-        k = reconstruct(f)
-        from genchol.oracle import build_w, w_inverse_norm
-
-        w_norm = w_inverse_norm(build_w(f))
-        rep = build_normwise_report(l, k, 1e-4, w_inv_norm=w_norm)
-        d_set = scaling_candidates(l, "kappa_min")
-        assert rep.b_3_3 == bound_3_3(l, 1e-4, d_set)[0]
-        assert rep.b_3_4 == bound_3_4(l, 1e-4, d_set)[0]
-        assert rep.b_3_11_coeff == bound_3_11_coeff(l, 1e-4, d_set)
-        assert rep.b_3_12 == bound_3_12(l, 1e-4)
-        assert rep.b_3_13 == bound_3_13(l, 1e-4)
-        assert rep.b_3_14 == bound_3_14(l, 1e-4)
-        assert rep.b_3_15 == bound_3_15(w_norm, 1e-4)
-        assert rep.b_3_17 == bound_3_17(l, k, 1e-4, d_set)[0]
-
     def test_identity_candidate_reuses_unscaled_svds(self, rng):
         l = random_lower(5, rng)
         ev = NormwiseEvaluator(l, matmul(l, l.T))
@@ -467,11 +433,11 @@ class TestReports:
 
         s, _, _ = make_saddle(2, 1, 10.0, rng)
         f = factorize(s)
-        rep = build_normwise_report(factor_to_dense(f), reconstruct(f), 1e-3)
+        rep = NormwiseEvaluator(factor_to_dense(f), reconstruct(f)).report(1e-3)
         parsed = json.loads(report_to_json(rep))
         assert parsed["dk_fro"] == 1e-3
         assert parsed["cond_3_1_ok"] is True
-        assert set(rep.FIELD_ORDER) == set(parsed.keys())
+        assert list(parsed) == [field.name for field in dataclasses.fields(rep)]
 
     def test_componentwise_report_fields(self, rng):
         s, _, _ = make_saddle(3, 3, 100.0, rng)

@@ -115,6 +115,15 @@ class TestSpectralNorm:
             assert abs(spectral_norm(x) - ref) <= 1e-12 * fro_norm(x)
 
 
+class TestSingularValues:
+    def test_tiny_singular_value_ratio(self):
+        # sigma_min / sigma_max = 1e-145: tau * tau overflows in the rotation
+        x = np.array([[1.0, 1e-156], [0.0, 1e-145]])
+        got = singular_values(x)
+        assert got == pytest.approx([1.0, 1e-145], rel=1e-15)
+        assert got == pytest.approx(np.linalg.svd(x, compute_uv=False), rel=1e-15)
+
+
 class TestKappa2:
     def test_identity(self):
         assert kappa2(np.eye(4)) == pytest.approx(1.0, rel=1e-13)

@@ -24,6 +24,17 @@ from genchol.harness import (
 SMALL_CFG = EnsembleConfig(m=3, n=2, trials=5, cond_target=1e3, seed=99)
 
 
+def _csv_cell(v) -> str:
+    """A value parsed from campaign JSON, written as the campaign CSV writes it."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
 class TestGenSpd:
     def test_cond_one(self, rng):
         a = gen_spd(6, 1.0, rng)
@@ -128,6 +139,15 @@ class TestNormwiseCampaign:
         assert all(not r.violation for r in records)
         assert all(r.diag_3_8_ok for r in records)
         assert all(r.cond318_strength_ok for r in records)
+
+    def test_ill_conditioned_draws_complete(self):
+        # cond 1e8 gives measured dL with sigma_min/sigma_max near 1e-18,
+        # where the Jacobi rotation's tau * tau overflows
+        records = run_normwise_campaign(
+            EnsembleConfig(m=4, n=3, trials=13, cond_target=1e8, seed=1729)
+        )
+        assert len(records) == 13 * 4
+        assert not any(r.violation for r in records)
 
     def test_near_boundary_level(self):
         records = run_normwise_campaign(
@@ -275,6 +295,18 @@ class TestEmission:
         assert parsed[0]["m"] == 2
         assert isinstance(parsed[0]["b33"], float)
         assert parsed[0]["ratio_b_3_3"] >= 1.0  # per-bound tightness present
+        # the JSON objects open with the CSV columns, holding the CSV cells
+        comp = run_componentwise_campaign(EnsembleConfig(m=3, n=2, trials=3, seed=5))
+        for recs in (records, comp):
+            emit_report(recs, "json", out)
+            emit_report(recs, "csv", tmp_path / "r.csv")
+            columns = recs[0].CSV_COLUMNS
+            lines = (tmp_path / "r.csv").read_text().splitlines()
+            assert lines[0] == ",".join(columns)
+            for obj, line in zip(json.loads(out.read_text()), lines[1:], strict=True):
+                assert list(obj)[: len(columns)] == list(columns)
+                cells = [_csv_cell(obj[c]) for c in columns]
+                assert ",".join(cells) == line
 
     def test_componentwise_json_has_both_gamma_conventions(self, tmp_path):
         cfg = EnsembleConfig(m=3, n=2, trials=1, seed=5)
@@ -300,7 +332,7 @@ class TestEmission:
 
     def test_emit_rows_table(self, tmp_path):
         out = tmp_path / "t.csv"
-        emit_rows(("a", "b"), [(1.0, "x"), (2.0, "y")], "csv", out)
+        emit_rows([{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}], "csv", out)
         assert out.read_text().splitlines()[0] == "a,b"
 
     def test_summarize(self):

@@ -183,15 +183,15 @@ class TestActualDeltaL:
         assert dl[0, 0] == pytest.approx(math.sqrt(1.0 + delta) - 1.0, rel=1e-15)
 
     def test_dominated_by_rigorous_bound(self, rng):
-        from genchol.bounds import bound_3_3, scaling_candidates
+        from genchol.bounds import NormwiseEvaluator
 
         for _ in range(10):
             s, _, _ = make_saddle(3, 2, 100.0, rng)
             f = factorize(s)
             l = factor_to_dense(f)
             dk = gen_sym_perturbation(5, 1e-3, rng)
-            d_set = scaling_candidates(l, "kappa_min")
-            value, _ = bound_3_3(l, fro_norm(dk), d_set)
+            value = NormwiseEvaluator(l, assemble_k(s)).report(fro_norm(dk)).b_3_3
+            assert value is not None
             assert fro_norm(actual_delta_l(s, dk)) <= value + 1e-12
 
     def test_first_order_linearization(self, rng):
