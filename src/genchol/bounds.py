@@ -79,15 +79,13 @@ class ScalingCandidateSet:
         return iter(zip(self.labels, self.diags))
 
 
-def scaling_candidates(l_dense, purpose: str) -> ScalingCandidateSet:
+def scaling_candidates(l_dense, bauer=None) -> ScalingCandidateSet:
     """Heuristic diagonal scalings approximating the infima in the bounds.
 
-    "kappa_min": identity plus column equilibration of L (D_jj = ||L e_j||_2).
-    "componentwise": additionally a row equilibration of |L^-1||L|
-    (D_jj = 1 / max of row j).  All entries are clamped positive.
+    Identity plus column equilibration of L (D_jj = ||L e_j||_2); given the
+    Bauer-Skeel product ``bauer`` = |L^-1||L|, additionally its row
+    equilibration (D_jj = 1 / max of row j).  All entries are clamped positive.
     """
-    if purpose not in ("kappa_min", "componentwise"):
-        raise ValueError(f"unknown purpose {purpose!r}")
     l = np.asarray(l_dense, dtype=np.float64)
     _require_lower_triangular(l)
     p = l.shape[0]
@@ -96,10 +94,8 @@ def scaling_candidates(l_dense, purpose: str) -> ScalingCandidateSet:
     col_eq = np.array([max(vec_norm2(l[:, j]), _POSITIVE_FLOOR) for j in range(p)])
     labels.append("col-equilibrate-L")
     diags.append(col_eq)
-    linv = lower_tri_inverse(l)  # raises on singular input
-    if purpose == "componentwise":
-        babs = matmul(np.abs(linv), np.abs(l))
-        row_max = np.maximum(babs.max(axis=1), _POSITIVE_FLOOR)
+    if bauer is not None:
+        row_max = np.maximum(bauer.max(axis=1), _POSITIVE_FLOOR)
         labels.append("row-equilibrate-bauer")
         diags.append(1.0 / row_max)
     return ScalingCandidateSet(tuple(labels), tuple(diags))
@@ -261,7 +257,7 @@ class NormwiseEvaluator:
         self.kappa_l = float(sl[0] / sl[-1])
         self.k2 = spectral_norm(k)
         self.w_inv_norm = w_inv_norm
-        self.d_set = scaling_candidates(l, "kappa_min")
+        self.d_set = scaling_candidates(l)
         self.kappas = {}
         self.dlinv2 = {}
         self.dinv2 = {}
@@ -394,7 +390,7 @@ def build_componentwise_report(
     b43_label = None
     # min over D of ||L~ D^-1||_2 ||D |L~^-1||L~| ||_2; the first minimum wins
     factor = label = None
-    for cand, d in scaling_candidates(lt, "componentwise"):
+    for cand, d in scaling_candidates(lt, babs):
         val = spectral_norm(lt * (1.0 / d)[None, :]) * spectral_norm(babs * d[:, None])
         if factor is None or val < factor:
             factor, label = val, cand

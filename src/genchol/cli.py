@@ -162,7 +162,7 @@ def _build_parser() -> _Parser:
         "--eps-convention",
         choices=EPS_CONVENTIONS,
         default="max-safe",
-        help="which blockwise rounding constant defines the reported envelope",
+        help="label for the records' eps_convention column; the envelope size is --eps",
     )
     p_backward.add_argument(
         "--cond-target", type=float, default=1e3, help="condition-number cap for the blocks"

@@ -2,8 +2,9 @@
 
 Everything operates on plain 2-D float64 numpy arrays.  Reductions with a
 bit-level contract (matmul, Frobenius norms, vector norms) accumulate strictly
-left to right so repeated runs produce identical bits; the iterative kernels
-are deterministic for a fixed build.
+left to right so repeated runs produce identical bits; the Jacobi SVD is
+deterministic for a fixed build.  Symmetric eigenvalues and the inverse of a
+general (non-triangular) matrix come from LAPACK through numpy.linalg.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "cond_bauer_skeel",
     "lower_tri_solve",
     "lower_tri_inverse",
-    "inverse",
     "up_operator",
     "quadratic_root_bound",
     "gamma_k",
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 UNIT_ROUNDOFF = 2.0 ** -53
+_JACOBI_TOL = 1e-14  # a column pair is rotated while |cos angle| exceeds this
+_JACOBI_MAX_SWEEPS = 60
+_PSD_RTOL = 1e-10  # is_psd: lambda_min >= -rtol * ||S||_2
 
 
 class ShapeError(ValueError):
@@ -189,13 +192,13 @@ def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> 
     return False
 
 
-def singular_values(x, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
+def singular_values(x) -> np.ndarray:
     """All singular values, descending, by one-sided Jacobi orthogonalization.
 
     Column pairs are swept in a round-robin order; pairs within one round are
     disjoint and rotated together.  A pair is skipped once its normalized
-    inner product is below ``tol``; convergence is a full sweep without
-    rotations.  Raises ConvergenceError after ``max_sweeps`` sweeps.
+    inner product is below ``_JACOBI_TOL``; convergence is a full sweep without
+    rotations.  Raises ConvergenceError after ``_JACOBI_MAX_SWEEPS`` sweeps.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -217,9 +220,10 @@ def singular_values(x, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
         (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
         for pairs in rounds
     ]
-    if not _jacobi_sweeps(a, index_pairs, tol * tol, max_sweeps):
+    tol2 = _JACOBI_TOL * _JACOBI_TOL
+    if not _jacobi_sweeps(a, index_pairs, tol2, _JACOBI_MAX_SWEEPS):
         raise ConvergenceError(
-            f"one-sided Jacobi did not converge within {max_sweeps} sweeps"
+            f"one-sided Jacobi did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
         )
     sig = sorted((vec_norm2(a[:, j]) for j in range(n)), reverse=True)
     return amax * np.array(sig)
@@ -277,47 +281,22 @@ def lower_tri_inverse(l) -> np.ndarray:
     return lower_tri_solve(l, np.eye(l.shape[0]))
 
 
-def inverse(x) -> np.ndarray:
-    """Inverse of a square matrix.
-
-    Triangular inputs go through forward substitution; everything else uses
-    Gauss-Jordan elimination with partial pivoting.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError("inverse expects a square matrix")
-    n = x.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    if not np.any(np.triu(x, 1) != 0.0):
-        return lower_tri_solve(x, np.eye(n))
-    if not np.any(np.tril(x, -1) != 0.0):
-        return lower_tri_solve(x.T, np.eye(n)).T
-    a = x.copy()
-    inv = np.eye(n)
-    for i in range(n):
-        piv = i + int(np.argmax(np.abs(a[i:, i])))
-        if a[piv, i] == 0.0:
-            raise SingularMatrixError(f"zero pivot at column {i + 1}")
-        if piv != i:
-            a[[i, piv], :] = a[[piv, i], :]
-            inv[[i, piv], :] = inv[[piv, i], :]
-        d = a[i, i]
-        a[i, :] /= d
-        inv[i, :] /= d
-        f = a[:, i].copy()
-        f[i] = 0.0
-        a -= f[:, None] * a[i, :]
-        inv -= f[:, None] * inv[i, :]
-    return inv
-
-
 def cond_bauer_skeel(x) -> float:
-    """Frobenius norm of |X^-1| |X| (entrywise absolute values)."""
+    """Frobenius norm of |X^-1| |X| (entrywise absolute values); triangular X
+    is inverted by forward substitution, any other X by LAPACK."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ShapeError("cond_bauer_skeel expects a square matrix")
-    xinv = inverse(x)
+    eye = np.eye(x.shape[0])
+    if not np.any(np.triu(x, 1) != 0.0):
+        xinv = lower_tri_solve(x, eye)
+    elif not np.any(np.tril(x, -1) != 0.0):
+        xinv = lower_tri_solve(x.T, eye).T
+    else:
+        try:
+            xinv = np.linalg.inv(x)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("matrix is singular") from exc
     return fro_norm(matmul(np.abs(xinv), np.abs(x)))
 
 
@@ -359,62 +338,28 @@ def gamma_k(k: int, u: float = UNIT_ROUNDOFF) -> float:
     return ku / (1.0 - ku)
 
 
-def sym_eigenvalues(s, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of an exactly symmetric matrix, ascending (classical Jacobi)."""
+def sym_eigenvalues(s) -> np.ndarray:
+    """Eigenvalues of an exactly symmetric matrix, ascending (LAPACK)."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeError("sym_eigenvalues expects a square matrix")
     if not np.array_equal(s, s.T):
         raise ShapeError("sym_eigenvalues expects an exactly symmetric matrix")
-    n = s.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    amax = float(np.max(np.abs(s)))
-    if amax == 0.0:
-        return np.zeros(n)
-    m = s / amax
-    converged = False
-    for _ in range(max_sweeps):
-        off = float(np.max(np.abs(np.triu(m, 1)))) if n > 1 else 0.0
-        if off <= tol:
-            converged = True
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                v = m[i, j]
-                if abs(v) <= tol:
-                    continue
-                alpha = (m[j, j] - m[i, i]) / (2.0 * v)
-                t = (1.0 if alpha >= 0.0 else -1.0) / (
-                    abs(alpha) + math.sqrt(1.0 + alpha * alpha)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                w = t * c
-                ci = m[:, i].copy()
-                cj = m[:, j].copy()
-                m[:, i] = c * ci - w * cj
-                m[:, j] = w * ci + c * cj
-                ri = m[i, :].copy()
-                rj = m[j, :].copy()
-                m[i, :] = c * ri - w * rj
-                m[j, :] = w * ri + c * rj
-                m[i, j] = m[j, i] = 0.0
-    if not converged:
-        raise ConvergenceError(
-            f"symmetric Jacobi did not converge within {max_sweeps} sweeps"
-        )
-    return np.sort(np.diagonal(m).copy()) * amax
+    try:
+        return np.linalg.eigvalsh(s)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigvalsh failed: {exc}") from exc
 
 
-def is_psd(s, rel_tol: float = 1e-10) -> bool:
-    """Positive semi-definite test: min eigenvalue >= -rel_tol * ||S||_2."""
+def is_psd(s) -> bool:
+    """Positive semi-definite test: min eigenvalue >= -_PSD_RTOL * ||S||_2."""
     s = np.asarray(s, dtype=np.float64)
     if s.shape[0] == 0:
         return True
     evs = sym_eigenvalues(s)
     lam_min = float(evs[0])
     norm2 = float(np.max(np.abs(evs)))
-    return lam_min >= -rel_tol * norm2
+    return lam_min >= -_PSD_RTOL * norm2
 
 
 # --- matrix text format ---------------------------------------------------

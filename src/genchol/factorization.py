@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _B_RANK_RTOL = 1e-12  # full-row-rank proxy: sigma_min > rtol * sigma_max
-_C_PSD_RTOL = 1e-10  # PSD acceptance: lambda_min >= -rtol * ||C||_2
 
 
 class FactorizationError(ArithmeticError):
@@ -97,9 +96,6 @@ class BlockSpec:
         """Diagonal of J: m entries +1 followed by n entries -1."""
         return np.concatenate([np.ones(self.m), -np.ones(self.n)])
 
-    def j_matrix(self) -> np.ndarray:
-        return np.diag(self.signature())
-
 
 def _cholesky_lower(
     mat: np.ndarray, block: str, offset: int, matrix_label: str
@@ -146,7 +142,7 @@ class SaddleMatrix:
             if not np.array_equal(c, c.T):
                 raise SaddleValidationError("C is not exactly symmetric")
             _cholesky_lower(a, "A", 0, "A")  # positive definiteness
-            if not is_psd(c, _C_PSD_RTOL):
+            if not is_psd(c):
                 raise SaddleValidationError("C is not positive semi-definite")
             if n > 0:
                 sig = singular_values(b)

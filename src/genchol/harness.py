@@ -115,16 +115,16 @@ class EnsembleConfig:
             raise ValueError("need m >= 1 and n >= 0")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if self.cond_target < 1.0:
-            raise ValueError("cond_target must be >= 1")
+        if not 1.0 <= self.cond_target < math.inf:
+            raise ValueError("cond_target must be finite and >= 1")
         object.__setattr__(self, "dk_levels", tuple(float(v) for v in self.dk_levels))
         for v in self.dk_levels:
             if not 0.0 < v < 0.5:
                 raise ValueError(f"dk_level {v} outside (0, 0.5)")
         if self.eps_convention not in EPS_CONVENTIONS:
             raise ValueError(f"unknown eps convention {self.eps_convention!r}")
-        if not self.eps_synth >= 0.0:
-            raise ValueError("eps_synth must be nonnegative")
+        if not 0.0 <= self.eps_synth < math.inf:
+            raise ValueError("eps_synth must be finite and nonnegative")
 
     @property
     def p(self) -> int:

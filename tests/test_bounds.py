@@ -44,9 +44,14 @@ def random_lower(p, rng, boost=1.0):
     return l
 
 
+def bauer_product(l):
+    """|L^-1||L|, the product build_componentwise_report passes on."""
+    return matmul(np.abs(lower_tri_inverse(l)), np.abs(l))
+
+
 class TestScalingCandidates:
     def test_identity_input(self):
-        cs = scaling_candidates(np.eye(3), "kappa_min")
+        cs = scaling_candidates(np.eye(3))
         assert "identity" in cs.labels
         for _, d in cs:
             assert np.allclose(d, 1.0)
@@ -54,7 +59,7 @@ class TestScalingCandidates:
     def test_bad_column_scaling_example(self):
         # column equilibration restores a small condition number
         l = np.array([[1e3, 0.0], [1.0, 1.0]])
-        cs = scaling_candidates(l, "kappa_min")
+        cs = scaling_candidates(l)
         d = dict(zip(cs.labels, cs.diags))["col-equilibrate-L"]
         assert d[0] == pytest.approx(math.sqrt(1e6 + 1.0), rel=1e-14)
         assert d[1] == pytest.approx(1.0, rel=1e-14)
@@ -64,18 +69,24 @@ class TestScalingCandidates:
 
     def test_always_contains_identity(self, rng):
         l = random_lower(5, rng)
-        for purpose in ("kappa_min", "componentwise"):
-            assert "identity" in scaling_candidates(l, purpose).labels
+        for bauer in (None, bauer_product(l)):
+            assert "identity" in scaling_candidates(l, bauer).labels
 
     def test_componentwise_adds_bauer_row(self, rng):
         l = random_lower(4, rng)
-        cs = scaling_candidates(l, "componentwise")
-        assert "row-equilibrate-bauer" in cs.labels
+        babs = bauer_product(l)
+        cs = scaling_candidates(l, babs)
+        assert cs.labels == ("identity", "col-equilibrate-L", "row-equilibrate-bauer")
+        assert np.array_equal(cs.diags[2], 1.0 / babs.max(axis=1))
+        assert "row-equilibrate-bauer" not in scaling_candidates(l).labels
 
     def test_singular_input(self):
+        # the evaluators invert L; scaling_candidates only reads it
         l = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(SingularMatrixError):
-            scaling_candidates(l, "kappa_min")
+            NormwiseEvaluator(l, np.eye(2))
+        with pytest.raises(SingularMatrixError):
+            build_componentwise_report(l, 1e-8)
 
 
 class TestCondition31:

@@ -190,6 +190,25 @@ class TestVerify:
         assert not out.exists()
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["verify", "--cond-target", "nan"], "cond_target"),
+            (["verify", "--cond-target", "inf"], "cond_target"),
+            (["verify", "--cond-target", "1e400"], "cond_target"),
+            (["backward", "--cond-target", "nan"], "cond_target"),
+            (["backward", "--eps", "inf"], "eps_synth"),
+        ],
+    )
+    def test_usage_error(self, capsys, tmp_path, argv, field):
+        out = tmp_path / "r.csv"
+        assert cli.main([*argv, "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"genchol: error: {field} must be finite" in err
+        assert not out.exists()
+
+
 class TestBackward:
     def test_small_run(self, tmp_path):
         res = run_cli(

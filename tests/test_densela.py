@@ -13,6 +13,7 @@ from genchol.densela import (
     cond_bauer_skeel,
     fro_norm,
     gamma_k,
+    is_psd,
     kappa2,
     lower_tri_inverse,
     matmul,
@@ -161,6 +162,21 @@ class TestCondBauerSkeel:
     def test_general_square_matches_entrywise_oracle(self, rng):
         for _ in range(10):
             x = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+            oracle = float(
+                np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro")
+            )
+            assert cond_bauer_skeel(x) == pytest.approx(oracle, rel=1e-10)
+
+    def test_singular_general(self):
+        with pytest.raises(SingularMatrixError):
+            cond_bauer_skeel(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_upper_triangular_matches_entrywise_oracle(self, rng):
+        # the cond_bs_LinvT input of the componentwise report
+        for p in (1, 3, 6):
+            l = np.tril(rng.standard_normal((p, p)))
+            np.fill_diagonal(l, np.abs(np.diagonal(l)) + 1.0)
+            x = lower_tri_inverse(l).T
             oracle = float(
                 np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro")
             )
@@ -340,6 +356,23 @@ class TestSymEigenvalues:
 
     def test_zero_matrix(self):
         assert np.array_equal(sym_eigenvalues(np.zeros((3, 3))), np.zeros(3))
+
+    def test_known_spectrum(self, rng):
+        # Q diag(lam) Q^T with exactly zero and negative eigenvalues
+        lam = np.array([-3.0, -1e-3, 0.0, 0.0, 2.5, 7.0])
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        s = (q * lam) @ q.T
+        s = (s + s.T) / 2.0
+        got = sym_eigenvalues(s)
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.allclose(got, lam, rtol=0.0, atol=1e-13 * 7.0)
+        assert not is_psd(s)
+        c = (q * np.maximum(lam, 0.0)) @ q.T
+        assert is_psd((c + c.T) / 2.0)
+
+    def test_not_symmetric(self):
+        with pytest.raises(ShapeError):
+            sym_eigenvalues(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
 
 
 class TestMatrixText:

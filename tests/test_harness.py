@@ -355,3 +355,13 @@ class TestConfigValidation:
     def test_convention_checked(self):
         with pytest.raises(ValueError):
             EnsembleConfig(m=2, n=1, trials=1, eps_convention="bogus")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5])
+    def test_cond_target_finite_and_at_least_one(self, value):
+        with pytest.raises(ValueError, match="cond_target"):
+            EnsembleConfig(m=2, n=1, trials=1, cond_target=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-6])
+    def test_eps_synth_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="eps_synth"):
+            EnsembleConfig(m=2, n=1, trials=1, eps_synth=value)
