@@ -3,7 +3,6 @@ perturbation bounds (normwise and componentwise) and a verification harness."""
 
 from .densela import (
     UNIT_ROUNDOFF,
-    ConditionViolated,
     ConvergenceError,
     ParseError,
     ShapeError,
@@ -11,10 +10,8 @@ from .densela import (
     cond_bauer_skeel,
     fro_norm,
     gamma_k,
-    kappa2,
     lower_tri_inverse,
     matmul,
-    quadratic_root_bound,
     read_matrix,
     singular_values,
     spectral_norm,
@@ -28,7 +25,6 @@ from .factorization import (
     SaddleMatrix,
     SaddleValidationError,
     assemble_k,
-    delta_factor,
     factor_to_dense,
     factorize,
     factorize_dense,

@@ -41,7 +41,6 @@ __all__ = [
     "ComponentwiseBoundReport",
     "NormwiseEvaluator",
     "scaling_candidates",
-    "operator_inverse_norm",
     "eps_componentwise",
     "build_componentwise_report",
     "report_to_json",
@@ -121,39 +120,6 @@ def _b317_lhs(kappa_l: float, l2: float, dlinv2: float, dinv2: float, rel: float
     return kappa_l * l2 * dlinv2 * dinv2 * rel
 
 
-def operator_inverse_norm(l_dense, signature) -> float:
-    """||W^-1||_2 for W(X) = X J L^T + L J X^T, from the closed-form inverse.
-
-    For symmetric G, W^-1(G) = L low(L^-1 G L^-T) J, where low keeps the lower
-    triangle and halves the diagonal.  Column k of the explicit q x q W^-1
-    (q = p(p+1)/2, in the bases of ``oracle.build_w``) is the image of the
-    duvec basis element at lower position (i, j): G = E_ij + E_ji, so
-    L^-1 G L^-T = u_i u_j^T + u_j u_i^T with u_i column i of L^-1, and half
-    that when i == j, where G = E_ii.  ``oracle.build_w`` followed by
-    ``oracle.w_inverse_norm`` computes the same norm by definition.
-    """
-    l = np.asarray(l_dense, dtype=np.float64)
-    jvec = np.asarray(signature, dtype=np.float64)
-    linv = lower_tri_inverse(l)  # raises on singular input
-    p = l.shape[0]
-    if jvec.shape != (p,):
-        raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
-    jj, ii = np.triu_indices(p)  # lower positions (ii, jj) in column-stacked order
-    q = ii.size
-    ui = linv[:, ii].T
-    uj = linv[:, jj].T
-    g = ui[:, :, None] * uj[:, None, :]
-    g = g + g.transpose(0, 2, 1)
-    g[ii == jj] *= 0.5
-    low = np.tril(g)
-    low[:, np.arange(p), np.arange(p)] *= 0.5
-    # one deterministic product over the stacked (p, q*p) block L [low_1 ... low_q]
-    x = matmul(l, low.transpose(1, 0, 2).reshape(p, q * p))
-    x = x.reshape(p, q, p).transpose(1, 0, 2) * jvec[None, None, :]
-    winv = x[:, ii, jj].T
-    return float(np.linalg.svd(winv, compute_uv=False)[0])
-
-
 def eps_componentwise(
     m: int, n: int, u: float = UNIT_ROUNDOFF, convention: str = "max-safe"
 ) -> float:
@@ -177,7 +143,7 @@ class NormwiseBoundReport:
     """All normwise bound values with their applicability flags.
 
     A bound field is None exactly when its condition flag is false (or, for
-    b_3_15, when the operator-matrix norm was not supplied).
+    b_3_15, when the evaluator computed no operator-matrix norm).
     """
 
     dk_fro: float
@@ -243,9 +209,13 @@ class NormwiseEvaluator:
 
     Campaigns evaluate many perturbation sizes against one factor; building
     the report through this object avoids re-running the SVD kernels.
+    Given the ``signature`` (the diagonal of J) and an order of at most
+    ``W_BOUND_MAX_ORDER``, it also computes ``w_inv_norm`` = ||W^-1||_2 for
+    bound 3.15 from its own L^-1; otherwise ``w_inv_norm`` is None and so are
+    ``b_3_15`` and ``cond_3_16_ok``.
     """
 
-    def __init__(self, l_dense, k, w_inv_norm: float | None = None):
+    def __init__(self, l_dense, k, signature=None):
         l = np.asarray(l_dense, dtype=np.float64)
         k = np.asarray(k, dtype=np.float64)
         self.l = l
@@ -256,7 +226,14 @@ class NormwiseEvaluator:
         self.l2 = float(sl[0])
         self.kappa_l = float(sl[0] / sl[-1])
         self.k2 = spectral_norm(k)
-        self.w_inv_norm = w_inv_norm
+        self.w_inv_norm = None
+        if signature is not None:
+            jvec = np.asarray(signature, dtype=np.float64)
+            p = l.shape[0]
+            if jvec.shape != (p,):
+                raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
+            if p <= W_BOUND_MAX_ORDER:
+                self.w_inv_norm = self._w_inverse_norm(jvec)
         self.d_set = scaling_candidates(l)
         self.kappas = {}
         self.dlinv2 = {}
@@ -272,6 +249,35 @@ class NormwiseEvaluator:
         # first minimal candidate wins, so ties resolve deterministically
         self.kappa_label = min(self.kappas, key=self.kappas.get)
         self.kappa_min = self.kappas[self.kappa_label]
+
+    def _w_inverse_norm(self, jvec: np.ndarray) -> float:
+        """||W^-1||_2 for W(X) = X J L^T + L J X^T, from the closed-form inverse.
+
+        For symmetric G, W^-1(G) = L low(L^-1 G L^-T) J, where low keeps the
+        lower triangle and halves the diagonal.  Column k of the explicit
+        q x q W^-1 (q = p(p+1)/2, in the bases of ``oracle.build_w``) is the
+        image of the duvec basis element at lower position (i, j):
+        G = E_ij + E_ji, so L^-1 G L^-T = u_i u_j^T + u_j u_i^T with u_i
+        column i of L^-1, and half that when i == j, where G = E_ii.
+        ``oracle.build_w`` followed by ``oracle.w_inverse_norm`` computes the
+        same norm by definition.
+        """
+        l, linv = self.l, self.linv
+        p = l.shape[0]
+        jj, ii = np.triu_indices(p)  # lower positions (ii, jj) in column-stacked order
+        q = ii.size
+        ui = linv[:, ii].T
+        uj = linv[:, jj].T
+        g = ui[:, :, None] * uj[:, None, :]
+        g = g + g.transpose(0, 2, 1)
+        g[ii == jj] *= 0.5
+        low = np.tril(g)
+        low[:, np.arange(p), np.arange(p)] *= 0.5
+        # one deterministic product over the stacked (p, q*p) block L [low_1 ... low_q]
+        x = matmul(l, low.transpose(1, 0, 2).reshape(p, q * p))
+        x = x.reshape(p, q, p).transpose(1, 0, 2) * jvec[None, None, :]
+        winv = x[:, ii, jj].T
+        return float(np.linalg.svd(winv, compute_uv=False)[0])
 
     def condition_318_strength_ok(self, dk_fro: float) -> bool:
         """True when the refined-bound test is at least as strong as the 1/2 test
@@ -378,7 +384,6 @@ def build_componentwise_report(
     if eps_convention not in EPS_CONVENTIONS:
         raise ValueError(f"unknown convention {eps_convention!r}")
     lt = np.asarray(l_tilde_dense, dtype=np.float64)
-    _require_lower_triangular(lt)
     lt_inv = lower_tri_inverse(lt)
     babs = matmul(np.abs(lt_inv), np.abs(lt))
     cbs_l = fro_norm(babs)

@@ -24,8 +24,8 @@ from .densela import (
     ParseError,
     ShapeError,
     fro_norm,
-    format_matrix,
     read_matrix,
+    write_matrix,
     write_text_atomic,
 )
 from .factorization import (
@@ -41,7 +41,6 @@ from .bounds import (
     NormwiseEvaluator,
     W_BOUND_MAX_ORDER,
     EPS_CONVENTIONS,
-    operator_inverse_norm,
     report_to_json,
 )
 from .harness import (
@@ -191,7 +190,7 @@ def _build_parser() -> _Parser:
 def _cmd_factor(args) -> int:
     s = read_saddle(args.input)
     factor = factorize(s)
-    write_text_atomic(args.output, format_matrix(factor_to_dense(factor)))
+    write_matrix(factor_to_dense(factor), args.output)
     return 0
 
 
@@ -207,7 +206,7 @@ def _cmd_bounds(args) -> int:
     l_dense = factor_to_dense(factor)
     k = assemble_k(s)
     dk_fro = fro_norm(dk)
-    w_norm = None
+    signature = None
     if args.dump_w and not args.with_w_bound:
         raise _UsageError("--dump-w requires --with-w-bound")
     if args.with_w_bound:
@@ -215,10 +214,10 @@ def _cmd_bounds(args) -> int:
             raise _UsageError(
                 f"--with-w-bound supports order at most {W_BOUND_MAX_ORDER}, got {p}"
             )
-        w_norm = operator_inverse_norm(l_dense, factor.spec.signature())
+        signature = factor.spec.signature()
         if args.dump_w:
-            write_text_atomic(args.dump_w, format_matrix(build_w(factor).entries))
-    evaluator = NormwiseEvaluator(l_dense, k, w_norm)
+            write_matrix(build_w(factor).entries, args.dump_w)
+    evaluator = NormwiseEvaluator(l_dense, k, signature)
     actual_dl = None
     if args.with_actual:
         try:

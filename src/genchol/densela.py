@@ -20,7 +20,6 @@ __all__ = [
     "ShapeError",
     "SingularMatrixError",
     "ConvergenceError",
-    "ConditionViolated",
     "ParseError",
     "as_matrix",
     "matmul",
@@ -28,12 +27,10 @@ __all__ = [
     "vec_norm2",
     "singular_values",
     "spectral_norm",
-    "kappa2",
     "cond_bauer_skeel",
     "lower_tri_solve",
     "lower_tri_inverse",
     "up_operator",
-    "quadratic_root_bound",
     "gamma_k",
     "sym_eigenvalues",
     "is_psd",
@@ -62,17 +59,6 @@ class SingularMatrixError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Iterative kernel failed to meet its tolerance within the sweep cap."""
-
-
-class ConditionViolated(ValueError):
-    """An applicability condition of a bound does not hold."""
-
-    def __init__(self, condition: str, detail: str = ""):
-        self.condition = condition
-        msg = f"condition {condition} violated"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
 
 
 class ParseError(ValueError):
@@ -235,19 +221,6 @@ def spectral_norm(x) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def kappa2(x) -> float:
-    """Two-norm condition number sigma_max / sigma_min of a square matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError("kappa2 expects a square matrix")
-    if x.shape[0] == 0:
-        raise ShapeError("kappa2 of an empty matrix is undefined")
-    s = singular_values(x)
-    if float(s[-1]) == 0.0:
-        raise SingularMatrixError("matrix is singular")
-    return float(s[0] / s[-1])
-
-
 def lower_tri_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L X = RHS by forward substitution; RHS may have many columns."""
     l = np.asarray(l, dtype=np.float64)
@@ -308,24 +281,6 @@ def up_operator(a) -> np.ndarray:
     u = np.triu(a)
     np.fill_diagonal(u, np.diagonal(a) * 0.5)
     return u
-
-
-def quadratic_root_bound(a: float, b: float, c: float) -> float:
-    """Smaller root (b - sqrt(b^2 - 4ac)) / (2a) of the quadratic majorant.
-
-    Evaluated in the cancellation-free form 2c / (b + sqrt(b^2 - 4ac)) so the
-    result keeps full relative accuracy as c approaches zero.  Raises
-    ConditionViolated when the discriminant is not strictly positive.
-    """
-    a = float(a)
-    b = float(b)
-    c = float(c)
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("coefficients a and b must be positive")
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        raise ConditionViolated("quadratic-discriminant", f"b^2 - 4ac = {disc}")
-    return 2.0 * c / (b + math.sqrt(disc))
 
 
 def gamma_k(k: int, u: float = UNIT_ROUNDOFF) -> float:

@@ -37,7 +37,6 @@ __all__ = [
     "factorize_dense",
     "reconstruct",
     "factor_to_dense",
-    "delta_factor",
     "read_saddle",
     "write_saddle",
     "format_saddle",
@@ -278,13 +277,6 @@ def reconstruct(f: GenCholFactor) -> np.ndarray:
     l = factor_to_dense(f)
     lj = l * f.spec.signature()[None, :]
     return matmul(lj, l.T)
-
-
-def delta_factor(l_tilde: GenCholFactor, l: GenCholFactor) -> np.ndarray:
-    """Entrywise difference of two factors with the same block split."""
-    if l_tilde.spec != l.spec:
-        raise ShapeError("factors have different block specs")
-    return factor_to_dense(l_tilde) - factor_to_dense(l)
 
 
 # --- saddle matrix text format ---------------------------------------------

@@ -17,7 +17,6 @@ from .densela import (
     fro_norm,
     format_float,
     format_json_scalar,
-    gamma_k,
     matmul,
     singular_values,
     spectral_norm,
@@ -38,11 +37,9 @@ from .bounds import (
     ComponentwiseBoundReport,
     NormwiseBoundReport,
     NormwiseEvaluator,
-    W_BOUND_MAX_ORDER,
     EPS_CONVENTIONS,
     build_componentwise_report,
     eps_componentwise,
-    operator_inverse_norm,
 )
 from .oracle import compensated_residual
 
@@ -351,56 +348,64 @@ def _domination(
 # --- campaigns -------------------------------------------------------------------
 
 
+def _draw(
+    cfg: EnsembleConfig, rng: np.random.Generator, trial: int
+) -> tuple[SaddleMatrix, GenCholFactor, float, float]:
+    """A random saddle matrix, its factor and its two condition targets.
+
+    A draw that fails validation or factorization is redrawn from ``rng``,
+    at most ``_RETRY_CAP`` times; then CampaignError.
+    """
+    for _attempt in range(_RETRY_CAP):
+        try:
+            s, kappa_a, kappa_s = make_saddle(cfg.m, cfg.n, cfg.cond_target, rng)
+            return s, factorize(s), kappa_a, kappa_s
+        except (FactorizationError, SaddleValidationError):
+            continue
+    raise CampaignError(f"trial {trial}: no valid draw in {_RETRY_CAP} attempts")
+
+
 def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
-    """One record per (trial, dk level); deterministic for a fixed config."""
+    """One record per (trial, dk level); deterministic for a fixed config.
+
+    Every level meets condition 3.1, under which K + dK has a factor, so a
+    breakdown of K + dK propagates as FactorizationError and is not redrawn.
+    """
     records: list[NormwiseTrialRecord] = []
     sqrt2 = math.sqrt(2.0)
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
-        for _attempt in range(_RETRY_CAP):
-            try:
-                s, kappa_a, kappa_s = make_saddle(cfg.m, cfg.n, cfg.cond_target, rng)
-                factor = factorize(s)
-                l_dense = factor_to_dense(factor)
-                k = assemble_k(s)
-                w_norm = None
-                if cfg.p <= W_BOUND_MAX_ORDER:
-                    w_norm = operator_inverse_norm(l_dense, factor.spec.signature())
-                ev = NormwiseEvaluator(l_dense, k, w_norm)
-                direction = gen_sym_perturbation(cfg.p, 1.0, rng)
-                trial_records = []
-                for level in cfg.dk_levels:
-                    dk = direction * (level / (ev.linv2 * ev.linv2))
-                    dk_fro = fro_norm(dk)
-                    perturbed = factorize_dense(k + dk, cfg.m, cfg.n, "K+dK")
-                    dl = factor_to_dense(perturbed) - l_dense
-                    report = ev.report(dk_fro, actual_dl=dl)
-                    worst, violated, _ = _domination(
-                        report.actual_dl_fro, report.rigorous_bounds()
-                    )
-                    x = ev.linv2 * ev.linv2 * dk_fro
-                    lhs38 = fro_norm(matmul(ev.linv, dl))
-                    rhs38 = (1.0 - math.sqrt(max(1.0 - 2.0 * x, 0.0))) / sqrt2
-                    trial_records.append(NormwiseTrialRecord(
-                        trial=trial,
-                        m=cfg.m,
-                        n=cfg.n,
-                        seed=cfg.seed,
-                        dk_level=level,
-                        kappa_a=kappa_a,
-                        kappa_s=kappa_s,
-                        report=report,
-                        worst_ratio=worst,
-                        violation=violated,
-                        diag_3_8_ok=lhs38 <= rhs38 + VIOLATION_SLACK,
-                        cond318_strength_ok=ev.condition_318_strength_ok(dk_fro),
-                    ))
-                records.extend(trial_records)
-                break
-            except (FactorizationError, SaddleValidationError):
-                continue
-        else:
-            raise CampaignError(f"trial {trial}: no valid draw in {_RETRY_CAP} attempts")
+        s, factor, kappa_a, kappa_s = _draw(cfg, rng, trial)
+        l_dense = factor_to_dense(factor)
+        k = assemble_k(s)
+        ev = NormwiseEvaluator(l_dense, k, factor.spec.signature())
+        direction = gen_sym_perturbation(cfg.p, 1.0, rng)
+        for level in cfg.dk_levels:
+            dk = direction * (level / (ev.linv2 * ev.linv2))
+            dk_fro = fro_norm(dk)
+            perturbed = factorize_dense(k + dk, cfg.m, cfg.n, "K+dK")
+            dl = factor_to_dense(perturbed) - l_dense
+            report = ev.report(dk_fro, actual_dl=dl)
+            worst, violated, _ = _domination(
+                report.actual_dl_fro, report.rigorous_bounds()
+            )
+            x = ev.linv2 * ev.linv2 * dk_fro
+            lhs38 = fro_norm(matmul(ev.linv, dl))
+            rhs38 = (1.0 - math.sqrt(max(1.0 - 2.0 * x, 0.0))) / sqrt2
+            records.append(NormwiseTrialRecord(
+                trial=trial,
+                m=cfg.m,
+                n=cfg.n,
+                seed=cfg.seed,
+                dk_level=level,
+                kappa_a=kappa_a,
+                kappa_s=kappa_s,
+                report=report,
+                worst_ratio=worst,
+                violation=violated,
+                diag_3_8_ok=lhs38 <= rhs38 + VIOLATION_SLACK,
+                cond318_strength_ok=ev.condition_318_strength_ok(dk_fro),
+            ))
     return records
 
 
@@ -413,18 +418,11 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
     degenerates to dK = 0.
     """
     records: list[ComponentwiseTrialRecord] = []
-    gamma_cap = gamma_k(3 * max(cfg.m, cfg.n) + 1)
+    eps_min_paper = eps_componentwise(cfg.m, cfg.n, convention="min-paper")
+    eps_max_safe = eps_componentwise(cfg.m, cfg.n, convention="max-safe")
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
-        for _attempt in range(_RETRY_CAP):
-            try:
-                s, _, _ = make_saddle(cfg.m, cfg.n, cfg.cond_target, rng)
-                lt = factorize(s)
-                break
-            except (FactorizationError, SaddleValidationError):
-                continue
-        else:
-            raise CampaignError(f"trial {trial}: no valid draw in {_RETRY_CAP} attempts")
+        s, lt, _, _ = _draw(cfg, rng, trial)
         lt_dense = factor_to_dense(lt)
         abs_lt = np.abs(lt_dense)
         env_lt = matmul(abs_lt, abs_lt.T)
@@ -434,7 +432,7 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
 
         # floating-point backward error of the factorization itself
         resid = compensated_residual(lt, s)
-        env_gamma = 10.0 * gamma_cap * env_lt
+        env_gamma = 10.0 * eps_max_safe * env_lt
         mask = env_gamma > 0.0
         bw_ok = bool(np.all(np.abs(resid)[mask] <= env_gamma[mask])) and bool(
             np.all(np.abs(resid)[~mask] == 0.0)
@@ -480,8 +478,8 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
             worst_ratio=worst,
             violation=violated,
             skipped=skipped,
-            eps_gamma_min_paper=eps_componentwise(cfg.m, cfg.n, convention="min-paper"),
-            eps_gamma_max_safe=eps_componentwise(cfg.m, cfg.n, convention="max-safe"),
+            eps_gamma_min_paper=eps_min_paper,
+            eps_gamma_max_safe=eps_max_safe,
             breakdown=breakdown,
         ))
     return records
@@ -514,8 +512,7 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
         factor = _sweep_factor(kind, gamma)
         l_dense = factor_to_dense(factor)
         k = reconstruct(factor)
-        w_norm = operator_inverse_norm(l_dense, factor.spec.signature())
-        ev = NormwiseEvaluator(l_dense, k, w_norm)
+        ev = NormwiseEvaluator(l_dense, k, factor.spec.signature())
         report = ev.report(dk_fro)
         if kind == "remark32":
             d_analytic = np.array([1.0 / gamma, 1.0])
@@ -530,6 +527,7 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
                 "b313": report.b_3_13,
             })
         else:
+            w_norm = ev.w_inv_norm  # p = 2, so the evaluator always computes it
             rows.append({
                 "gamma": gamma,
                 "dk_fro": dk_fro,

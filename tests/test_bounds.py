@@ -10,9 +10,9 @@ from genchol.densela import (
     UNIT_ROUNDOFF,
     cond_bauer_skeel,
     fro_norm,
-    kappa2,
     lower_tri_inverse,
     matmul,
+    singular_values,
     spectral_norm,
 )
 from genchol.bounds import (
@@ -20,7 +20,6 @@ from genchol.bounds import (
     SQRT2,
     build_componentwise_report,
     eps_componentwise,
-    operator_inverse_norm,
     report_to_json,
     scaling_candidates,
 )
@@ -31,11 +30,17 @@ from genchol.oracle import build_w, w_inverse_norm
 U = UNIT_ROUNDOFF
 
 
-def normwise(l, dk_fro, k=None, w_inv_norm=None):
+def normwise(l, dk_fro, k=None, signature=None):
     """Normwise report for the factor ``l``; K is L L^T unless given (only
     bound 3.17 reads K, through ||K||_2)."""
     l = np.asarray(l, dtype=np.float64)
-    return NormwiseEvaluator(l, matmul(l, l.T) if k is None else k, w_inv_norm).report(dk_fro)
+    return NormwiseEvaluator(l, matmul(l, l.T) if k is None else k, signature).report(dk_fro)
+
+
+def kappa(x):
+    """sigma_max / sigma_min, the two-norm condition number."""
+    s = singular_values(x)
+    return s[0] / s[-1]
 
 
 def random_lower(p, rng, boost=1.0):
@@ -63,9 +68,7 @@ class TestScalingCandidates:
         d = dict(zip(cs.labels, cs.diags))["col-equilibrate-L"]
         assert d[0] == pytest.approx(math.sqrt(1e6 + 1.0), rel=1e-14)
         assert d[1] == pytest.approx(1.0, rel=1e-14)
-        from genchol.densela import kappa2
-
-        assert kappa2(l * (1.0 / d)[None, :]) <= 3.0
+        assert kappa(l * (1.0 / d)[None, :]) <= 3.0
 
     def test_always_contains_identity(self, rng):
         l = random_lower(5, rng)
@@ -209,7 +212,7 @@ class TestBound314:
         linv2 = spectral_norm(lower_tri_inverse(l))
         dk = 0.2 / linv2**2
         x = linv2 * linv2 * dk
-        v33 = SQRT2 * linv2 * kappa2(l) * dk / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
+        v33 = SQRT2 * linv2 * kappa(l) * dk / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
         assert normwise(l, dk).b_3_14 == v33
 
     def test_gap_to_best_candidate(self):
@@ -233,14 +236,13 @@ class TestBound314:
 
 class TestBound315:
     def test_zero(self):
-        assert normwise(np.eye(2), 0.0, w_inv_norm=1.0).b_3_15 == 0.0
+        assert normwise(np.eye(2), 0.0, signature=[1.0, -1.0]).b_3_15 == 0.0
 
     def test_scalar_case(self):
         # order 1 with entry l: the operator matrix is [2l]
         l_val = 2.0
-        w_inv = 1.0 / (2.0 * l_val)
         dk = 0.1
-        assert normwise([[l_val]], dk, w_inv_norm=w_inv).b_3_15 == pytest.approx(
+        assert normwise([[l_val]], dk, signature=[1.0]).b_3_15 == pytest.approx(
             dk / l_val, rel=1e-15
         )
 
@@ -255,7 +257,7 @@ class TestBound315:
         assert 0.5 / linv2**2 == pytest.approx(thresh_31, rel=1e-10)
         assert 0.25 / w_norm**2 == pytest.approx(thresh_316, rel=1e-10)
         dk = 1e-6  # inside 3.1, outside 3.16
-        rep = normwise(l, dk, k=reconstruct(f), w_inv_norm=w_norm)
+        rep = normwise(l, dk, k=reconstruct(f), signature=f.spec.signature())
         assert rep.cond_3_1_ok is True
         assert rep.cond_3_16_ok is False
         assert rep.b_3_15 is None
@@ -263,7 +265,7 @@ class TestBound315:
 
 def _w_norms(f):
     """(closed-form fast path, by-definition oracle) for one factor."""
-    fast = operator_inverse_norm(factor_to_dense(f), f.spec.signature())
+    fast = NormwiseEvaluator(factor_to_dense(f), reconstruct(f), f.spec.signature()).w_inv_norm
     return fast, w_inverse_norm(build_w(f))
 
 
@@ -285,7 +287,8 @@ class TestOperatorInverseNorm:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_order_one(self, l_val, sign):
         # W(x) = 2 j l x, so ||W^-1||_2 = 1 / (2 l) for either sign j
-        assert operator_inverse_norm([[l_val]], [sign]) == pytest.approx(
+        ev = NormwiseEvaluator([[l_val]], [[sign * l_val * l_val]], [sign])
+        assert ev.w_inv_norm == pytest.approx(
             1.0 / (2.0 * l_val), rel=1e-15
         )
 
@@ -306,9 +309,9 @@ class TestOperatorInverseNorm:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ShapeError):
-            operator_inverse_norm(np.eye(3), [1.0, -1.0])
+            NormwiseEvaluator(np.eye(3), np.eye(3), [1.0, -1.0])
         with pytest.raises(SingularMatrixError):
-            operator_inverse_norm(np.diag([1.0, 0.0]), [1.0, -1.0])
+            NormwiseEvaluator(np.diag([1.0, 0.0]), np.eye(2), [1.0, -1.0])
 
 
 class TestBound317:
@@ -436,7 +439,7 @@ class TestReports:
     def test_identity_candidate_reuses_unscaled_svds(self, rng):
         l = random_lower(5, rng)
         ev = NormwiseEvaluator(l, matmul(l, l.T))
-        assert ev.kappas["identity"] == kappa2(l)
+        assert ev.kappas["identity"] == kappa(l)
         assert ev.dlinv2["identity"] == spectral_norm(lower_tri_inverse(l))
 
     def test_json_round_trip(self, rng):

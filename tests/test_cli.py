@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from genchol import cli
-from genchol.densela import ConvergenceError, fro_norm, read_matrix
+from genchol.densela import ConvergenceError, fro_norm, lower_tri_inverse, read_matrix
 from genchol.factorization import factorize, read_saddle
 from genchol.harness import CampaignError
 from genchol.oracle import build_w, w_inverse_norm
@@ -131,6 +131,25 @@ class TestBounds:
         rep = json.loads(out.read_text())
         expected = 2.0 * w_inverse_norm(w) * fro_norm(read_matrix(dk))
         assert rep["b_3_15"] == pytest.approx(expected, rel=1e-12)
+
+    def test_w_bound_inverts_the_factor_once(self, tmp_path, saddle_file, monkeypatch):
+        from genchol import bounds
+
+        calls = []
+
+        def counting_inverse(l):
+            calls.append(np.shape(l))
+            return lower_tri_inverse(l)
+
+        monkeypatch.setattr(bounds, "lower_tri_inverse", counting_inverse)
+        dk = tmp_path / "dk.txt"
+        dk.write_text("2 2\n1e-3 0\n0 1e-3\n")
+        out = tmp_path / "rep.json"
+        argv = ["bounds", str(saddle_file), str(dk), "--with-w-bound", "--with-actual",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["b_3_15"] > 0.0
+        assert calls == [(2, 2)]
 
     def test_dump_w_requires_w_bound(self, tmp_path, saddle_file):
         dk = tmp_path / "dk.txt"

@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 
 from genchol.densela import (
     UNIT_ROUNDOFF,
-    ConditionViolated,
     ShapeError,
     SingularMatrixError,
     cond_bauer_skeel,
     fro_norm,
     gamma_k,
     is_psd,
-    kappa2,
     lower_tri_inverse,
     matmul,
     parse_matrix,
     format_matrix,
-    quadratic_root_bound,
     singular_values,
     spectral_norm,
     sym_eigenvalues,
@@ -125,25 +122,6 @@ class TestSingularValues:
         assert got == pytest.approx(np.linalg.svd(x, compute_uv=False), rel=1e-15)
 
 
-class TestKappa2:
-    def test_identity(self):
-        assert kappa2(np.eye(4)) == pytest.approx(1.0, rel=1e-13)
-
-    def test_diagonal(self):
-        assert kappa2(np.diag([10.0, 1.0])) == pytest.approx(10.0, rel=1e-13)
-
-    def test_bad_column_scaling_example(self):
-        # L = [[1/g, 0], [1, 1]] with g = 1e-3; value pinned by the SVD oracle
-        l = np.array([[1e3, 0.0], [1.0, 1.0]])
-        k = kappa2(l)
-        assert k > 500.0
-        assert k == pytest.approx(1000.0010000010001, rel=1e-10)
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            kappa2(np.zeros((2, 2)))
-
-
 class TestCondBauerSkeel:
     @pytest.mark.parametrize("p", [1, 2, 5, 8])
     def test_identity(self, p):
@@ -210,7 +188,8 @@ class TestLowerTriInverse:
             l = np.tril(rng.standard_normal((p, p)))
             np.fill_diagonal(l, np.abs(np.diagonal(l)) + 1.0)
             resid = fro_norm(matmul(l, lower_tri_inverse(l)) - np.eye(p))
-            assert resid <= 10.0 * p * U * kappa2(l)
+            s = singular_values(l)
+            assert resid <= 10.0 * p * U * (s[0] / s[-1])
 
 
 def square_matrices(max_dim=8, elems=st.floats(-100.0, 100.0)):
@@ -264,46 +243,6 @@ class TestUpOperator:
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
             up_operator(np.zeros((2, 3)))
-
-
-class TestQuadraticRootBound:
-    def test_zero_c(self):
-        assert quadratic_root_bound(1.0, math.sqrt(2.0), 0.0) == 0.0
-
-    def test_near_double_root(self):
-        assert quadratic_root_bound(1.0, 2.0, 1.0 - 1e-8) == pytest.approx(
-            0.9998999999997488, rel=1e-12
-        )
-
-    def test_below_half_sqrt2(self, rng):
-        for _ in range(25):
-            c = float(rng.uniform(0.0, 0.499))
-            assert quadratic_root_bound(1.0, math.sqrt(2.0), c) < math.sqrt(2.0) / 2.0
-
-    @settings(max_examples=50)
-    @given(
-        st.floats(0.1, 10.0),
-        st.floats(0.1, 10.0),
-        st.floats(0.0, 1.0),
-        st.floats(0.0, 1.0),
-    )
-    def test_monotone_in_c(self, a, b, f1, f2):
-        cap = b * b / (4.0 * a) * 0.999
-        c1, c2 = sorted((f1 * cap, f2 * cap))
-        assert quadratic_root_bound(a, b, c1) <= quadratic_root_bound(a, b, c2)
-
-    @pytest.mark.parametrize("c", [1e-3, 1e-6, 1e-9])
-    def test_small_c_expansion(self, c):
-        a, b = 1.0, math.sqrt(2.0)
-        assert abs(quadratic_root_bound(a, b, c) - c / b) <= 2.0 * a * c * c / b**3
-
-    def test_discriminant_violation(self):
-        with pytest.raises(ConditionViolated):
-            quadratic_root_bound(1.0, 2.0, 1.5)
-
-    def test_rejects_bad_coefficients(self):
-        with pytest.raises(ValueError):
-            quadratic_root_bound(-1.0, 2.0, 0.1)
 
 
 class TestGammaK:

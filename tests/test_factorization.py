@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from genchol.densela import UNIT_ROUNDOFF, ShapeError, fro_norm
+from genchol.densela import UNIT_ROUNDOFF, fro_norm
 from genchol.factorization import (
     BlockSpec,
     FactorizationError,
@@ -11,11 +11,12 @@ from genchol.factorization import (
     SaddleMatrix,
     SaddleValidationError,
     assemble_k,
-    delta_factor,
     factor_to_dense,
     factorize,
     factorize_dense,
+    read_saddle,
     reconstruct,
+    write_saddle,
 )
 from genchol.harness import make_saddle
 
@@ -217,27 +218,14 @@ class TestFactorDense:
         assert np.array_equal(factor_to_dense(f), l)
 
 
-class TestDeltaFactor:
-    def test_identical_factors(self):
-        f = GenCholFactor.from_blocks([[2.0]], [[1.0]], [[1.0]])
-        assert np.array_equal(delta_factor(f, f), np.zeros((2, 2)))
-
-    def test_rank_one_bump(self):
-        f = GenCholFactor.from_blocks([[1.0]], [[0.0]], [[1.0]])
-        g = GenCholFactor.from_blocks([[2.0]], [[0.0]], [[1.0]])
-        d = delta_factor(g, f)
-        assert fro_norm(d) == 1.0
-        assert d[0, 0] == 1.0
-
-    def test_entrywise_subtraction(self, rng):
-        l1 = np.tril(rng.standard_normal((4, 4))) + 2.0 * np.eye(4)
-        l2 = np.tril(rng.standard_normal((4, 4))) + 2.0 * np.eye(4)
-        f1 = GenCholFactor.from_dense(l1, 2, 2)
-        f2 = GenCholFactor.from_dense(l2, 2, 2)
-        assert np.array_equal(delta_factor(f1, f2), l1 - l2)
-
-    def test_spec_mismatch(self):
-        f = GenCholFactor.from_blocks([[1.0]], [[0.0]], [[1.0]])
-        g = GenCholFactor.from_blocks(np.eye(2), np.zeros((0, 2)), np.zeros((0, 0)))
-        with pytest.raises(ShapeError):
-            delta_factor(f, g)
+class TestSaddleText:
+    @pytest.mark.parametrize("m, n", [(4, 3), (3, 0), (1, 1)])
+    def test_round_trip_exact(self, tmp_path, rng, m, n):
+        s, _, _ = make_saddle(m, n, 1e6, rng)
+        path = tmp_path / "k.txt"
+        write_saddle(s, path)
+        back = read_saddle(path)
+        assert back.spec == s.spec
+        for block in ("A", "B", "C"):
+            assert getattr(back, block).shape == getattr(s, block).shape
+            assert np.array_equal(getattr(back, block), getattr(s, block)), block

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from genchol.densela import fro_norm
+from genchol.densela import fro_norm, lower_tri_inverse
+from genchol.factorization import FactorizationError, factorize_dense
 from genchol.harness import (
     EnsembleConfig,
     emit_report,
@@ -188,6 +189,36 @@ class TestNormwiseCampaign:
                 assert r.report.b_3_15 == pytest.approx(expected, rel=1e-12)
                 checked += 1
         assert checked >= 10
+
+    def test_one_inversion_per_factor(self, monkeypatch):
+        # the evaluator's L^-1 also serves ||W^-1||_2 for bound 3.15
+        from genchol import bounds
+
+        calls = []
+
+        def counting_inverse(l):
+            calls.append(np.shape(l))
+            return lower_tri_inverse(l)
+
+        monkeypatch.setattr(bounds, "lower_tri_inverse", counting_inverse)
+        (rec,) = run_normwise_campaign(
+            EnsembleConfig(m=3, n=2, trials=1, dk_levels=(1e-4,), seed=2)
+        )
+        assert rec.report.b_3_15 is not None
+        assert calls == [(5, 5)]
+
+    def test_perturbed_breakdown_is_not_redrawn(self, monkeypatch):
+        # condition 3.1 says K + dK factors; a breakdown there is an error,
+        # not a reason to draw another saddle matrix
+        from genchol import harness
+
+        def breaking_factorize_dense(k, m, n, matrix_label="K"):
+            monkeypatch.setattr(harness, "factorize_dense", factorize_dense)
+            raise FactorizationError("Schur", m + 1, -1.0, matrix_label)
+
+        monkeypatch.setattr(harness, "factorize_dense", breaking_factorize_dense)
+        with pytest.raises(FactorizationError, match="K\\+dK"):
+            run_normwise_campaign(EnsembleConfig(m=3, n=2, trials=2, seed=2))
 
     def test_tightness_derived_from_report(self):
         (rec,) = run_normwise_campaign(
