@@ -43,7 +43,6 @@ from .bounds import (
     scaling_candidates,
 )
 from .oracle import (
-    WOperator,
     actual_delta_l,
     build_w,
     compensated_residual,
@@ -56,7 +55,6 @@ from .harness import (
     EnsembleConfig,
     emit_report,
     gen_fullrank,
-    gen_psd,
     gen_spd,
     gen_sym_perturbation,
     make_saddle,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .densela import (
+    ConvergenceError,
     ShapeError,
     _require_lower_triangular,
     cond_bauer_skeel,
@@ -29,7 +30,6 @@ from .densela import (
     matmul,
     singular_values,
     spectral_norm,
-    vec_norm2,
     UNIT_ROUNDOFF,
     format_json_scalar,
 )
@@ -90,7 +90,7 @@ def scaling_candidates(l_dense, bauer=None) -> ScalingCandidateSet:
     p = l.shape[0]
     labels = ["identity"]
     diags = [np.ones(p)]
-    col_eq = np.array([max(vec_norm2(l[:, j]), _POSITIVE_FLOOR) for j in range(p)])
+    col_eq = np.array([max(fro_norm(l[:, j]), _POSITIVE_FLOOR) for j in range(p)])
     labels.append("col-equilibrate-L")
     diags.append(col_eq)
     if bauer is not None:
@@ -114,10 +114,6 @@ def _b33_value(linv2: float, kappa: float, dk_fro: float, x: float) -> float:
 
 def _b312_style_value(linv2: float, kappa: float, dk_fro: float, xx: float) -> float:
     return SQRT2 * linv2 * kappa * dk_fro / (1.0 + math.sqrt(1.0 - 2.0 * xx))
-
-
-def _b317_lhs(kappa_l: float, l2: float, dlinv2: float, dinv2: float, rel: float) -> float:
-    return kappa_l * l2 * dlinv2 * dinv2 * rel
 
 
 def eps_componentwise(
@@ -236,16 +232,19 @@ class NormwiseEvaluator:
                 self.w_inv_norm = self._w_inverse_norm(jvec)
         self.d_set = scaling_candidates(l)
         self.kappas = {}
-        self.dlinv2 = {}
-        self.dinv2 = {}
+        # per label, kappa(L) ||L||_2 ||D L^-1||_2 ||D^-1||_2: bound 3.17's
+        # test quantity is this coefficient times ||dK||_F / ||K||_2
+        self.coeff_317 = {}
         for label, d in self.d_set:
             if label == "identity":  # D = I: the SVDs of L and L^-1 above
                 self.kappas[label] = self.kappa_l
-                self.dlinv2[label] = self.linv2
+                scaled_linv2 = self.linv2
             else:
                 self.kappas[label] = _kappa_scaled(l, d)
-                self.dlinv2[label] = spectral_norm(d[:, None] * self.linv)
-            self.dinv2[label] = float(np.max(1.0 / d))
+                scaled_linv2 = spectral_norm(d[:, None] * self.linv)
+            self.coeff_317[label] = (
+                self.kappa_l * self.l2 * scaled_linv2 * float(np.max(1.0 / d))
+            )
         # first minimal candidate wins, so ties resolve deterministically
         self.kappa_label = min(self.kappas, key=self.kappas.get)
         self.kappa_min = self.kappas[self.kappa_label]
@@ -277,18 +276,17 @@ class NormwiseEvaluator:
         x = matmul(l, low.transpose(1, 0, 2).reshape(p, q * p))
         x = x.reshape(p, q, p).transpose(1, 0, 2) * jvec[None, None, :]
         winv = x[:, ii, jj].T
-        return float(np.linalg.svd(winv, compute_uv=False)[0])
+        try:
+            return float(np.linalg.svd(winv, compute_uv=False)[0])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"SVD of W^-1 failed: {exc}") from exc
 
     def condition_318_strength_ok(self, dk_fro: float) -> bool:
         """True when the refined-bound test is at least as strong as the 1/2 test
         for every candidate (left side >= ||L^-1||_2^2 ||dK||_F)."""
         x = self.linv2 * self.linv2 * dk_fro
         rel = dk_fro / self.k2
-        for label, _ in self.d_set:
-            lhs = _b317_lhs(self.kappa_l, self.l2, self.dlinv2[label], self.dinv2[label], rel)
-            if lhs < x:
-                return False
-        return True
+        return not any(c * rel < x for c in self.coeff_317.values())
 
     def report(self, dk_fro: float, actual_dl=None) -> NormwiseBoundReport:
         near = []
@@ -327,8 +325,8 @@ class NormwiseEvaluator:
         best317 = None
         best317_label = None
         excluded = []
-        for label, d in self.d_set:
-            lhs = _b317_lhs(self.kappa_l, self.l2, self.dlinv2[label], self.dinv2[label], rel)
+        for label, coeff in self.coeff_317.items():
+            lhs = coeff * rel
             if not lhs < 0.25:
                 excluded.append(label)
                 continue

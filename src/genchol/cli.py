@@ -216,7 +216,7 @@ def _cmd_bounds(args) -> int:
             )
         signature = factor.spec.signature()
         if args.dump_w:
-            write_matrix(build_w(factor).entries, args.dump_w)
+            write_matrix(build_w(factor), args.dump_w)
     evaluator = NormwiseEvaluator(l_dense, k, signature)
     actual_dl = None
     if args.with_actual:
@@ -280,9 +280,10 @@ def _cmd_sweep(args) -> int:
     gammas = _float_list(args.gammas)
     rows = run_gamma_sweep(args.kind, gammas, args.dk_fro)
     emit_rows(rows, args.format, args.out)
-    if args.kind == "remark33" and len(rows) > 1:
-        slope = loglog_slope([r["gamma"] for r in rows], [r["winv2"] for r in rows])
-        print(f"sweep remark33: loglog slope of winv2 = {slope:.4f}", file=sys.stderr)
+    if args.kind == "remark33":
+        if len(rows) > 1:  # a slope needs two gammas
+            slope = loglog_slope([r["gamma"] for r in rows], [r["winv2"] for r in rows])
+            print(f"sweep remark33: loglog slope of winv2 = {slope:.4f}", file=sys.stderr)
     else:
         ratios = [r["kappa_l"] / r["kappa_ld_analytic"] for r in rows]
         print(

@@ -1,7 +1,7 @@
 """Dense matrix kernels shared by the factorization, bound, and harness layers.
 
 Everything operates on plain 2-D float64 numpy arrays.  Reductions with a
-bit-level contract (matmul, Frobenius norms, vector norms) accumulate strictly
+bit-level contract (matmul, the Frobenius/Euclidean norm) accumulate strictly
 left to right so repeated runs produce identical bits; the Jacobi SVD is
 deterministic for a fixed build.  Symmetric eigenvalues and the inverse of a
 general (non-triangular) matrix come from LAPACK through numpy.linalg.
@@ -24,7 +24,6 @@ __all__ = [
     "as_matrix",
     "matmul",
     "fro_norm",
-    "vec_norm2",
     "singular_values",
     "spectral_norm",
     "cond_bauer_skeel",
@@ -92,22 +91,9 @@ def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def vec_norm2(v) -> float:
-    """Euclidean norm of a 1-D vector, overflow-safe, left-to-right accumulation."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size == 0:
-        return 0.0
-    amax = float(np.max(np.abs(v)))
-    if amax == 0.0:
-        return 0.0
-    total = 0.0
-    for t in (v / amax).tolist():
-        total += t * t
-    return amax * math.sqrt(total)
-
-
 def fro_norm(x) -> float:
-    """Frobenius norm, overflow-safe, left-to-right accumulation in row order."""
+    """Frobenius norm (the Euclidean norm of a vector), overflow-safe,
+    left-to-right accumulation in row order."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return 0.0
@@ -200,7 +186,7 @@ def singular_values(x) -> np.ndarray:
     a = np.asfortranarray(a)
     n = a.shape[1]
     if n == 1:
-        return np.array([amax * vec_norm2(a[:, 0])])
+        return np.array([amax * fro_norm(a[:, 0])])
     rounds = _round_robin_rounds(n)
     index_pairs = [
         (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
@@ -211,7 +197,7 @@ def singular_values(x) -> np.ndarray:
         raise ConvergenceError(
             f"one-sided Jacobi did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
         )
-    sig = sorted((vec_norm2(a[:, j]) for j in range(n)), reverse=True)
+    sig = sorted((fro_norm(a[:, j]) for j in range(n)), reverse=True)
     return amax * np.array(sig)
 
 
@@ -329,8 +315,9 @@ def format_float(v: float) -> str:
 
 
 def format_json_scalar(v) -> str:
-    """JSON text of None, a bool, an int, a float (17 digits) or a str;
-    numpy scalars count as their Python counterparts."""
+    """JSON text of None, a bool, an int, a finite float (17 digits) or a str;
+    numpy scalars count as their Python counterparts.  JSON has no inf or
+    nan, so a non-finite float is a ValueError."""
     if v is None:
         return "null"
     if isinstance(v, (bool, np.bool_)):
@@ -338,6 +325,8 @@ def format_json_scalar(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise ValueError(f"JSON has no representation for {float(v)}")
         return format_float(v)
     if isinstance(v, str):
         escaped = v.replace("\\", "\\\\").replace('"', '\\"')

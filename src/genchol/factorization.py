@@ -297,7 +297,7 @@ def write_saddle(s: SaddleMatrix, path) -> None:
     write_text_atomic(path, format_saddle(s))
 
 
-def read_saddle(path, validate: bool = True) -> SaddleMatrix:
+def read_saddle(path) -> SaddleMatrix:
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -317,4 +317,4 @@ def read_saddle(path, validate: bool = True) -> SaddleMatrix:
     k = parse_matrix(body)
     if not np.array_equal(k, k.T):
         raise ParseError("matrix is not exactly symmetric")
-    return SaddleMatrix.from_dense(k, m, n, validate=validate)
+    return SaddleMatrix.from_dense(k, m, n)

@@ -18,7 +18,6 @@ from .densela import (
     format_float,
     format_json_scalar,
     matmul,
-    singular_values,
     spectral_norm,
     write_text_atomic,
 )
@@ -40,6 +39,7 @@ from .bounds import (
     EPS_CONVENTIONS,
     build_componentwise_report,
     eps_componentwise,
+    _kappa_scaled,
 )
 from .oracle import compensated_residual
 
@@ -52,7 +52,6 @@ __all__ = [
     "NORMWISE_CSV_COLUMNS",
     "COMPONENTWISE_CSV_COLUMNS",
     "gen_spd",
-    "gen_psd",
     "gen_fullrank",
     "gen_sym_perturbation",
     "make_saddle",
@@ -150,20 +149,6 @@ def gen_spd(order: int, cond: float, rng: np.random.Generator) -> np.ndarray:
     return np.tril(raw) + np.tril(raw, -1).T  # exact symmetry
 
 
-def gen_psd(order: int, rank_deficiency: int, rng: np.random.Generator) -> np.ndarray:
-    """PSD Gram matrix with exactly ``rank_deficiency`` zero eigenvalues.
-
-    ``rank_deficiency == order`` yields the zero matrix.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if not 0 <= rank_deficiency <= order:
-        raise ValueError("rank deficiency out of range")
-    rows = order - rank_deficiency
-    g = rng.standard_normal((rows, order))
-    return matmul(g.T, g)
-
-
 def gen_fullrank(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Dense n x m Gaussian draw, n <= m; full row rank almost surely."""
     if n > m:
@@ -210,7 +195,10 @@ def make_saddle(
     l21 = l21_raw * (math.sqrt(zeta * lam_min) / smax)
     gram = matmul(l21, l21.T)
     c = schur_target - gram
-    l11 = np.linalg.cholesky(a)
+    try:
+        l11 = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:  # a rounding-indefinite A; redrawn
+        raise SaddleValidationError(f"A is not positive definite: {exc}") from exc
     b = matmul(l21, l11.T)
     s = SaddleMatrix.from_blocks(a, b, c)
     return s, kappa_a, kappa_s
@@ -515,13 +503,11 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
         ev = NormwiseEvaluator(l_dense, k, factor.spec.signature())
         report = ev.report(dk_fro)
         if kind == "remark32":
-            d_analytic = np.array([1.0 / gamma, 1.0])
-            sd = singular_values(np.asarray(l_dense) * (1.0 / d_analytic)[None, :])
             rows.append({
                 "gamma": gamma,
                 "dk_fro": dk_fro,
                 "kappa_l": ev.kappa_l,
-                "kappa_ld_analytic": float(sd[0] / sd[-1]),
+                "kappa_ld_analytic": _kappa_scaled(l_dense, np.array([1.0 / gamma, 1.0])),
                 "b33": report.b_3_3,
                 "b33_label": report.b_3_3_label,
                 "b313": report.b_3_13,

@@ -9,8 +9,6 @@ compensated-arithmetic residual for backward-error experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .densela import (
@@ -31,7 +29,6 @@ from .factorization import (
 )
 
 __all__ = [
-    "WOperator",
     "duvec",
     "uvec_lower",
     "unuvec",
@@ -88,22 +85,13 @@ def unuvec(h) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WOperator:
-    """Dense matrix of the map X -> duvec(X J L^T + L J X^T) in uvec bases.
-
-    Lower triangular of order p(p+1)/2 with nonzero diagonal whenever L is
+def build_w(factor: GenCholFactor) -> np.ndarray:
+    """Dense q x q matrix (q = p(p+1)/2) of the map X -> duvec(X J L^T + L J X^T)
+    in uvec bases: lower triangular, with nonzero diagonal whenever L is
     nonsingular.
-    """
 
-    order: int
-    entries: np.ndarray
-
-
-def build_w(factor: GenCholFactor) -> WOperator:
-    """Apply the defining map to every lower-triangle basis element.
-
-    Column for basis position (i, j) is duvec(E_ij J L^T + L J E_ij^T); no
+    The defining map is applied to every lower-triangle basis element: the
+    column for basis position (i, j) is duvec(E_ij J L^T + L J E_ij^T); no
     index formula is used, so the construction is correct by definition.
     """
     l = factor_to_dense(factor)
@@ -121,17 +109,15 @@ def build_w(factor: GenCholFactor) -> WOperator:
             y = matmul(e, jlt) + matmul(lj, e.T)
             w[:, col] = duvec(y)
             col += 1
-    return WOperator(order=p, entries=w)
+    return w
 
 
-def w_inverse_norm(w: WOperator) -> float:
-    """Spectral norm of W^-1 via forward substitution on the triangular W."""
-    entries = np.asarray(w.entries, dtype=np.float64)
-    q = entries.shape[0]
-    if np.any(np.diagonal(entries) == 0.0):
+def w_inverse_norm(w) -> float:
+    """Spectral norm of W^-1 via forward substitution on ``build_w``'s triangular W."""
+    w = np.asarray(w, dtype=np.float64)
+    if np.any(np.diagonal(w) == 0.0):
         raise SingularMatrixError("operator matrix has a zero diagonal entry")
-    winv = lower_tri_solve(entries, np.eye(q))
-    return spectral_norm(winv)
+    return spectral_norm(lower_tri_solve(w, np.eye(w.shape[0])))
 
 
 def actual_delta_l(s: SaddleMatrix, dk) -> np.ndarray:

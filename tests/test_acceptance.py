@@ -277,12 +277,12 @@ def test_11_oracle_consistency():
         w = build_w(f)
         x = np.tril(rng.standard_normal((p, p)))
         jv = f.spec.signature()
-        lhs = w.entries @ uvec_lower(x)
+        lhs = w @ uvec_lower(x)
         rhs = duvec(matmul(x, jv[:, None] * l.T) + matmul(l * jv[None, :], x.T))
         scale = 1e-13 * fro_norm(l) * fro_norm(x)
         worst_map = max(worst_map, float(np.max(np.abs(lhs - rhs))) / scale)
 
-        winv = lower_tri_solve(w.entries, np.eye(w.entries.shape[0]))
+        winv = lower_tri_solve(w, np.eye(w.shape[0]))
         dk = gen_sym_perturbation(p, 1e-10, rng)
         predicted = unuvec(winv @ duvec(dk))
         from genchol.oracle import actual_delta_l

@@ -440,7 +440,8 @@ class TestReports:
         l = random_lower(5, rng)
         ev = NormwiseEvaluator(l, matmul(l, l.T))
         assert ev.kappas["identity"] == kappa(l)
-        assert ev.dlinv2["identity"] == spectral_norm(lower_tri_inverse(l))
+        linv2 = spectral_norm(lower_tri_inverse(l))
+        assert ev.coeff_317["identity"] == ev.kappa_l * ev.l2 * linv2 * 1.0
 
     def test_json_round_trip(self, rng):
         import json

@@ -127,7 +127,7 @@ class TestBounds:
                 "--dump-w", str(wpath), "--out", str(out)]
         assert cli.main(argv) == 0
         w = build_w(factorize(read_saddle(saddle_file)))
-        assert np.array_equal(read_matrix(wpath), w.entries)
+        assert np.array_equal(read_matrix(wpath), w)
         rep = json.loads(out.read_text())
         expected = 2.0 * w_inverse_norm(w) * fro_norm(read_matrix(dk))
         assert rep["b_3_15"] == pytest.approx(expected, rel=1e-12)
@@ -178,6 +178,14 @@ class TestVerify:
         assert res.returncode == 0
         parsed = json.loads((tmp_path / "v.json").read_text())
         assert parsed[0]["violation"] is False
+
+    def test_rounding_indefinite_draw_is_redrawn(self, capsys, tmp_path):
+        # some cond-1e20 draws of A fail LAPACK's Cholesky; they are redrawn,
+        # not reported as a usage error
+        argv = ["verify", "--m", "4", "--n", "3", "--cond-target", "1e20",
+                "--trials", "20", "--out", str(tmp_path / "v.csv")]
+        assert cli.main(argv) in (0, 4)
+        assert "records=80" in capsys.readouterr().err
 
     def test_bad_dk_level_is_usage_error(self, tmp_path):
         res = run_cli(
@@ -267,6 +275,32 @@ class TestSweep:
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0].startswith("gamma,")
         assert len(lines) == 3
+
+    def test_remark33_single_gamma_has_no_slope(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--kind", "remark33", "--gammas", "10", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(out.read_text().splitlines()) == 2
+        assert capsys.readouterr().err == ""
+
+    def test_svd_failure_is_kernel_failure(self, tmp_path):
+        # gamma = 1e200 overflows W^-1 and LAPACK's SVD does not converge
+        out = tmp_path / "s.csv"
+        res = run_cli("sweep", "--kind", "remark32", "--gammas", "1e200,1", "--out", str(out))
+        assert res.returncode == 5
+        assert "numerical kernel failure" in res.stderr
+        assert not out.exists()
+
+    def test_non_finite_json_is_refused(self, tmp_path):
+        # the remark33 row for gamma = 1e200 holds inf and nan; the text is
+        # refused before the atomic write, so neither file nor temp file is left
+        res = run_cli(
+            "sweep", "--kind", "remark33", "--gammas", "1e200,1", "--format", "json",
+            "--out", str(tmp_path / "s.json"),
+        )
+        assert res.returncode == 1
+        assert "JSON has no representation" in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_kind_required(self, tmp_path):
         res = run_cli("sweep", "--gammas", "10")

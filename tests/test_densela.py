@@ -16,6 +16,7 @@ from genchol.densela import (
     lower_tri_inverse,
     matmul,
     parse_matrix,
+    format_json_scalar,
     format_matrix,
     singular_values,
     spectral_norm,
@@ -312,6 +313,17 @@ class TestSymEigenvalues:
     def test_not_symmetric(self):
         with pytest.raises(ShapeError):
             sym_eigenvalues(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
+
+
+class TestFormatJsonScalar:
+    @pytest.mark.parametrize(
+        "value",
+        [math.inf, -math.inf, math.nan, np.float64(math.inf)],
+        ids=["inf", "-inf", "nan", "numpy-inf"],
+    )
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="JSON"):
+            format_json_scalar(value)
 
 
 class TestMatrixText:

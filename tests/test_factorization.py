@@ -149,11 +149,11 @@ class TestFactorize:
         assert np.allclose(factor_to_dense(f), oracle, rtol=1e-12, atol=1e-15)
 
     def test_zero_c_is_valid(self, rng):
-        from genchol.harness import gen_fullrank, gen_psd, gen_spd
+        from genchol.harness import gen_fullrank, gen_spd
 
         a = gen_spd(4, 10.0, rng)
         b = gen_fullrank(2, 4, rng)
-        c = gen_psd(2, 2, rng)  # full deficiency: the zero matrix
+        c = np.zeros((2, 2))
         s = SaddleMatrix.from_blocks(a, b, c)
         f = factorize(s)
         k = assemble_k(s)

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from genchol.densela import fro_norm, lower_tri_inverse
-from genchol.factorization import FactorizationError, factorize_dense
+from genchol.factorization import (
+    FactorizationError,
+    SaddleValidationError,
+    factorize_dense,
+)
 from genchol.harness import (
     EnsembleConfig,
     emit_report,
     emit_rows,
     gen_fullrank,
-    gen_psd,
     gen_spd,
     gen_sym_perturbation,
     loglog_slope,
@@ -56,18 +59,6 @@ class TestGenSpd:
 
 
 class TestGenPsd:
-    def test_full_deficiency_gives_zero(self, rng):
-        assert np.array_equal(gen_psd(3, 3, rng), np.zeros((3, 3)))
-
-    def test_zero_deficiency_positive(self, rng):
-        c = gen_psd(4, 0, rng)
-        assert np.all(np.linalg.eigvalsh(c) > 0.0)
-
-    def test_deficiency_count(self, rng):
-        c = gen_psd(5, 2, rng)
-        evs = np.linalg.eigvalsh(c)
-        assert np.sum(np.abs(evs) < 1e-10 * evs[-1]) == 2
-
     def test_fullrank_sigma_min(self, rng):
         b = gen_fullrank(2, 5, rng)
         assert np.linalg.svd(b, compute_uv=False)[-1] > 0.0
@@ -104,6 +95,12 @@ class TestMakeSaddle:
     def test_rejects_tall_coupling(self, rng):
         with pytest.raises(ValueError):
             make_saddle(2, 3, 10.0, rng)
+
+    def test_rounding_indefinite_a_is_a_validation_error(self):
+        # at cond 1e20 this draw of A is indefinite in floating point; the
+        # campaign's draw loop redraws on SaddleValidationError
+        with pytest.raises(SaddleValidationError, match="A is not positive definite"):
+            make_saddle(4, 3, 1e20, np.random.default_rng(4))
 
 
 class TestNormwiseCampaign:
