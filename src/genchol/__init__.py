@@ -24,8 +24,6 @@ from .factorization import (
     GenCholFactor,
     SaddleMatrix,
     SaddleValidationError,
-    assemble_k,
-    factor_to_dense,
     factorize,
     factorize_dense,
     read_saddle,
@@ -36,7 +34,6 @@ from .bounds import (
     ComponentwiseBoundReport,
     NormwiseBoundReport,
     NormwiseEvaluator,
-    ScalingCandidateSet,
     build_componentwise_report,
     eps_componentwise,
     report_to_json,

@@ -31,12 +31,11 @@ from .densela import (
     singular_values,
     spectral_norm,
     UNIT_ROUNDOFF,
-    format_json_scalar,
+    format_json_object,
 )
 
 __all__ = [
     "SQRT2",
-    "ScalingCandidateSet",
     "NormwiseBoundReport",
     "ComponentwiseBoundReport",
     "NormwiseEvaluator",
@@ -56,30 +55,9 @@ _POSITIVE_FLOOR = 1e-300
 EPS_CONVENTIONS = ("min-paper", "max-safe")
 
 
-@dataclass(frozen=True)
-class ScalingCandidateSet:
-    """Labelled positive diagonal scalings; always contains "identity"."""
-
-    labels: tuple[str, ...]
-    diags: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ValueError("candidate set must be nonempty")
-        if "identity" not in self.labels:
-            raise ValueError('candidate set must contain "identity"')
-        if len(self.labels) != len(self.diags):
-            raise ValueError("labels and diagonals must be parallel")
-        for d in self.diags:
-            if np.any(d <= 0.0):
-                raise ValueError("scaling diagonals must be strictly positive")
-
-    def __iter__(self):
-        return iter(zip(self.labels, self.diags))
-
-
-def scaling_candidates(l_dense, bauer=None) -> ScalingCandidateSet:
-    """Heuristic diagonal scalings approximating the infima in the bounds.
+def scaling_candidates(l_dense, bauer=None) -> tuple[tuple[str, np.ndarray], ...]:
+    """Heuristic diagonal scalings approximating the infima in the bounds, as
+    (label, diagonal) pairs; "identity" comes first.
 
     Identity plus column equilibration of L (D_jj = ||L e_j||_2); given the
     Bauer-Skeel product ``bauer`` = |L^-1||L|, additionally its row
@@ -88,16 +66,12 @@ def scaling_candidates(l_dense, bauer=None) -> ScalingCandidateSet:
     l = np.asarray(l_dense, dtype=np.float64)
     _require_lower_triangular(l)
     p = l.shape[0]
-    labels = ["identity"]
-    diags = [np.ones(p)]
     col_eq = np.array([max(fro_norm(l[:, j]), _POSITIVE_FLOOR) for j in range(p)])
-    labels.append("col-equilibrate-L")
-    diags.append(col_eq)
+    candidates = [("identity", np.ones(p)), ("col-equilibrate-L", col_eq)]
     if bauer is not None:
         row_max = np.maximum(bauer.max(axis=1), _POSITIVE_FLOOR)
-        labels.append("row-equilibrate-bauer")
-        diags.append(1.0 / row_max)
-    return ScalingCandidateSet(tuple(labels), tuple(diags))
+        candidates.append(("row-equilibrate-bauer", 1.0 / row_max))
+    return tuple(candidates)
 
 
 # --- shared scalar formulas --------------------------------------------------
@@ -176,7 +150,11 @@ class NormwiseBoundReport:
 
 @dataclass(frozen=True, slots=True)
 class ComponentwiseBoundReport:
-    """Componentwise bound values for a computed factor."""
+    """Componentwise bound values for a computed factor.
+
+    ``cond_bs_LinvT`` = || |L^T||L^-T| ||_F is the norm of the transpose of
+    |L^-1||L|, so it equals ``cond_bs_L`` up to the rounding of the inverses.
+    """
 
     eps: float
     eps_convention: str
@@ -230,12 +208,11 @@ class NormwiseEvaluator:
                 raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
             if p <= W_BOUND_MAX_ORDER:
                 self.w_inv_norm = self._w_inverse_norm(jvec)
-        self.d_set = scaling_candidates(l)
         self.kappas = {}
         # per label, kappa(L) ||L||_2 ||D L^-1||_2 ||D^-1||_2: bound 3.17's
         # test quantity is this coefficient times ||dK||_F / ||K||_2
         self.coeff_317 = {}
-        for label, d in self.d_set:
+        for label, d in scaling_candidates(l):
             if label == "identity":  # D = I: the SVDs of L and L^-1 above
                 self.kappas[label] = self.kappa_l
                 scaled_linv2 = self.linv2
@@ -428,8 +405,4 @@ def build_componentwise_report(
 
 def report_to_json(report) -> str:
     """Flat JSON object, field order fixed, floats at 17 significant digits."""
-    parts = [
-        f'"{f.name}": {format_json_scalar(getattr(report, f.name))}'
-        for f in fields(report)
-    ]
-    return "{" + ", ".join(parts) + "}"
+    return format_json_object((f.name, getattr(report, f.name)) for f in fields(report))

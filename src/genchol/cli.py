@@ -7,7 +7,8 @@ Exit codes are a fixed function of what happened:
      campaign trial with no valid draw within the retry cap)
   3  the primary applicability condition failed in `bounds`
   4  at least one bound violation in a campaign
-  5  numerical kernel failure (an iterative kernel did not converge)
+  5  numerical kernel failure (Jacobi did not converge or a LAPACK routine
+     failed)
 
 Output files are written atomically (temp file plus rename).
 """
@@ -31,8 +32,6 @@ from .densela import (
 from .factorization import (
     FactorizationError,
     SaddleValidationError,
-    assemble_k,
-    factor_to_dense,
     factorize,
     factorize_dense,
     read_saddle,
@@ -190,7 +189,7 @@ def _build_parser() -> _Parser:
 def _cmd_factor(args) -> int:
     s = read_saddle(args.input)
     factor = factorize(s)
-    write_matrix(factor_to_dense(factor), args.output)
+    write_matrix(factor.L, args.output)
     return 0
 
 
@@ -203,8 +202,6 @@ def _cmd_bounds(args) -> int:
     if not np.array_equal(dk, dk.T):
         raise ParseError("perturbation is not exactly symmetric")
     factor = factorize(s)
-    l_dense = factor_to_dense(factor)
-    k = assemble_k(s)
     dk_fro = fro_norm(dk)
     signature = None
     if args.dump_w and not args.with_w_bound:
@@ -217,12 +214,12 @@ def _cmd_bounds(args) -> int:
         signature = factor.spec.signature()
         if args.dump_w:
             write_matrix(build_w(factor), args.dump_w)
-    evaluator = NormwiseEvaluator(l_dense, k, signature)
+    evaluator = NormwiseEvaluator(factor.L, s.K, signature)
     actual_dl = None
     if args.with_actual:
         try:
-            perturbed = factorize_dense(k + dk, s.spec.m, s.spec.n, "K+dK")
-            actual_dl = factor_to_dense(perturbed) - l_dense
+            perturbed = factorize_dense(s.K + dk, s.spec.m, s.spec.n, "K+dK")
+            actual_dl = perturbed.L - factor.L
         except FactorizationError as exc:
             print(f"note: perturbed matrix did not factorize ({exc})", file=sys.stderr)
     report = evaluator.report(dk_fro, actual_dl=actual_dl)

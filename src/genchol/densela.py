@@ -35,6 +35,7 @@ __all__ = [
     "is_psd",
     "format_float",
     "format_json_scalar",
+    "format_json_object",
     "format_matrix",
     "parse_matrix",
     "read_matrix",
@@ -332,6 +333,11 @@ def format_json_scalar(v) -> str:
         escaped = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def format_json_object(items) -> str:
+    """One-line JSON object of (key, value) pairs, in the given order."""
+    return "{" + ", ".join(f'"{k}": {format_json_scalar(v)}' for k, v in items) + "}"
 
 
 def format_matrix(x) -> str:

@@ -20,7 +20,7 @@ from .densela import (
     lower_tri_solve,
     matmul,
     parse_matrix,
-    format_float,
+    format_matrix,
     singular_values,
     write_text_atomic,
     ParseError,
@@ -32,11 +32,9 @@ __all__ = [
     "GenCholFactor",
     "FactorizationError",
     "SaddleValidationError",
-    "assemble_k",
     "factorize",
     "factorize_dense",
     "reconstruct",
-    "factor_to_dense",
     "read_saddle",
     "write_saddle",
     "format_saddle",
@@ -66,12 +64,6 @@ class FactorizationError(ArithmeticError):
 
 class SaddleValidationError(ValueError):
     """Block-structure invariant violated (symmetry, PSD, or rank)."""
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -114,15 +106,13 @@ def _cholesky_lower(
 
 @dataclass(frozen=True)
 class SaddleMatrix:
-    """Validated blocks (A, B, C) of a saddle-point matrix."""
+    """Validated saddle matrix K = [[A, B^T], [B, -C]], stored dense and read-only."""
 
     spec: BlockSpec
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    K: np.ndarray
 
     @classmethod
-    def from_blocks(cls, a, b, c, validate: bool = True) -> "SaddleMatrix":
+    def from_blocks(cls, a, b, c) -> "SaddleMatrix":
         a = as_matrix(a)
         b = as_matrix(b)
         c = as_matrix(c)
@@ -135,32 +125,36 @@ class SaddleMatrix:
             raise ShapeError("C must be square")
         if b.shape != (n, m):
             raise ShapeError(f"B must be {n} x {m}, got {b.shape}")
-        if validate:
-            if not np.array_equal(a, a.T):
-                raise SaddleValidationError("A is not exactly symmetric")
-            if not np.array_equal(c, c.T):
-                raise SaddleValidationError("C is not exactly symmetric")
-            _cholesky_lower(a, "A", 0, "A")  # positive definiteness
-            if not is_psd(c):
-                raise SaddleValidationError("C is not positive semi-definite")
-            if n > 0:
-                sig = singular_values(b)
-                if float(sig[-1]) <= _B_RANK_RTOL * float(sig[0]):
-                    raise SaddleValidationError("B does not have full row rank")
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "spec", spec)
-        object.__setattr__(obj, "A", _frozen(a))
-        object.__setattr__(obj, "B", _frozen(b))
-        object.__setattr__(obj, "C", _frozen(c))
-        return obj
+        if n > m:
+            raise SaddleValidationError(
+                f"B is {n} x {m}: more rows than columns, so no full row rank"
+            )
+        if not np.array_equal(a, a.T):
+            raise SaddleValidationError("A is not exactly symmetric")
+        if not np.array_equal(c, c.T):
+            raise SaddleValidationError("C is not exactly symmetric")
+        _cholesky_lower(a, "A", 0, "A")  # positive definiteness
+        if not is_psd(c):
+            raise SaddleValidationError("C is not positive semi-definite")
+        if n > 0:
+            sig = singular_values(b)
+            if float(sig[-1]) <= _B_RANK_RTOL * float(sig[0]):
+                raise SaddleValidationError("B does not have full row rank")
+        k = np.zeros((spec.p, spec.p))
+        k[:m, :m] = a
+        k[:m, m:] = b.T
+        k[m:, :m] = b
+        k[m:, m:] = -c
+        k.setflags(write=False)
+        return cls(spec, k)
 
     @classmethod
-    def from_dense(cls, k, m: int, n: int, validate: bool = True) -> "SaddleMatrix":
+    def from_dense(cls, k, m: int, n: int) -> "SaddleMatrix":
         k = as_matrix(k)
         p = m + n
         if k.shape != (p, p):
             raise ShapeError(f"dense matrix must be {p} x {p}, got {k.shape}")
-        return cls.from_blocks(k[:m, :m], k[m:, :m], -k[m:, m:], validate=validate)
+        return cls.from_blocks(k[:m, :m], k[m:, :m], -k[m:, m:])
 
     @property
     def p(self) -> int:
@@ -169,34 +163,11 @@ class SaddleMatrix:
 
 @dataclass(frozen=True)
 class GenCholFactor:
-    """Block lower-triangular factor L with positive diagonal entries."""
+    """Lower-triangular p x p factor L with positive diagonal, read-only; its
+    blocks are the slices L[:m, :m], L[m:, :m] and L[m:, m:]."""
 
     spec: BlockSpec
-    L11: np.ndarray
-    L21: np.ndarray
-    L22: np.ndarray
-
-    @classmethod
-    def from_blocks(cls, l11, l21, l22) -> "GenCholFactor":
-        l11 = as_matrix(l11)
-        l21 = as_matrix(l21)
-        l22 = as_matrix(l22)
-        m = l11.shape[0]
-        n = l22.shape[0]
-        spec = BlockSpec(m, n)
-        if l11.shape != (m, m) or l22.shape != (n, n) or l21.shape != (n, m):
-            raise ShapeError("inconsistent factor block shapes")
-        for name, blk in (("L11", l11), ("L22", l22)):
-            if blk.shape[0] and np.any(np.triu(blk, 1) != 0.0):
-                raise ShapeError(f"{name} is not lower triangular")
-            if np.any(np.diagonal(blk) <= 0.0):
-                raise ValueError(f"{name} must have strictly positive diagonal")
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "spec", spec)
-        object.__setattr__(obj, "L11", _frozen(l11))
-        object.__setattr__(obj, "L21", _frozen(l21))
-        object.__setattr__(obj, "L22", _frozen(l22))
-        return obj
+    L: np.ndarray
 
     @classmethod
     def from_dense(cls, l, m: int, n: int) -> "GenCholFactor":
@@ -204,45 +175,38 @@ class GenCholFactor:
         p = m + n
         if l.shape != (p, p):
             raise ShapeError(f"dense factor must be {p} x {p}, got {l.shape}")
-        if np.any(l[:m, m:] != 0.0):
-            raise ShapeError("upper-right block of a dense factor must be zero")
-        return cls.from_blocks(l[:m, :m], l[m:, :m], l[m:, m:])
+        spec = BlockSpec(m, n)
+        if np.any(np.triu(l, 1) != 0.0):
+            raise ShapeError("factor is not lower triangular")
+        if np.any(np.diagonal(l) <= 0.0):
+            raise ValueError("factor must have strictly positive diagonal")
+        l.setflags(write=False)
+        return cls(spec, l)
 
     @property
     def p(self) -> int:
         return self.spec.p
 
 
-def assemble_k(s: SaddleMatrix) -> np.ndarray:
-    """Dense symmetric [[A, B^T], [B, -C]]."""
-    m, n = s.spec.m, s.spec.n
-    p = m + n
-    k = np.zeros((p, p))
-    k[:m, :m] = s.A
-    k[:m, m:] = s.B.T
-    k[m:, :m] = s.B
-    k[m:, m:] = -s.C
-    return k
-
-
-def _factor_core(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, matrix_label: str
-) -> GenCholFactor:
-    m = a.shape[0]
-    n = c.shape[0]
-    l11 = _cholesky_lower(a, "A", 0, matrix_label)
-    if n == 0:
-        return GenCholFactor.from_blocks(l11, np.zeros((0, m)), np.zeros((0, 0)))
-    # L21 solves L21 L11^T = B, i.e. L11 L21^T = B^T by forward substitution.
-    l21 = lower_tri_solve(l11, b.T).T
-    schur = c + matmul(l21, l21.T)
-    l22 = _cholesky_lower(schur, "Schur", m, matrix_label)
-    return GenCholFactor.from_blocks(l11, l21, l22)
+def _factor_core(k: np.ndarray, m: int, n: int, matrix_label: str) -> GenCholFactor:
+    l = np.zeros((m + n, m + n))
+    l11 = _cholesky_lower(k[:m, :m], "A", 0, matrix_label)
+    l[:m, :m] = l11
+    if n > 0:
+        # L21 solves L21 L11^T = B, i.e. L11 L21^T = B^T by forward
+        # substitution.  B^T is taken as the transpose of the lower block, not
+        # as the upper block: the two hold the same values but have different
+        # memory layouts, and the layout picks the BLAS path of the solve.
+        l21 = lower_tri_solve(l11, k[m:, :m].T).T
+        l[m:, :m] = l21
+        schur = -k[m:, m:] + matmul(l21, l21.T)
+        l[m:, m:] = _cholesky_lower(schur, "Schur", m, matrix_label)
+    return GenCholFactor.from_dense(l, m, n)
 
 
 def factorize(s: SaddleMatrix) -> GenCholFactor:
     """Factor a validated saddle matrix as K = L J L^T."""
-    return _factor_core(np.asarray(s.A), np.asarray(s.B), np.asarray(s.C), "K")
+    return _factor_core(s.K, s.spec.m, s.spec.n, "K")
 
 
 def factorize_dense(k, m: int, n: int, matrix_label: str = "K") -> GenCholFactor:
@@ -258,25 +222,13 @@ def factorize_dense(k, m: int, n: int, matrix_label: str = "K") -> GenCholFactor
         raise ShapeError(f"expected a {p} x {p} matrix, got {k.shape}")
     if not np.array_equal(k, k.T):
         raise ShapeError("matrix is not exactly symmetric")
-    return _factor_core(k[:m, :m], k[m:, :m], -k[m:, m:], matrix_label)
-
-
-def factor_to_dense(f: GenCholFactor) -> np.ndarray:
-    """Dense p x p lower-triangular embedding [[L11, 0], [L21, L22]]."""
-    m, n = f.spec.m, f.spec.n
-    p = m + n
-    l = np.zeros((p, p))
-    l[:m, :m] = f.L11
-    l[m:, :m] = f.L21
-    l[m:, m:] = f.L22
-    return l
+    return _factor_core(k, m, n, matrix_label)
 
 
 def reconstruct(f: GenCholFactor) -> np.ndarray:
     """Dense L J L^T; exactly symmetric because signs commute with products."""
-    l = factor_to_dense(f)
-    lj = l * f.spec.signature()[None, :]
-    return matmul(lj, l.T)
+    lj = f.L * f.spec.signature()[None, :]
+    return matmul(lj, f.L.T)
 
 
 # --- saddle matrix text format ---------------------------------------------
@@ -286,11 +238,8 @@ def reconstruct(f: GenCholFactor) -> np.ndarray:
 
 
 def format_saddle(s: SaddleMatrix) -> str:
-    k = assemble_k(s)
-    lines = [f"{s.spec.m} {s.spec.n}"]
-    for i in range(k.shape[0]):
-        lines.append(" ".join(format_float(v) for v in k[i, :].tolist()))
-    return "\n".join(lines) + "\n"
+    rows = format_matrix(s.K).split("\n", 1)[1]  # drop the "<p> <p>" header
+    return f"{s.spec.m} {s.spec.n}\n{rows}"
 
 
 def write_saddle(s: SaddleMatrix, path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from .densela import (
     fro_norm,
     format_float,
-    format_json_scalar,
+    format_json_object,
     matmul,
     spectral_norm,
     write_text_atomic,
@@ -26,8 +26,6 @@ from .factorization import (
     GenCholFactor,
     SaddleMatrix,
     SaddleValidationError,
-    assemble_k,
-    factor_to_dense,
     factorize,
     factorize_dense,
     reconstruct,
@@ -364,15 +362,13 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         s, factor, kappa_a, kappa_s = _draw(cfg, rng, trial)
-        l_dense = factor_to_dense(factor)
-        k = assemble_k(s)
-        ev = NormwiseEvaluator(l_dense, k, factor.spec.signature())
+        ev = NormwiseEvaluator(factor.L, s.K, factor.spec.signature())
         direction = gen_sym_perturbation(cfg.p, 1.0, rng)
         for level in cfg.dk_levels:
             dk = direction * (level / (ev.linv2 * ev.linv2))
             dk_fro = fro_norm(dk)
-            perturbed = factorize_dense(k + dk, cfg.m, cfg.n, "K+dK")
-            dl = factor_to_dense(perturbed) - l_dense
+            perturbed = factorize_dense(s.K + dk, cfg.m, cfg.n, "K+dK")
+            dl = perturbed.L - factor.L
             report = ev.report(dk_fro, actual_dl=dl)
             worst, violated, _ = _domination(
                 report.actual_dl_fro, report.rigorous_bounds()
@@ -411,8 +407,7 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         s, lt, _, _ = _draw(cfg, rng, trial)
-        lt_dense = factor_to_dense(lt)
-        abs_lt = np.abs(lt_dense)
+        abs_lt = np.abs(lt.L)
         env_lt = matmul(abs_lt, abs_lt.T)
         env_tl = matmul(abs_lt.T, abs_lt)
         env_lt_fro = fro_norm(env_lt)
@@ -438,12 +433,12 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
         actual_dl = None
         try:
             recovered = factorize_dense(k_new, cfg.m, cfg.n, "K")
-            actual_dl = lt_dense - factor_to_dense(recovered)
+            actual_dl = lt.L - recovered.L
         except FactorizationError:
             breakdown = True
 
         report = build_componentwise_report(
-            lt_dense, eps, cfg.eps_convention, actual_dl=actual_dl
+            lt.L, eps, cfg.eps_convention, actual_dl=actual_dl
         )
         skipped = (not report.cond_4_2_ok) or breakdown
         if skipped or actual_dl is None:
@@ -478,8 +473,8 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
 
 def _sweep_factor(kind: str, gamma: float) -> GenCholFactor:
     if kind == "remark32":
-        return GenCholFactor.from_blocks([[1.0 / gamma]], [[1.0]], [[1.0]])
-    return GenCholFactor.from_blocks([[1.0]], [[gamma]], [[1.0]])
+        return GenCholFactor.from_dense([[1.0 / gamma, 0.0], [1.0, 1.0]], 1, 1)
+    return GenCholFactor.from_dense([[1.0, 0.0], [gamma, 1.0]], 1, 1)
 
 
 def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
@@ -498,16 +493,14 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
         if gamma <= 0.0:
             raise ValueError("gamma values must be positive")
         factor = _sweep_factor(kind, gamma)
-        l_dense = factor_to_dense(factor)
-        k = reconstruct(factor)
-        ev = NormwiseEvaluator(l_dense, k, factor.spec.signature())
+        ev = NormwiseEvaluator(factor.L, reconstruct(factor), factor.spec.signature())
         report = ev.report(dk_fro)
         if kind == "remark32":
             rows.append({
                 "gamma": gamma,
                 "dk_fro": dk_fro,
                 "kappa_l": ev.kappa_l,
-                "kappa_ld_analytic": _kappa_scaled(l_dense, np.array([1.0 / gamma, 1.0])),
+                "kappa_ld_analytic": _kappa_scaled(factor.L, np.array([1.0 / gamma, 1.0])),
                 "b33": report.b_3_3,
                 "b33_label": report.b_3_3_label,
                 "b313": report.b_3_13,
@@ -552,11 +545,15 @@ def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"refusing to write a non-finite CSV cell: {v}")
         return format_float(v)
     return str(v)
 
 
 def _write_csv(path, columns, rows) -> None:
+    """Every cell is formatted before the atomic write, so a non-finite one
+    leaves no file."""
     lines = [",".join(columns)]
     lines += [",".join(_cell(v) for v in row) for row in rows]
     write_text_atomic(path, "\n".join(lines) + "\n")
@@ -564,10 +561,7 @@ def _write_csv(path, columns, rows) -> None:
 
 def _write_json(path, objects) -> None:
     """A JSON array of flat objects, each given as (key, value) pairs."""
-    objs = [
-        "{" + ", ".join(f'"{k}": {format_json_scalar(v)}' for k, v in items) + "}"
-        for items in objects
-    ]
+    objs = [format_json_object(items) for items in objects]
     write_text_atomic(path, "[\n" + ",\n".join(objs) + "\n]\n")
 
 

@@ -22,8 +22,6 @@ from .densela import (
 from .factorization import (
     GenCholFactor,
     SaddleMatrix,
-    assemble_k,
-    factor_to_dense,
     factorize,
     factorize_dense,
 )
@@ -94,7 +92,7 @@ def build_w(factor: GenCholFactor) -> np.ndarray:
     column for basis position (i, j) is duvec(E_ij J L^T + L J E_ij^T); no
     index formula is used, so the construction is correct by definition.
     """
-    l = factor_to_dense(factor)
+    l = factor.L
     p = factor.p
     jvec = factor.spec.signature()
     jlt = jvec[:, None] * l.T
@@ -133,8 +131,8 @@ def actual_delta_l(s: SaddleMatrix, dk) -> np.ndarray:
     if not np.array_equal(dk, dk.T):
         raise ShapeError("perturbation must be exactly symmetric")
     base = factorize(s)
-    perturbed = factorize_dense(assemble_k(s) + dk, s.spec.m, s.spec.n, "K+dK")
-    return factor_to_dense(perturbed) - factor_to_dense(base)
+    perturbed = factorize_dense(s.K + dk, s.spec.m, s.spec.n, "K+dK")
+    return perturbed.L - base.L
 
 
 # --- compensated residual ---------------------------------------------------
@@ -169,9 +167,8 @@ def compensated_residual(factor: GenCholFactor, s: SaddleMatrix) -> np.ndarray:
     """
     if factor.spec != s.spec:
         raise ShapeError("factor and matrix have different block specs")
-    l = factor_to_dense(factor)
+    l = factor.L
     jvec = factor.spec.signature()
-    k = assemble_k(s)
     p = factor.p
     acc = np.zeros((p, p))
     comp = np.zeros((p, p))
@@ -181,6 +178,6 @@ def compensated_residual(factor: GenCholFactor, s: SaddleMatrix) -> np.ndarray:
         prod, perr = _two_prod(u[:, None], v[None, :])
         acc, serr = _two_sum(acc, prod)
         comp += perr + serr
-    acc, serr = _two_sum(acc, -k)
+    acc, serr = _two_sum(acc, -s.K)
     comp += serr
     return acc + comp

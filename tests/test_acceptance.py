@@ -21,8 +21,6 @@ from genchol.densela import (
     up_operator,
 )
 from genchol.factorization import (
-    assemble_k,
-    factor_to_dense,
     factorize,
     reconstruct,
 )
@@ -72,7 +70,7 @@ def test_01_factorization_correctness():
         m = int(rng.integers(1, 21))
         n = int(rng.integers(1, m + 1))
         s, _, _ = make_saddle(m, n, 1e6, rng)
-        k = assemble_k(s)
+        k = s.K
         f = factorize(s)
         ratio = fro_norm(reconstruct(f) - k) / (50 * (m + n) * U * fro_norm(k))
         worst = max(worst, ratio)
@@ -211,7 +209,7 @@ def test_08_componentwise_backward_error():
         s, _, _ = make_saddle(m, n, 1e4, rng)
         f = factorize(s)
         resid = compensated_residual(f, s)
-        labs = np.abs(factor_to_dense(f))
+        labs = np.abs(f.L)
         env = 10.0 * gamma_k(3 * max(m, n) + 1) * matmul(labs, labs.T)
         mask = env > 0.0
         if not (np.all(np.abs(resid)[mask] <= env[mask])
@@ -273,7 +271,7 @@ def test_11_oracle_consistency():
         p = m + n
         s, _, _ = make_saddle(m, n, 100.0, rng)
         f = factorize(s)
-        l = factor_to_dense(f)
+        l = f.L
         w = build_w(f)
         x = np.tril(rng.standard_normal((p, p)))
         jv = f.spec.signature()

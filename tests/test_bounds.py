@@ -23,7 +23,7 @@ from genchol.bounds import (
     report_to_json,
     scaling_candidates,
 )
-from genchol.factorization import GenCholFactor, factor_to_dense, factorize, reconstruct
+from genchol.factorization import GenCholFactor, factorize, reconstruct
 from genchol.harness import make_saddle
 from genchol.oracle import build_w, w_inverse_norm
 
@@ -57,7 +57,7 @@ def bauer_product(l):
 class TestScalingCandidates:
     def test_identity_input(self):
         cs = scaling_candidates(np.eye(3))
-        assert "identity" in cs.labels
+        assert "identity" in dict(cs)
         for _, d in cs:
             assert np.allclose(d, 1.0)
 
@@ -65,7 +65,7 @@ class TestScalingCandidates:
         # column equilibration restores a small condition number
         l = np.array([[1e3, 0.0], [1.0, 1.0]])
         cs = scaling_candidates(l)
-        d = dict(zip(cs.labels, cs.diags))["col-equilibrate-L"]
+        d = dict(cs)["col-equilibrate-L"]
         assert d[0] == pytest.approx(math.sqrt(1e6 + 1.0), rel=1e-14)
         assert d[1] == pytest.approx(1.0, rel=1e-14)
         assert kappa(l * (1.0 / d)[None, :]) <= 3.0
@@ -73,15 +73,17 @@ class TestScalingCandidates:
     def test_always_contains_identity(self, rng):
         l = random_lower(5, rng)
         for bauer in (None, bauer_product(l)):
-            assert "identity" in scaling_candidates(l, bauer).labels
+            assert "identity" in dict(scaling_candidates(l, bauer))
 
     def test_componentwise_adds_bauer_row(self, rng):
         l = random_lower(4, rng)
         babs = bauer_product(l)
         cs = scaling_candidates(l, babs)
-        assert cs.labels == ("identity", "col-equilibrate-L", "row-equilibrate-bauer")
-        assert np.array_equal(cs.diags[2], 1.0 / babs.max(axis=1))
-        assert "row-equilibrate-bauer" not in scaling_candidates(l).labels
+        assert [label for label, _ in cs] == [
+            "identity", "col-equilibrate-L", "row-equilibrate-bauer"
+        ]
+        assert np.array_equal(cs[2][1], 1.0 / babs.max(axis=1))
+        assert "row-equilibrate-bauer" not in dict(scaling_candidates(l))
 
     def test_singular_input(self):
         # the evaluators invert L; scaling_candidates only reads it
@@ -248,8 +250,8 @@ class TestBound315:
 
     def test_condition_stronger_than_3_1(self):
         # gamma = 100 family: the 1/4 test fails while the 1/2 test holds
-        f = GenCholFactor.from_blocks([[1.0]], [[100.0]], [[1.0]])
-        l = factor_to_dense(f)
+        f = GenCholFactor.from_dense([[1.0, 0.0], [100.0, 1.0]], 1, 1)
+        l = f.L
         w_norm = w_inverse_norm(build_w(f))
         thresh_31 = 4.999000249930024e-05  # frozen SVD oracle
         thresh_316 = 9.995001899400144e-09  # frozen SVD oracle
@@ -265,7 +267,7 @@ class TestBound315:
 
 def _w_norms(f):
     """(closed-form fast path, by-definition oracle) for one factor."""
-    fast = NormwiseEvaluator(factor_to_dense(f), reconstruct(f), f.spec.signature()).w_inv_norm
+    fast = NormwiseEvaluator(f.L, reconstruct(f), f.spec.signature()).w_inv_norm
     return fast, w_inverse_norm(build_w(f))
 
 
@@ -293,7 +295,7 @@ class TestOperatorInverseNorm:
         )
 
     def test_identity_with_signature(self):
-        f = GenCholFactor.from_blocks([[1.0]], [[0.0]], [[1.0]])
+        f = GenCholFactor.from_dense(np.eye(2), 1, 1)
         fast, oracle = _w_norms(f)
         assert fast == pytest.approx(1.0, rel=1e-14)
         assert fast == pytest.approx(oracle, rel=1e-12)
@@ -301,8 +303,8 @@ class TestOperatorInverseNorm:
     @pytest.mark.parametrize("gamma", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
     def test_gamma_families(self, gamma):
         for f in (
-            GenCholFactor.from_blocks([[1.0 / gamma]], [[1.0]], [[1.0]]),  # remark32
-            GenCholFactor.from_blocks([[1.0]], [[gamma]], [[1.0]]),  # remark33
+            GenCholFactor.from_dense([[1.0 / gamma, 0.0], [1.0, 1.0]], 1, 1),  # remark32
+            GenCholFactor.from_dense([[1.0, 0.0], [gamma, 1.0]], 1, 1),  # remark33
         ):
             fast, oracle = _w_norms(f)
             assert fast == pytest.approx(oracle, rel=1e-12)
@@ -330,7 +332,7 @@ class TestBound317:
         for _ in range(20):
             s, _, _ = make_saddle(3, 2, 1e4, rng)
             f = factorize(s)
-            l = factor_to_dense(f)
+            l = f.L
             ev = NormwiseEvaluator(l, reconstruct(f))
             for level in (1e-8, 1e-4, 0.1, 0.4):
                 dk_fro = level / ev.linv2**2
@@ -424,7 +426,7 @@ class TestReports:
     def test_bound_presence_follows_flags(self, rng):
         s, _, _ = make_saddle(3, 2, 1e4, rng)
         f = factorize(s)
-        l = factor_to_dense(f)
+        l = f.L
         k = reconstruct(f)
         ev = NormwiseEvaluator(l, k)
         # large level: Frobenius-based test typically fails while 3.1 holds
@@ -448,7 +450,7 @@ class TestReports:
 
         s, _, _ = make_saddle(2, 1, 10.0, rng)
         f = factorize(s)
-        rep = NormwiseEvaluator(factor_to_dense(f), reconstruct(f)).report(1e-3)
+        rep = NormwiseEvaluator(f.L, reconstruct(f)).report(1e-3)
         parsed = json.loads(report_to_json(rep))
         assert parsed["dk_fro"] == 1e-3
         assert parsed["cond_3_1_ok"] is True
@@ -457,11 +459,20 @@ class TestReports:
     def test_componentwise_report_fields(self, rng):
         s, _, _ = make_saddle(3, 3, 100.0, rng)
         f = factorize(s)
-        rep = build_componentwise_report(factor_to_dense(f), 1e-6)
+        rep = build_componentwise_report(f.L, 1e-6)
         assert rep.cond_4_2_ok
         assert rep.b_4_3 is not None
         assert rep.b_4_4 / rep.b_4_9_coeff == pytest.approx(2.0 + SQRT2, rel=1e-12)
         assert rep.cond_bs_L == pytest.approx(rep.cond_bs_LinvT, rel=1e-6)
+
+    @pytest.mark.parametrize("m, n, cond", [(3, 3, 1e3), (6, 6, 1e8)])
+    def test_bauer_skeel_transpose_identity(self, rng, m, n, cond):
+        # |L^T||L^-T| is the transpose of |L^-1||L|: the two numbers differ
+        # only by the rounding of the two inversions
+        for _ in range(25):
+            s, _, _ = make_saddle(m, n, cond, rng)
+            rep = build_componentwise_report(factorize(s).L, 1e-6)
+            assert rep.cond_bs_LinvT == pytest.approx(rep.cond_bs_L, rel=1e-14)
 
     def test_scaling_argmin_invariant_under_scalar(self, rng):
         # scaled condition numbers and the winning label ignore L -> cL

@@ -58,6 +58,16 @@ class TestFactor:
         res = run_cli("factor", str(tmp_path / "nope.txt"), str(tmp_path / "o.txt"))
         assert res.returncode == 1
 
+    def test_b_with_more_rows_than_columns_is_invalid(self, tmp_path):
+        # m = 1, n = 2: a 2 x 1 coupling block cannot have full row rank
+        path = tmp_path / "tall.txt"
+        path.write_text("1 2\n1 1 1\n1 -1 0\n1 0 -1\n")
+        out = tmp_path / "out.txt"
+        res = run_cli("factor", str(path), str(out))
+        assert res.returncode == 2
+        assert "full row rank" in res.stderr
+        assert not out.exists()
+
 
 class TestBounds:
     def test_zero_perturbation(self, tmp_path, saddle_file):
@@ -300,6 +310,18 @@ class TestSweep:
         )
         assert res.returncode == 1
         assert "JSON has no representation" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_csv_is_refused(self, tmp_path):
+        # the same inf and nan cells; the CSV text is built before the atomic
+        # write too, so no slope is printed and no file is left
+        res = run_cli(
+            "sweep", "--kind", "remark33", "--gammas", "1e200,1",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert res.returncode == 1
+        assert "non-finite CSV cell" in res.stderr
+        assert "slope" not in res.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_kind_required(self, tmp_path):

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from genchol.densela import UNIT_ROUNDOFF, fro_norm
+from genchol.densela import UNIT_ROUNDOFF, ShapeError, fro_norm
 from genchol.factorization import (
     BlockSpec,
     FactorizationError,
     GenCholFactor,
     SaddleMatrix,
     SaddleValidationError,
-    assemble_k,
-    factor_to_dense,
     factorize,
     factorize_dense,
     read_saddle,
@@ -53,15 +51,15 @@ class TestAssemble:
     def test_identity_blocks(self):
         s = SaddleMatrix.from_blocks(np.eye(2), [[1.0, 0.0]], [[0.0]])
         expected = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        assert np.array_equal(assemble_k(s), expected)
+        assert np.array_equal(s.K, expected)
 
     def test_scalar_blocks(self):
         s = SaddleMatrix.from_blocks([[4.0]], [[2.0]], [[1.0]])
-        assert np.array_equal(assemble_k(s), [[4.0, 2.0], [2.0, -1.0]])
+        assert np.array_equal(s.K, [[4.0, 2.0], [2.0, -1.0]])
 
     def test_symmetry_exact(self, rng):
         s, _, _ = make_saddle(4, 3, 100.0, rng)
-        k = assemble_k(s)
+        k = s.K
         assert np.array_equal(k, k.T)
 
 
@@ -69,17 +67,17 @@ class TestFactorize:
     def test_scalar_example(self):
         s = SaddleMatrix.from_blocks([[4.0]], [[2.0]], [[1.0]])
         f = factorize(s)
-        assert np.array_equal(f.L11, [[2.0]])
-        assert np.array_equal(f.L21, [[1.0]])
-        assert f.L22[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert fro_norm(reconstruct(f) - assemble_k(s)) <= 10 * U * fro_norm(assemble_k(s))
+        assert np.array_equal(f.L[:1, :1], [[2.0]])
+        assert np.array_equal(f.L[1:, :1], [[1.0]])
+        assert f.L[1, 1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert fro_norm(reconstruct(f) - s.K) <= 10 * U * fro_norm(s.K)
 
     def test_identity_example(self):
         s = SaddleMatrix.from_blocks(np.eye(2), [[1.0, 0.0]], [[0.0]])
         f = factorize(s)
-        assert np.array_equal(f.L11, np.eye(2))
-        assert np.array_equal(f.L21, [[1.0, 0.0]])
-        assert np.array_equal(f.L22, [[1.0]])
+        assert np.array_equal(f.L[:2, :2], np.eye(2))
+        assert np.array_equal(f.L[2:, :2], [[1.0, 0.0]])
+        assert np.array_equal(f.L[2:, 2:], [[1.0]])
 
     def test_not_pd_fails_at_pivot_one(self):
         with pytest.raises(FactorizationError) as err:
@@ -105,15 +103,15 @@ class TestFactorize:
         for _ in range(10):
             s, _, _ = make_saddle(3, 2, 1e4, rng)
             f = factorize(s)
-            assert np.all(np.diagonal(f.L11) > 0)
-            assert np.all(np.diagonal(f.L22) > 0)
+            assert np.all(np.diagonal(f.L[:3, :3]) > 0)
+            assert np.all(np.diagonal(f.L[3:, 3:]) > 0)
 
     def test_round_trip_residual(self, rng):
         for _ in range(100):
             m = int(rng.integers(1, 21))
             n = int(rng.integers(0, m + 1))
             s, _, _ = make_saddle(m, n, 1e6, rng)
-            k = assemble_k(s)
+            k = s.K
             f = factorize(s)
             p = m + n
             assert fro_norm(reconstruct(f) - k) <= 50 * p * U * fro_norm(k)
@@ -124,8 +122,9 @@ class TestFactorize:
         for _ in range(20):
             s, _, _ = make_saddle(4, 3, 1e4, rng)
             f = factorize(s)
-            lhs = matmul(f.L22, f.L22.T)
-            rhs = s.C + matmul(f.L21, f.L21.T)
+            l21, l22 = f.L[4:, :4], f.L[4:, 4:]
+            lhs = matmul(l22, l22.T)
+            rhs = -s.K[4:, 4:] + matmul(l21, l21.T)
             assert fro_norm(lhs - rhs) <= 50 * s.spec.n * U * fro_norm(rhs)
 
     def test_refactorize_recovers_factor(self, rng):
@@ -133,8 +132,8 @@ class TestFactorize:
             s, _, _ = make_saddle(4, 3, 1e4, rng)
             f = factorize(s)
             again = factorize_dense(reconstruct(f), 4, 3)
-            d1 = factor_to_dense(f)
-            d2 = factor_to_dense(again)
+            d1 = f.L
+            d2 = again.L
             mask = d1 != 0.0
             p = s.p
             assert np.all(np.abs(d2 - d1)[mask] <= 100 * p * U * np.abs(d1)[mask])
@@ -146,7 +145,7 @@ class TestFactorize:
         s = SaddleMatrix.from_blocks(a, np.zeros((0, 5)), np.zeros((0, 0)))
         f = factorize(s)
         oracle = np.linalg.cholesky(a)
-        assert np.allclose(factor_to_dense(f), oracle, rtol=1e-12, atol=1e-15)
+        assert np.allclose(f.L, oracle, rtol=1e-12, atol=1e-15)
 
     def test_zero_c_is_valid(self, rng):
         from genchol.harness import gen_fullrank, gen_spd
@@ -156,7 +155,7 @@ class TestFactorize:
         c = np.zeros((2, 2))
         s = SaddleMatrix.from_blocks(a, b, c)
         f = factorize(s)
-        k = assemble_k(s)
+        k = s.K
         assert fro_norm(reconstruct(f) - k) <= 50 * 6 * U * fro_norm(k)
 
 
@@ -175,15 +174,39 @@ class TestValidation:
         with pytest.raises(SaddleValidationError):
             SaddleMatrix.from_blocks(np.eye(2), b, np.eye(2))
 
+    def test_more_rows_than_columns_rejected(self):
+        # B is 2 x 1, so its rank is at most 1 < n = 2; it has one singular
+        # value, so the sigma_min / sigma_max test alone lets it through
+        with pytest.raises(SaddleValidationError, match="full row rank"):
+            SaddleMatrix.from_blocks([[1.0]], [[1.0], [1.0]], np.eye(2))
+
     def test_blocks_frozen(self):
         s = SaddleMatrix.from_blocks([[4.0]], [[2.0]], [[1.0]])
         with pytest.raises(ValueError):
-            s.A[0, 0] = 0.0
+            s.K[0, 0] = 0.0
+
+    def test_factor_frozen(self):
+        f = factorize(SaddleMatrix.from_blocks([[4.0]], [[2.0]], [[1.0]]))
+        with pytest.raises(ValueError):
+            f.L[1, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "l, what",
+        [
+            ([[1.0, 0.5], [0.0, 1.0]], ShapeError),  # nonzero upper-right block
+            ([[1.0, 0.0], [1.0, 0.0]], ValueError),  # zero pivot
+            ([[1.0, 0.0], [math.nan, 1.0]], ValueError),  # not finite
+            (np.eye(3), ShapeError),  # wrong order for m + n = 2
+        ],
+    )
+    def test_factor_checks(self, l, what):
+        with pytest.raises(what):
+            GenCholFactor.from_dense(l, 1, 1)
 
 
 class TestReconstruct:
     def test_hand_block_product(self):
-        f = GenCholFactor.from_blocks([[2.0]], [[1.0]], [[math.sqrt(2.0)]])
+        f = GenCholFactor.from_dense([[2.0, 0.0], [1.0, math.sqrt(2.0)]], 1, 1)
         k = reconstruct(f)
         assert k[0, 0] == 4.0
         assert k[0, 1] == 2.0
@@ -191,7 +214,7 @@ class TestReconstruct:
         assert k[1, 1] == pytest.approx(-1.0, abs=1e-15)
 
     def test_identity_gives_signature(self):
-        f = GenCholFactor.from_blocks([[1.0]], [[0.0]], [[1.0]])
+        f = GenCholFactor.from_dense(np.eye(2), 1, 1)
         assert np.array_equal(reconstruct(f), np.diag([1.0, -1.0]))
 
     def test_matches_dense_triple_product_exactly(self, rng):
@@ -204,18 +227,20 @@ class TestReconstruct:
 
 class TestFactorDense:
     def test_identity_blocks(self):
-        f = GenCholFactor.from_blocks(np.eye(2), np.zeros((2, 2)), np.eye(2))
-        assert np.array_equal(factor_to_dense(f), np.eye(4))
+        f = GenCholFactor.from_dense(np.eye(4), 2, 2)
+        assert np.array_equal(f.L[:2, :2], np.eye(2))
+        assert np.array_equal(f.L[2:, :2], np.zeros((2, 2)))
+        assert np.array_equal(f.L[2:, 2:], np.eye(2))
 
     def test_placement(self):
-        f = GenCholFactor.from_blocks([[2.0]], [[3.0]], [[4.0]])
-        assert np.array_equal(factor_to_dense(f), [[2.0, 0.0], [3.0, 4.0]])
+        f = GenCholFactor.from_dense([[2.0, 0.0], [3.0, 4.0]], 1, 1)
+        assert f.L[:1, :1] == 2.0 and f.L[1:, :1] == 3.0 and f.L[1:, 1:] == 4.0
 
     def test_round_trip_exact(self, rng):
         l = np.tril(rng.standard_normal((6, 6)))
         np.fill_diagonal(l, np.abs(np.diagonal(l)) + 1.0)
         f = GenCholFactor.from_dense(l, 4, 2)
-        assert np.array_equal(factor_to_dense(f), l)
+        assert np.array_equal(f.L, l)
 
 
 class TestSaddleText:
@@ -226,6 +251,4 @@ class TestSaddleText:
         write_saddle(s, path)
         back = read_saddle(path)
         assert back.spec == s.spec
-        for block in ("A", "B", "C"):
-            assert getattr(back, block).shape == getattr(s, block).shape
-            assert np.array_equal(getattr(back, block), getattr(s, block)), block
+        assert np.array_equal(back.K, s.K)

@@ -90,7 +90,7 @@ class TestMakeSaddle:
 
     def test_n_zero(self, rng):
         s, _, _ = make_saddle(3, 0, 100.0, rng)
-        assert s.B.shape == (0, 3)
+        assert s.K.shape == (3, 3)
 
     def test_rejects_tall_coupling(self, rng):
         with pytest.raises(ValueError):
@@ -249,13 +249,13 @@ class TestComponentwiseCampaign:
     def test_envelope_is_respected_by_construction(self, rng):
         # sampled perturbation never exceeds eps |L~||L~^T| entrywise
         from genchol.densela import matmul
-        from genchol.factorization import factor_to_dense, factorize
+        from genchol.factorization import factorize
         from genchol.harness import _trial_rng
 
         cfg = EnsembleConfig(m=3, n=2, trials=1, seed=13, eps_synth=1e-6)
         s, _, _ = make_saddle(3, 2, cfg.cond_target, _trial_rng(13, 0))
         lt = factorize(s)
-        labs = np.abs(factor_to_dense(lt))
+        labs = np.abs(lt.L)
         env = cfg.eps_synth * matmul(labs, labs.T)
         k_new_records = run_componentwise_campaign(cfg)
         assert len(k_new_records) == 1  # protocol ran; envelope checked below

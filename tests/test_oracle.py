@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from genchol.densela import UNIT_ROUNDOFF, ShapeError, fro_norm, matmul
 from genchol.factorization import (
+    BlockSpec,
     GenCholFactor,
     SaddleMatrix,
-    assemble_k,
-    factor_to_dense,
     factorize,
     factorize_dense,
     reconstruct,
@@ -98,14 +97,14 @@ class TestUvec:
 
 class TestBuildW:
     def test_scalar_case(self):
-        f = GenCholFactor.from_blocks([[3.0]], np.zeros((0, 1)), np.zeros((0, 0)))
+        f = GenCholFactor.from_dense([[3.0]], 1, 0)
         w = build_w(f)
         assert np.array_equal(w, [[6.0]])
 
     def test_identity_p2(self):
         # L = I, J = diag(1, -1): the map sends E11 -> 2 E11, E21 -> mirrored
         # off-diagonal pair, E22 -> -2 E22.
-        f = GenCholFactor.from_blocks([[1.0]], [[0.0]], [[1.0]])
+        f = GenCholFactor.from_dense(np.eye(2), 1, 1)
         w = build_w(f)
         assert np.array_equal(w, np.diag([2.0, 1.0, -2.0]))
 
@@ -113,7 +112,7 @@ class TestBuildW:
         for _ in range(10):
             f = random_factor(4, 2, rng)
             w = build_w(f)
-            l = factor_to_dense(f)
+            l = f.L
             jv = f.spec.signature()
             x = np.tril(rng.standard_normal((4, 4)))
             lhs = w @ uvec_lower(x)
@@ -132,11 +131,11 @@ class TestBuildW:
 
 class TestWInverseNorm:
     def test_scalar(self):
-        f = GenCholFactor.from_blocks([[2.0]], np.zeros((0, 1)), np.zeros((0, 0)))
+        f = GenCholFactor.from_dense([[2.0]], 1, 0)
         assert w_inverse_norm(build_w(f)) == pytest.approx(0.25, rel=1e-14)
 
     def test_identity_p2(self):
-        f = GenCholFactor.from_blocks([[1.0]], [[0.0]], [[1.0]])
+        f = GenCholFactor.from_dense(np.eye(2), 1, 1)
         assert w_inverse_norm(build_w(f)) == pytest.approx(1.0, rel=1e-13)
 
     def test_matches_svd_oracle(self, rng):
@@ -155,7 +154,7 @@ class TestWInverseNorm:
         ],
     )
     def test_growth_with_row_scaling(self, gamma, expected):
-        f = GenCholFactor.from_blocks([[1.0]], [[gamma]], [[1.0]])
+        f = GenCholFactor.from_dense([[1.0, 0.0], [gamma, 1.0]], 1, 1)
         norm = w_inverse_norm(build_w(f))
         assert norm == pytest.approx(expected, rel=1e-10)
 
@@ -164,7 +163,7 @@ class TestWInverseNorm:
 
         gammas = [10.0, 100.0, 1000.0]
         norms = [
-            w_inverse_norm(build_w(GenCholFactor.from_blocks([[1.0]], [[g]], [[1.0]])))
+            w_inverse_norm(build_w(GenCholFactor.from_dense([[1.0, 0.0], [g, 1.0]], 1, 1)))
             for g in gammas
         ]
         slope = loglog_slope(gammas, norms)
@@ -188,9 +187,9 @@ class TestActualDeltaL:
         for _ in range(10):
             s, _, _ = make_saddle(3, 2, 100.0, rng)
             f = factorize(s)
-            l = factor_to_dense(f)
+            l = f.L
             dk = gen_sym_perturbation(5, 1e-3, rng)
-            value = NormwiseEvaluator(l, assemble_k(s)).report(fro_norm(dk)).b_3_3
+            value = NormwiseEvaluator(l, s.K).report(fro_norm(dk)).b_3_3
             assert value is not None
             assert fro_norm(actual_delta_l(s, dk)) <= value + 1e-12
 
@@ -219,7 +218,7 @@ class TestCompensatedResidual:
             np.fill_diagonal(l, np.abs(np.diagonal(l)) + 1.0)
             f = GenCholFactor.from_dense(l, m, n)
             k = reconstruct(f)
-            s = SaddleMatrix.from_dense(k, m, n, validate=False)
+            s = SaddleMatrix(BlockSpec(m, n), k)  # the constructor does not validate
             assert np.array_equal(compensated_residual(f, s), np.zeros((p, p)))
 
     def test_within_gamma_envelope(self, rng):
@@ -231,7 +230,7 @@ class TestCompensatedResidual:
             s, _, _ = make_saddle(m, n, 1e4, rng)
             f = factorize(s)
             resid = compensated_residual(f, s)
-            l = np.abs(factor_to_dense(f))
+            l = np.abs(f.L)
             env = 10.0 * gamma_k(3 * max(m, n) + 1) * matmul(l, l.T)
             mask = env > 0.0
             assert np.all(np.abs(resid)[mask] <= env[mask])
@@ -241,7 +240,7 @@ class TestCompensatedResidual:
         for _ in range(10):
             s, _, _ = make_saddle(4, 2, 1e4, rng)
             f = factorize(s)
-            k = assemble_k(s)
+            k = s.K
             plain = reconstruct(f) - k
             comp = compensated_residual(f, s)
             p = s.p
@@ -253,6 +252,6 @@ class TestFactorizeDenseUnderPerturbation:
         # perturbations can push C slightly indefinite; the factorization only
         # needs the two eliminations to succeed
         s, _, _ = make_saddle(3, 2, 10.0, rng)
-        k = assemble_k(s)
+        k = s.K
         dk = gen_sym_perturbation(5, 1e-8, rng)
         factorize_dense(k + dk, 3, 2, "K+dK")
