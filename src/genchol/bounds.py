@@ -22,6 +22,7 @@ import numpy as np
 from .densela import (
     ConvergenceError,
     ShapeError,
+    _column_norms,
     _require_lower_triangular,
     cond_bauer_skeel,
     fro_norm,
@@ -66,7 +67,7 @@ def scaling_candidates(l_dense, bauer=None) -> tuple[tuple[str, np.ndarray], ...
     l = np.asarray(l_dense, dtype=np.float64)
     _require_lower_triangular(l)
     p = l.shape[0]
-    col_eq = np.array([max(fro_norm(l[:, j]), _POSITIVE_FLOOR) for j in range(p)])
+    col_eq = np.maximum(_column_norms(l), _POSITIVE_FLOOR)
     candidates = [("identity", np.ones(p)), ("col-equilibrate-L", col_eq)]
     if bauer is not None:
         row_max = np.maximum(bauer.max(axis=1), _POSITIVE_FLOOR)

@@ -278,7 +278,7 @@ def _cmd_sweep(args) -> int:
     rows = run_gamma_sweep(args.kind, gammas, args.dk_fro)
     emit_rows(rows, args.format, args.out)
     if args.kind == "remark33":
-        if len(rows) > 1:  # a slope needs two gammas
+        if len({r["gamma"] for r in rows}) > 1:  # a slope needs two distinct gammas
             slope = loglog_slope([r["gamma"] for r in rows], [r["winv2"] for r in rows])
             print(f"sweep remark33: loglog slope of winv2 = {slope:.4f}", file=sys.stderr)
     else:

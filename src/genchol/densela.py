@@ -9,6 +9,7 @@ general (non-triangular) matrix come from LAPACK through numpy.linalg.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -92,19 +93,28 @@ def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a 2-D array, overflow-safe: a column is
+    scaled by its largest magnitude and its squares are accumulated top to
+    bottom, bit-identical to the scalar loop ``total += t*t``."""
+    if x.shape[0] == 0:
+        return np.zeros(x.shape[1])
+    amax = np.abs(x).max(axis=0)
+    t = x / np.where(amax == 0.0, 1.0, amax)
+    return amax * np.sqrt(np.add.accumulate(t * t, axis=0)[-1])
+
+
 def fro_norm(x) -> float:
-    """Frobenius norm (the Euclidean norm of a vector), overflow-safe,
-    left-to-right accumulation in row order."""
+    """Frobenius norm (the Euclidean norm of a vector), overflow-safe; the
+    column kernel above applied to the entries in row order."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return 0.0
-    amax = float(np.max(np.abs(x)))
+    amax = float(np.abs(x).max())
     if amax == 0.0:
         return 0.0
-    total = 0.0
-    for t in (x / amax).ravel(order="C").tolist():
-        total += t * t
-    return amax * math.sqrt(total)
+    t = x.ravel() / amax
+    return amax * math.sqrt(float(np.add.accumulate(t * t)[-1]))
 
 
 def _round_robin_rounds(n: int) -> list[list[tuple[int, int]]]:
@@ -124,6 +134,20 @@ def _round_robin_rounds(n: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_schedule(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``_round_robin_rounds(n)`` as read-only (first, second) index arrays,
+    built once per order."""
+    schedule = []
+    for pairs in _round_robin_rounds(n):
+        ii = np.array([p[0] for p in pairs])
+        jj = np.array([p[1] for p in pairs])
+        ii.setflags(write=False)
+        jj.setflags(write=False)
+        schedule.append((ii, jj))
+    return tuple(schedule)
+
+
 @np.errstate(over="raise")  # only tau * tau can overflow; caught there
 def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> bool:
     """Rotate column pairs of ``a`` in place until a whole sweep needs no
@@ -137,10 +161,10 @@ def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> 
             aqq = np.einsum("ij,ij->j", aj, aj)
             apq = np.einsum("ij,ij->j", ai, aj)
             need = apq * apq > tol2 * app * aqq
-            if not np.any(need):
+            if not need.any():
                 continue
             rotated = True
-            if not np.all(need):
+            if not need.all():
                 ii, jj = ii0[need], jj0[need]
                 ai, aj = ai[:, need], aj[:, need]
                 app, aqq, apq = app[need], aqq[need], apq[need]
@@ -188,17 +212,12 @@ def singular_values(x) -> np.ndarray:
     n = a.shape[1]
     if n == 1:
         return np.array([amax * fro_norm(a[:, 0])])
-    rounds = _round_robin_rounds(n)
-    index_pairs = [
-        (np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-        for pairs in rounds
-    ]
     tol2 = _JACOBI_TOL * _JACOBI_TOL
-    if not _jacobi_sweeps(a, index_pairs, tol2, _JACOBI_MAX_SWEEPS):
+    if not _jacobi_sweeps(a, _pair_schedule(n), tol2, _JACOBI_MAX_SWEEPS):
         raise ConvergenceError(
             f"one-sided Jacobi did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
         )
-    sig = sorted((fro_norm(a[:, j]) for j in range(n)), reverse=True)
+    sig = sorted(_column_norms(a).tolist(), reverse=True)
     return amax * np.array(sig)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densela import (
+    ConvergenceError,
     ShapeError,
     as_matrix,
     is_psd,
@@ -21,7 +22,6 @@ from .densela import (
     matmul,
     parse_matrix,
     format_matrix,
-    singular_values,
     write_text_atomic,
     ParseError,
 )
@@ -137,7 +137,10 @@ class SaddleMatrix:
         if not is_psd(c):
             raise SaddleValidationError("C is not positive semi-definite")
         if n > 0:
-            sig = singular_values(b)
+            try:
+                sig = np.linalg.svd(b, compute_uv=False)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"LAPACK SVD of B failed: {exc}") from exc
             if float(sig[-1]) <= _B_RANK_RTOL * float(sig[0]):
                 raise SaddleValidationError("B does not have full row rank")
         k = np.zeros((spec.p, spec.p))
@@ -154,6 +157,8 @@ class SaddleMatrix:
         p = m + n
         if k.shape != (p, p):
             raise ShapeError(f"dense matrix must be {p} x {p}, got {k.shape}")
+        if not np.array_equal(k, k.T):
+            raise SaddleValidationError("K is not exactly symmetric")
         return cls.from_blocks(k[:m, :m], k[m:, :m], -k[m:, m:])
 
     @property

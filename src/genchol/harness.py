@@ -487,6 +487,8 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
     """
     if kind not in ("remark32", "remark33"):
         raise ValueError(f"unknown sweep kind {kind!r}")
+    if not 0.0 <= dk_fro < math.inf:
+        raise ValueError("dk_fro must be finite and nonnegative")
     rows = []
     for gamma in gammas:
         gamma = float(gamma)
@@ -522,7 +524,10 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
 
 
 def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log10(y) against log10(x)."""
+    """Least-squares slope of log10(y) against log10(x); needs at least two
+    distinct x values."""
+    if len(set(map(float, xs))) < 2:
+        raise ValueError("a log-log slope needs at least two distinct x values")
     lx = np.log10(np.asarray(xs, dtype=np.float64))
     ly = np.log10(np.asarray(ys, dtype=np.float64))
     lx = lx - lx.mean()

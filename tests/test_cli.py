@@ -293,6 +293,21 @@ class TestSweep:
         assert len(out.read_text().splitlines()) == 2
         assert capsys.readouterr().err == ""
 
+    def test_repeated_gamma_has_no_slope(self, tmp_path):
+        # one distinct gamma has no slope, however often it is repeated
+        out = tmp_path / "s.csv"
+        res = run_cli("sweep", "--kind", "remark33", "--gammas", "10,10", "--out", str(out))
+        assert res.returncode == 0
+        assert len(out.read_text().splitlines()) == 3
+        assert res.stderr == ""
+
+    def test_negative_dk_fro_is_usage_error(self, tmp_path):
+        out = tmp_path / "s.csv"
+        res = run_cli("sweep", "--kind", "remark33", "--dk-fro", "-1", "--out", str(out))
+        assert res.returncode == 1
+        assert "dk_fro must be finite and nonnegative" in res.stderr
+        assert not out.exists()
+
     def test_svd_failure_is_kernel_failure(self, tmp_path):
         # gamma = 1e200 overflows W^-1 and LAPACK's SVD does not converge
         out = tmp_path / "s.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genchol import densela
 from genchol.densela import (
     UNIT_ROUNDOFF,
     ShapeError,
@@ -89,6 +90,85 @@ class TestFroNorm:
     def test_overflow_safe(self):
         x = np.array([[3e200, 4e200]])
         assert fro_norm(x) == pytest.approx(5e200, rel=1e-15)
+
+
+def scalar_loop_norm(v) -> float:
+    """The byte contract of the norms: scale by the largest magnitude, then
+    accumulate the squares one at a time, left to right."""
+    v = np.asarray(v, dtype=np.float64).ravel()
+    amax = float(np.max(np.abs(v))) if v.size else 0.0
+    if amax == 0.0:
+        return 0.0
+    total = 0.0
+    for t in (v / amax).tolist():
+        total += t * t
+    return amax * math.sqrt(total)
+
+
+def extreme_matrix(rng, rows, cols):
+    """Entries of random sign with magnitudes spread over 1e-300 .. 1e300."""
+    return rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-300, 300, (rows, cols))
+
+
+class TestNormByteContract:
+    def test_fro_norm_equals_scalar_loop(self, rng):
+        for _ in range(200):
+            rows, cols = rng.integers(1, 12, size=2)
+            x = extreme_matrix(rng, rows, cols)
+            assert fro_norm(x) == scalar_loop_norm(x)
+            assert fro_norm(x.T) == scalar_loop_norm(x.T)  # row order of a view
+
+    def test_column_norms_equal_scalar_loop(self, rng):
+        # both layouts: Jacobi hands over Fortran-ordered (column-contiguous)
+        # arrays, where numpy's sum would add pairwise
+        for _ in range(200):
+            rows, cols = rng.integers(1, 40), rng.integers(1, 12)
+            x = extreme_matrix(rng, rows, cols)
+            x[:, rng.integers(cols)] = 0.0
+            want = [scalar_loop_norm(x[:, j]) for j in range(cols)]
+            assert densela._column_norms(x).tolist() == want
+            assert densela._column_norms(np.asfortranarray(x)).tolist() == want
+
+    def test_zero_columns(self):
+        assert densela._column_norms(np.zeros((4, 3))).tolist() == [0.0, 0.0, 0.0]
+        assert densela._column_norms(np.zeros((0, 2))).tolist() == [0.0, 0.0]
+
+    def test_length_one(self, rng):
+        for v in extreme_matrix(rng, 1, 50).ravel():
+            assert fro_norm([v]) == scalar_loop_norm([v]) == abs(v)
+            assert densela._column_norms(np.array([[v]])).tolist() == [abs(v)]
+
+    def test_singular_values_are_sorted_column_norms(self, rng):
+        # rerun the rotations of singular_values and read its columns off
+        for shape in [(5, 5), (7, 4), (3, 6)]:
+            x = rng.standard_normal(shape)
+            amax = float(np.max(np.abs(x)))
+            a = x / amax
+            a = np.asfortranarray(a if a.shape[0] >= a.shape[1] else a.T)
+            schedule = densela._pair_schedule(a.shape[1])
+            assert densela._jacobi_sweeps(
+                a, schedule, densela._JACOBI_TOL ** 2, densela._JACOBI_MAX_SWEEPS
+            )
+            cols = sorted((fro_norm(a[:, j]) for j in range(a.shape[1])), reverse=True)
+            assert singular_values(x).tolist() == (amax * np.array(cols)).tolist()
+
+
+class TestPairSchedule:
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 28])
+    def test_matches_round_robin(self, n):
+        schedule = densela._pair_schedule(n)
+        rounds = densela._round_robin_rounds(n)
+        assert [(ii.tolist(), jj.tolist()) for ii, jj in schedule] == [
+            ([p[0] for p in pairs], [p[1] for p in pairs]) for pairs in rounds
+        ]
+
+    def test_built_once_and_read_only(self):
+        schedule = densela._pair_schedule(5)
+        assert densela._pair_schedule(5) is schedule
+        for ii, jj in schedule:
+            for arr in (ii, jj):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
 
 class TestSpectralNorm:

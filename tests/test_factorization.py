@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from genchol.densela import UNIT_ROUNDOFF, ShapeError, fro_norm
+from genchol.densela import UNIT_ROUNDOFF, ConvergenceError, ShapeError, fro_norm
 from genchol.factorization import (
     BlockSpec,
     FactorizationError,
@@ -179,6 +179,19 @@ class TestValidation:
         # value, so the sigma_min / sigma_max test alone lets it through
         with pytest.raises(SaddleValidationError, match="full row rank"):
             SaddleMatrix.from_blocks([[1.0]], [[1.0], [1.0]], np.eye(2))
+
+    def test_asymmetric_dense_k_rejected(self):
+        # the upper block B^T must match the lower block B, not be dropped
+        with pytest.raises(SaddleValidationError, match="K is not exactly symmetric"):
+            SaddleMatrix.from_dense([[1.0, 5.0], [1.0, -1.0]], 1, 1)
+
+    def test_rank_check_svd_failure_is_convergence_error(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ConvergenceError, match="SVD of B"):
+            SaddleMatrix.from_blocks(np.eye(2), [[1.0, 0.0]], [[0.0]])
 
     def test_blocks_frozen(self):
         s = SaddleMatrix.from_blocks([[4.0]], [[2.0]], [[1.0]])

@@ -204,6 +204,27 @@ class TestNormwiseCampaign:
         assert rec.report.b_3_15 is not None
         assert calls == [(5, 5)]
 
+    def test_singular_value_calls_per_trial(self, monkeypatch):
+        # one-trial campaigns at the default four levels; the rank check of B
+        # goes to LAPACK, so only SVDs whose values are reported remain
+        from genchol import bounds, densela, factorization, harness, oracle
+
+        original = densela.singular_values
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return original(x)
+
+        for module in (densela, bounds, factorization, harness, oracle):
+            if getattr(module, "singular_values", None) is original:
+                monkeypatch.setattr(module, "singular_values", counting)
+        run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
+        assert len(calls) == 10
+        calls.clear()
+        run_componentwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
+        assert len(calls) == 8
+
     def test_perturbed_breakdown_is_not_redrawn(self, monkeypatch):
         # condition 3.1 says K + dK factors; a breakdown there is an error,
         # not a reason to draw another saddle matrix
@@ -301,6 +322,18 @@ class TestGammaSweep:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             run_gamma_sweep("remark99", [1.0])
+
+    @pytest.mark.parametrize("dk_fro", [-1.0, math.inf, math.nan])
+    def test_dk_fro_must_be_finite_and_nonnegative(self, dk_fro):
+        with pytest.raises(ValueError, match="dk_fro must be finite and nonnegative"):
+            run_gamma_sweep("remark33", [10.0], dk_fro)
+
+    def test_slope_needs_two_distinct_x(self):
+        with pytest.raises(ValueError, match="two distinct x values"):
+            loglog_slope([10.0, 10.0], [3.0, 3.0])
+        with pytest.raises(ValueError, match="two distinct x values"):
+            loglog_slope([10.0], [3.0])
+        assert loglog_slope([10.0, 10.0, 100.0], [1.0, 1.0, 100.0]) == pytest.approx(2.0)
 
 
 class TestEmission:
