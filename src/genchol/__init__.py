@@ -7,7 +7,6 @@ from .densela import (
     ParseError,
     ShapeError,
     SingularMatrixError,
-    cond_bauer_skeel,
     fro_norm,
     gamma_k,
     lower_tri_inverse,

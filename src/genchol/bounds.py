@@ -24,7 +24,6 @@ from .densela import (
     ShapeError,
     _column_norms,
     _require_lower_triangular,
-    cond_bauer_skeel,
     fro_norm,
     gamma_k,
     lower_tri_inverse,
@@ -84,11 +83,25 @@ def _kappa_scaled(l: np.ndarray, d: np.ndarray) -> float:
 
 
 def _b33_value(linv2: float, kappa: float, dk_fro: float, x: float) -> float:
+    """The shape of bound 3.3, shared by 3.14 and the componentwise 4.3."""
     return SQRT2 * linv2 * kappa * dk_fro / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
 
 
 def _b312_style_value(linv2: float, kappa: float, dk_fro: float, xx: float) -> float:
     return SQRT2 * linv2 * kappa * dk_fro / (1.0 + math.sqrt(1.0 - 2.0 * xx))
+
+
+def _present_bounds(report, names) -> dict[str, float]:
+    """The report's bounds among ``names`` that are not None, by name."""
+    values = ((name, getattr(report, name)) for name in names)
+    return {name: v for name, v in values if v is not None}
+
+
+def _measure_dl(actual_dl) -> tuple[float | None, float | None]:
+    """(||dL||_F, ||dL||_2) of a measured factor change; (None, None) without one."""
+    if actual_dl is None:
+        return None, None
+    return fro_norm(actual_dl), spectral_norm(actual_dl)
 
 
 def eps_componentwise(
@@ -114,7 +127,7 @@ class NormwiseBoundReport:
     """All normwise bound values with their applicability flags.
 
     A bound field is None exactly when its condition flag is false (or, for
-    b_3_15, when the evaluator computed no operator-matrix norm).
+    b_3_15, when the order is above ``W_BOUND_MAX_ORDER``).
     """
 
     dk_fro: float
@@ -141,12 +154,9 @@ class NormwiseBoundReport:
 
     def rigorous_bounds(self) -> dict[str, float]:
         """Present rigorous bounds by name (first-order coefficient excluded)."""
-        out = {}
-        for name in ("b_3_3", "b_3_4", "b_3_12", "b_3_13", "b_3_14", "b_3_15", "b_3_17"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        return _present_bounds(
+            self, ("b_3_3", "b_3_4", "b_3_12", "b_3_13", "b_3_14", "b_3_15", "b_3_17")
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,12 +181,8 @@ class ComponentwiseBoundReport:
     actual_dl_2: float | None
 
     def rigorous_bounds(self) -> dict[str, float]:
-        out = {}
-        for name in ("b_4_3", "b_4_4"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
+        """Present rigorous bounds by name (first-order coefficient excluded)."""
+        return _present_bounds(self, ("b_4_3", "b_4_4"))
 
 
 class NormwiseEvaluator:
@@ -184,13 +190,13 @@ class NormwiseEvaluator:
 
     Campaigns evaluate many perturbation sizes against one factor; building
     the report through this object avoids re-running the SVD kernels.
-    Given the ``signature`` (the diagonal of J) and an order of at most
-    ``W_BOUND_MAX_ORDER``, it also computes ``w_inv_norm`` = ||W^-1||_2 for
-    bound 3.15 from its own L^-1; otherwise ``w_inv_norm`` is None and so are
-    ``b_3_15`` and ``cond_3_16_ok``.
+    ``signature`` is the diagonal of J.  Up to order ``W_BOUND_MAX_ORDER``
+    the evaluator also computes ``w_inv_norm`` = ||W^-1||_2 for bound 3.15
+    from its own L^-1; above it ``w_inv_norm`` is None and so are ``b_3_15``
+    and ``cond_3_16_ok``.
     """
 
-    def __init__(self, l_dense, k, signature=None):
+    def __init__(self, l_dense, k, signature):
         l = np.asarray(l_dense, dtype=np.float64)
         k = np.asarray(k, dtype=np.float64)
         self.l = l
@@ -201,14 +207,11 @@ class NormwiseEvaluator:
         self.l2 = float(sl[0])
         self.kappa_l = float(sl[0] / sl[-1])
         self.k2 = spectral_norm(k)
-        self.w_inv_norm = None
-        if signature is not None:
-            jvec = np.asarray(signature, dtype=np.float64)
-            p = l.shape[0]
-            if jvec.shape != (p,):
-                raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
-            if p <= W_BOUND_MAX_ORDER:
-                self.w_inv_norm = self._w_inverse_norm(jvec)
+        jvec = np.asarray(signature, dtype=np.float64)
+        p = l.shape[0]
+        if jvec.shape != (p,):
+            raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
+        self.w_inv_norm = self._w_inverse_norm(jvec) if p <= W_BOUND_MAX_ORDER else None
         self.kappas = {}
         # per label, kappa(L) ||L||_2 ||D L^-1||_2 ||D^-1||_2: bound 3.17's
         # test quantity is this coefficient times ||dK||_F / ||K||_2
@@ -273,6 +276,7 @@ class NormwiseEvaluator:
         x_f = self.linv_f * self.linv_f * dk_fro
         cond312 = x_f < 0.5
 
+        b311 = self.linv2 * self.kappa_min * dk_fro
         b33 = b34 = b313 = b314 = None
         b33_label = b34_label = None
         if cond31:
@@ -280,11 +284,10 @@ class NormwiseEvaluator:
                 near.append("b_3_3")
             b33 = _b33_value(self.linv2, self.kappa_min, dk_fro, x)
             b33_label = self.kappa_label
-            b34 = (2.0 + SQRT2) * (self.linv2 * self.kappa_min * dk_fro)
+            b34 = (2.0 + SQRT2) * b311
             b34_label = self.kappa_label
             b313 = _b312_style_value(self.linv2, self.kappa_l, dk_fro, x)
             b314 = _b33_value(self.linv2, self.kappa_l, dk_fro, x)
-        b311 = self.linv2 * self.kappa_min * dk_fro
 
         b312 = None
         if cond312:
@@ -318,11 +321,7 @@ class NormwiseEvaluator:
                 best317 = value
                 best317_label = label
         cond318 = best317 is not None
-
-        actual_f = actual_2 = None
-        if actual_dl is not None:
-            actual_f = fro_norm(actual_dl)
-            actual_2 = spectral_norm(actual_dl)
+        actual_f, actual_2 = _measure_dl(actual_dl)
 
         return NormwiseBoundReport(
             dk_fro=dk_fro,
@@ -361,9 +360,11 @@ def build_componentwise_report(
         raise ValueError(f"unknown convention {eps_convention!r}")
     lt = np.asarray(l_tilde_dense, dtype=np.float64)
     lt_inv = lower_tri_inverse(lt)
+    # the Bauer-Skeel numbers || |X^-1||X| ||_F of L~ and of L~^-T; the
+    # inverse of L~^-T is taken as the transposed inverse of L~^-1
     babs = matmul(np.abs(lt_inv), np.abs(lt))
     cbs_l = fro_norm(babs)
-    cbs_it = cond_bauer_skeel(lt_inv.T)
+    cbs_it = fro_norm(matmul(np.abs(lower_tri_inverse(lt_inv).T), np.abs(lt_inv.T)))
     t = cbs_l * cbs_it * eps
     cond42 = t < 0.5
     near = []
@@ -379,14 +380,10 @@ def build_componentwise_report(
     if cond42:
         if 0.0 < 1.0 - 2.0 * t < NEAR_BOUNDARY_EPS:
             near.append("b_4_3")
-        b43 = SQRT2 * factor * cbs_l * eps / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * t))
+        b43 = _b33_value(factor, cbs_l, eps, t)
         b43_label = label
-        b44 = (2.0 + SQRT2) * (factor * cbs_l * eps)
-
-    actual_f = actual_2 = None
-    if actual_dl is not None:
-        actual_f = fro_norm(actual_dl)
-        actual_2 = spectral_norm(actual_dl)
+        b44 = (2.0 + SQRT2) * b49
+    actual_f, actual_2 = _measure_dl(actual_dl)
 
     return ComponentwiseBoundReport(
         eps=eps,

@@ -1,5 +1,10 @@
 """Command-line front end: factorize, bound evaluation, campaigns, sweeps.
 
+`bounds` reports every normwise bound; bound 3.15 is evaluated whenever the
+order is at most ``W_BOUND_MAX_ORDER`` and is null above it, where
+`--dump-w` is a usage error.  `sweep` refuses a gamma at which a quantity of
+its row overflows (a usage error, before any output is written).
+
 Exit codes are a fixed function of what happened:
   0  success (and, for campaigns, zero violations)
   1  I/O, parse, or usage problem
@@ -113,15 +118,13 @@ def _build_parser() -> _Parser:
         help="also factorize the perturbed matrix and report the true factor change",
     )
     p_bounds.add_argument(
-        "--with-w-bound",
-        action="store_true",
-        help=f"include the operator-matrix bound (order at most {W_BOUND_MAX_ORDER})",
-    )
-    p_bounds.add_argument(
         "--dump-w",
         default=None,
         metavar="PATH",
-        help="with --with-w-bound: also write the operator matrix in matrix text format",
+        help=(
+            "also write the operator matrix in matrix text format "
+            f"(order at most {W_BOUND_MAX_ORDER})"
+        ),
     )
 
     p_verify = sub.add_parser(
@@ -203,18 +206,11 @@ def _cmd_bounds(args) -> int:
         raise ParseError("perturbation is not exactly symmetric")
     factor = factorize(s)
     dk_fro = fro_norm(dk)
-    signature = None
-    if args.dump_w and not args.with_w_bound:
-        raise _UsageError("--dump-w requires --with-w-bound")
-    if args.with_w_bound:
+    if args.dump_w:
         if p > W_BOUND_MAX_ORDER:
-            raise _UsageError(
-                f"--with-w-bound supports order at most {W_BOUND_MAX_ORDER}, got {p}"
-            )
-        signature = factor.spec.signature()
-        if args.dump_w:
-            write_matrix(build_w(factor), args.dump_w)
-    evaluator = NormwiseEvaluator(factor.L, s.K, signature)
+            raise _UsageError(f"--dump-w supports order at most {W_BOUND_MAX_ORDER}, got {p}")
+        write_matrix(build_w(factor), args.dump_w)
+    evaluator = NormwiseEvaluator(factor.L, s.K, factor.spec.signature())
     actual_dl = None
     if args.with_actual:
         try:

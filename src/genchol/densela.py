@@ -3,8 +3,9 @@
 Everything operates on plain 2-D float64 numpy arrays.  Reductions with a
 bit-level contract (matmul, the Frobenius/Euclidean norm) accumulate strictly
 left to right so repeated runs produce identical bits; the Jacobi SVD is
-deterministic for a fixed build.  Symmetric eigenvalues and the inverse of a
-general (non-triangular) matrix come from LAPACK through numpy.linalg.
+deterministic for a fixed build.  Symmetric eigenvalues come from LAPACK
+through numpy.linalg; the only inverse is the triangular one, by forward
+substitution.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "fro_norm",
     "singular_values",
     "spectral_norm",
-    "cond_bauer_skeel",
     "lower_tri_solve",
     "lower_tri_inverse",
     "up_operator",
@@ -258,25 +258,6 @@ def lower_tri_inverse(l) -> np.ndarray:
     l = np.asarray(l, dtype=np.float64)
     _require_lower_triangular(l)
     return lower_tri_solve(l, np.eye(l.shape[0]))
-
-
-def cond_bauer_skeel(x) -> float:
-    """Frobenius norm of |X^-1| |X| (entrywise absolute values); triangular X
-    is inverted by forward substitution, any other X by LAPACK."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError("cond_bauer_skeel expects a square matrix")
-    eye = np.eye(x.shape[0])
-    if not np.any(np.triu(x, 1) != 0.0):
-        xinv = lower_tri_solve(x, eye)
-    elif not np.any(np.tril(x, -1) != 0.0):
-        xinv = lower_tri_solve(x.T, eye).T
-    else:
-        try:
-            xinv = np.linalg.inv(x)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("matrix is singular") from exc
-    return fro_norm(matmul(np.abs(xinv), np.abs(x)))
 
 
 def up_operator(a) -> np.ndarray:

@@ -174,19 +174,23 @@ def make_saddle(
     Both blocks get unit spectral norm with a log-uniform condition number up
     to the cap; the coupling block is scaled so C stays definitely PSD, which
     keeps the factor norm comparable to the matrix norm.  Returns the matrix
-    plus the two condition targets.
+    plus the condition numbers the two blocks were given (1 for a 1 x 1
+    block, which is [[1]]).
     """
     if n > m:
         raise ValueError("full row rank of the coupling block needs n <= m")
     log_cap = math.log10(cond_target)
     kappa_a = 10.0 ** rng.uniform(0.0, log_cap) if log_cap > 0 else 1.0
     kappa_s = 10.0 ** rng.uniform(0.0, log_cap) if log_cap > 0 else 1.0
+    # a 1 x 1 block is [[1]] whatever its target (gen_spd): report what it gets
+    kappa_a = 1.0 if m == 1 else kappa_a
+    kappa_s = 1.0 if n == 1 else kappa_s
     a = gen_spd(m, kappa_a, rng)
     if n == 0:
         s = SaddleMatrix.from_blocks(a, np.zeros((0, m)), np.zeros((0, 0)))
         return s, kappa_a, kappa_s
     schur_target = gen_spd(n, kappa_s, rng)
-    lam_min = 1.0 / kappa_s if n > 1 else 1.0  # spectrum is known by construction
+    lam_min = 1.0 / kappa_s  # spectrum is known by construction
     l21_raw = gen_fullrank(n, m, rng)
     smax = spectral_norm(l21_raw)
     zeta = rng.uniform(0.1, 0.9)
@@ -207,6 +211,9 @@ def make_saddle(
 
 @dataclass(frozen=True, slots=True)
 class NormwiseTrialRecord:
+    """One (trial, dk level) of a normwise campaign: what was measured, with
+    the verdicts derived from the report."""
+
     trial: int
     m: int
     n: int
@@ -215,18 +222,23 @@ class NormwiseTrialRecord:
     kappa_a: float
     kappa_s: float
     report: NormwiseBoundReport
-    worst_ratio: float
-    violation: bool
     diag_3_8_ok: bool
     cond318_strength_ok: bool
 
     CSV_COLUMNS = NORMWISE_CSV_COLUMNS
 
     @property
+    def worst_ratio(self) -> float:
+        return _domination(self.report)[0]
+
+    @property
+    def violation(self) -> bool:
+        return _domination(self.report)[1]
+
+    @property
     def tightness(self) -> dict[str, float | None]:
         """bound/actual for each rigorous bound (see ``_domination``)."""
-        r = self.report
-        return _domination(r.actual_dl_fro, r.rigorous_bounds())[2]
+        return _domination(self.report)[2]
 
     def csv_values(self) -> tuple:
         """The values of ``CSV_COLUMNS``, in order."""
@@ -258,6 +270,14 @@ class NormwiseTrialRecord:
 
 @dataclass(frozen=True, slots=True)
 class ComponentwiseTrialRecord:
+    """One trial of a componentwise campaign: what was measured, with the
+    verdicts derived from the report and the backward-error check.
+
+    A record without a measured dL (the refactorization broke down) or
+    outside condition 4.2 is skipped: it has no ratios, and only a failed
+    backward-error check makes it a violation.
+    """
+
     trial: int
     m: int
     n: int
@@ -266,23 +286,37 @@ class ComponentwiseTrialRecord:
     env_lt_fro: float
     env_tl_fro: float
     bw_env_ok: bool
-    worst_ratio: float
-    violation: bool
-    skipped: bool
-    eps_gamma_min_paper: float
-    eps_gamma_max_safe: float
-    breakdown: bool = False
 
     CSV_COLUMNS = COMPONENTWISE_CSV_COLUMNS
 
     @property
+    def breakdown(self) -> bool:
+        return self.report.actual_dl_fro is None
+
+    @property
+    def skipped(self) -> bool:
+        return self.breakdown or not self.report.cond_4_2_ok
+
+    @property
+    def worst_ratio(self) -> float:
+        return 0.0 if self.skipped else _domination(self.report)[0]
+
+    @property
+    def violation(self) -> bool:
+        return not self.bw_env_ok or (not self.skipped and _domination(self.report)[1])
+
+    @property
     def tightness(self) -> dict[str, float | None]:
-        """bound/actual for each rigorous bound; empty when the record was
-        skipped or has no measured dL."""
-        r = self.report
-        if self.skipped or r.actual_dl_fro is None:
-            return {}
-        return _domination(r.actual_dl_fro, r.rigorous_bounds())[2]
+        """bound/actual for each rigorous bound; empty when skipped."""
+        return {} if self.skipped else _domination(self.report)[2]
+
+    @property
+    def eps_gamma_min_paper(self) -> float:
+        return eps_componentwise(self.m, self.n, convention="min-paper")
+
+    @property
+    def eps_gamma_max_safe(self) -> float:
+        return eps_componentwise(self.m, self.n, convention="max-safe")
 
     def csv_values(self) -> tuple:
         """The values of ``CSV_COLUMNS``, in order."""
@@ -309,18 +343,18 @@ class ComponentwiseTrialRecord:
         return items
 
 
-def _domination(
-    actual_f: float, bounds_by_name: dict[str, float]
-) -> tuple[float, bool, dict[str, float | None]]:
-    """Worst actual/bound ratio, violation flag, and per-bound tightness.
+def _domination(report) -> tuple[float, bool, dict[str, float | None]]:
+    """Worst actual/bound ratio, violation flag, and per-bound tightness of a
+    report with a measured ``actual_dl_fro``.
 
     Tightness is bound/actual (at least 1 for a valid bound); None when the
     true perturbation is zero.
     """
+    actual_f = report.actual_dl_fro
     worst = 0.0
     violated = False
     tightness: dict[str, float | None] = {}
-    for name, value in bounds_by_name.items():
+    for name, value in report.rigorous_bounds().items():
         if actual_f > value + VIOLATION_SLACK:
             violated = True
         if value > 0.0:
@@ -369,10 +403,6 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
             dk_fro = fro_norm(dk)
             perturbed = factorize_dense(s.K + dk, cfg.m, cfg.n, "K+dK")
             dl = perturbed.L - factor.L
-            report = ev.report(dk_fro, actual_dl=dl)
-            worst, violated, _ = _domination(
-                report.actual_dl_fro, report.rigorous_bounds()
-            )
             x = ev.linv2 * ev.linv2 * dk_fro
             lhs38 = fro_norm(matmul(ev.linv, dl))
             rhs38 = (1.0 - math.sqrt(max(1.0 - 2.0 * x, 0.0))) / sqrt2
@@ -384,9 +414,7 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
                 dk_level=level,
                 kappa_a=kappa_a,
                 kappa_s=kappa_s,
-                report=report,
-                worst_ratio=worst,
-                violation=violated,
+                report=ev.report(dk_fro, actual_dl=dl),
                 diag_3_8_ok=lhs38 <= rhs38 + VIOLATION_SLACK,
                 cond318_strength_ok=ev.condition_318_strength_ok(dk_fro),
             ))
@@ -402,7 +430,6 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
     degenerates to dK = 0.
     """
     records: list[ComponentwiseTrialRecord] = []
-    eps_min_paper = eps_componentwise(cfg.m, cfg.n, convention="min-paper")
     eps_max_safe = eps_componentwise(cfg.m, cfg.n, convention="max-safe")
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
@@ -429,41 +456,22 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
         dk = sym_draw * (eps * env_lt)
         k_new = reconstruct(lt) - dk
 
-        breakdown = False
-        actual_dl = None
         try:
-            recovered = factorize_dense(k_new, cfg.m, cfg.n, "K")
-            actual_dl = lt.L - recovered.L
-        except FactorizationError:
-            breakdown = True
+            actual_dl = lt.L - factorize_dense(k_new, cfg.m, cfg.n, "K").L
+        except FactorizationError:  # a breakdown: the record has no measured dL
+            actual_dl = None
 
-        report = build_componentwise_report(
-            lt.L, eps, cfg.eps_convention, actual_dl=actual_dl
-        )
-        skipped = (not report.cond_4_2_ok) or breakdown
-        if skipped or actual_dl is None:
-            worst, violated = 0.0, False
-        else:
-            worst, violated, _ = _domination(
-                report.actual_dl_fro, report.rigorous_bounds()
-            )
-        if not bw_ok:
-            violated = True
         records.append(ComponentwiseTrialRecord(
             trial=trial,
             m=cfg.m,
             n=cfg.n,
             seed=cfg.seed,
-            report=report,
+            report=build_componentwise_report(
+                lt.L, eps, cfg.eps_convention, actual_dl=actual_dl
+            ),
             env_lt_fro=env_lt_fro,
             env_tl_fro=env_tl_fro,
             bw_env_ok=bw_ok,
-            worst_ratio=worst,
-            violation=violated,
-            skipped=skipped,
-            eps_gamma_min_paper=eps_min_paper,
-            eps_gamma_max_safe=eps_max_safe,
-            breakdown=breakdown,
         ))
     return records
 
@@ -477,13 +485,43 @@ def _sweep_factor(kind: str, gamma: float) -> GenCholFactor:
     return GenCholFactor.from_dense([[1.0, 0.0], [gamma, 1.0]], 1, 1)
 
 
+def _sweep_row(kind: str, gamma: float, dk_fro: float) -> dict:
+    factor = _sweep_factor(kind, gamma)
+    ev = NormwiseEvaluator(factor.L, reconstruct(factor), factor.spec.signature())
+    report = ev.report(dk_fro)
+    if kind == "remark32":
+        return {
+            "gamma": gamma,
+            "dk_fro": dk_fro,
+            "kappa_l": ev.kappa_l,
+            "kappa_ld_analytic": _kappa_scaled(factor.L, np.array([1.0 / gamma, 1.0])),
+            "b33": report.b_3_3,
+            "b33_label": report.b_3_3_label,
+            "b313": report.b_3_13,
+        }
+    w_norm = ev.w_inv_norm  # p = 2, so the evaluator always computes it
+    return {
+        "gamma": gamma,
+        "dk_fro": dk_fro,
+        "linv2_sq": ev.linv2 * ev.linv2,
+        "winv2": w_norm,
+        "winv2_sq": w_norm * w_norm,
+        "thresh_3_1": 0.5 / (ev.linv2 * ev.linv2),
+        "thresh_3_16": 0.25 / (w_norm * w_norm),
+        "b315": report.b_3_15,
+        "b34": report.b_3_4,
+    }
+
+
 def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
     """Tables for the two adversarial scaling families.
 
     "remark32" uses L = [[1/g, 0], [1, 1]] (bad column scaling: the scaled
     condition number collapses under D = diag(1/g, 1)).  "remark33" uses
     L = [[1, 0], [g, 1]] and tracks how much faster the operator-matrix
-    condition grows compared to ||L^-1||_2^2.
+    condition grows compared to ||L^-1||_2^2.  A gamma at which any quantity
+    of its row overflows is out of range: ValueError, before any row is
+    returned.
     """
     if kind not in ("remark32", "remark33"):
         raise ValueError(f"unknown sweep kind {kind!r}")
@@ -494,32 +532,14 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
         gamma = float(gamma)
         if gamma <= 0.0:
             raise ValueError("gamma values must be positive")
-        factor = _sweep_factor(kind, gamma)
-        ev = NormwiseEvaluator(factor.L, reconstruct(factor), factor.spec.signature())
-        report = ev.report(dk_fro)
-        if kind == "remark32":
-            rows.append({
-                "gamma": gamma,
-                "dk_fro": dk_fro,
-                "kappa_l": ev.kappa_l,
-                "kappa_ld_analytic": _kappa_scaled(factor.L, np.array([1.0 / gamma, 1.0])),
-                "b33": report.b_3_3,
-                "b33_label": report.b_3_3_label,
-                "b313": report.b_3_13,
-            })
-        else:
-            w_norm = ev.w_inv_norm  # p = 2, so the evaluator always computes it
-            rows.append({
-                "gamma": gamma,
-                "dk_fro": dk_fro,
-                "linv2_sq": ev.linv2 * ev.linv2,
-                "winv2": w_norm,
-                "winv2_sq": w_norm * w_norm,
-                "thresh_3_1": 0.5 / (ev.linv2 * ev.linv2),
-                "thresh_3_16": 0.25 / (w_norm * w_norm),
-                "b315": report.b_3_15,
-                "b34": report.b_3_4,
-            })
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                row = _sweep_row(kind, gamma, dk_fro)
+        except FloatingPointError as exc:
+            raise ValueError(f"gamma {gamma:g} is out of range: {exc}") from exc
+        if not all(math.isfinite(v) for v in row.values() if isinstance(v, float)):
+            raise ValueError(f"gamma {gamma:g} is out of range: its row overflows")
+        rows.append(row)
     return rows
 
 

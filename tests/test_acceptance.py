@@ -297,7 +297,7 @@ def test_11_oracle_consistency():
 
 def test_12_determinism(tmp_path):
     args = [
-        sys.executable, "-m", "genchol", "verify",
+        sys.executable, "-W", "error::RuntimeWarning", "-m", "genchol", "verify",
         "--m", "3", "--n", "2", "--trials", "25", "--seed", "7",
     ]
     out1 = tmp_path / "a.csv"

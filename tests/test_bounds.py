@@ -8,7 +8,6 @@ from genchol.densela import (
     ShapeError,
     SingularMatrixError,
     UNIT_ROUNDOFF,
-    cond_bauer_skeel,
     fro_norm,
     lower_tri_inverse,
     matmul,
@@ -31,10 +30,13 @@ U = UNIT_ROUNDOFF
 
 
 def normwise(l, dk_fro, k=None, signature=None):
-    """Normwise report for the factor ``l``; K is L L^T unless given (only
-    bound 3.17 reads K, through ||K||_2)."""
+    """Normwise report for the factor ``l``; K is L L^T and J the identity
+    unless given (only bound 3.17 reads K, through ||K||_2, and only bound
+    3.15 reads J)."""
     l = np.asarray(l, dtype=np.float64)
-    return NormwiseEvaluator(l, matmul(l, l.T) if k is None else k, signature).report(dk_fro)
+    k = matmul(l, l.T) if k is None else k
+    signature = np.ones(l.shape[0]) if signature is None else signature
+    return NormwiseEvaluator(l, k, signature).report(dk_fro)
 
 
 def kappa(x):
@@ -89,7 +91,7 @@ class TestScalingCandidates:
         # the evaluators invert L; scaling_candidates only reads it
         l = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(SingularMatrixError):
-            NormwiseEvaluator(l, np.eye(2))
+            NormwiseEvaluator(l, np.eye(2), np.ones(2))
         with pytest.raises(SingularMatrixError):
             build_componentwise_report(l, 1e-8)
 
@@ -333,7 +335,7 @@ class TestBound317:
             s, _, _ = make_saddle(3, 2, 1e4, rng)
             f = factorize(s)
             l = f.L
-            ev = NormwiseEvaluator(l, reconstruct(f))
+            ev = NormwiseEvaluator(l, reconstruct(f), f.spec.signature())
             for level in (1e-8, 1e-4, 0.1, 0.4):
                 dk_fro = level / ev.linv2**2
                 assert ev.condition_318_strength_ok(dk_fro)
@@ -384,7 +386,13 @@ class TestCondition42:
 
     def test_threshold_from_brute_force(self):
         l = np.array([[1.0, 0.0], [50.0, 1.0]])
-        prod = cond_bauer_skeel(l) * cond_bauer_skeel(lower_tri_inverse(l).T)
+
+        def bauer_skeel(x):  # || |X^-1||X| ||_F with LAPACK's inverse
+            return float(np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro"))
+
+        prod = bauer_skeel(l) * bauer_skeel(np.linalg.inv(l).T)
+        rep = build_componentwise_report(l, 0.0)
+        assert rep.cond_bs_L * rep.cond_bs_LinvT == pytest.approx(prod, rel=1e-14)
         assert build_componentwise_report(l, 0.499 / prod).cond_4_2_ok is True
         assert build_componentwise_report(l, 0.501 / prod).cond_4_2_ok is False
 
@@ -428,19 +436,19 @@ class TestReports:
         f = factorize(s)
         l = f.L
         k = reconstruct(f)
-        ev = NormwiseEvaluator(l, k)
+        ev = NormwiseEvaluator(l, k, f.spec.signature())
         # large level: Frobenius-based test typically fails while 3.1 holds
         dk = 0.45 / ev.linv2**2
         rep = ev.report(dk)
         assert rep.cond_3_1_ok
         assert (rep.b_3_12 is not None) == rep.cond_3_12_ok
-        assert rep.b_3_15 is None and rep.cond_3_16_ok is None
+        assert (rep.b_3_15 is not None) == rep.cond_3_16_ok
         for name, value in rep.rigorous_bounds().items():
             assert value >= 0.0, name
 
     def test_identity_candidate_reuses_unscaled_svds(self, rng):
         l = random_lower(5, rng)
-        ev = NormwiseEvaluator(l, matmul(l, l.T))
+        ev = NormwiseEvaluator(l, matmul(l, l.T), np.ones(5))
         assert ev.kappas["identity"] == kappa(l)
         linv2 = spectral_norm(lower_tri_inverse(l))
         assert ev.coeff_317["identity"] == ev.kappa_l * ev.l2 * linv2 * 1.0
@@ -450,7 +458,7 @@ class TestReports:
 
         s, _, _ = make_saddle(2, 1, 10.0, rng)
         f = factorize(s)
-        rep = NormwiseEvaluator(f.L, reconstruct(f)).report(1e-3)
+        rep = NormwiseEvaluator(f.L, reconstruct(f), f.spec.signature()).report(1e-3)
         parsed = json.loads(report_to_json(rep))
         assert parsed["dk_fro"] == 1e-3
         assert parsed["cond_3_1_ok"] is True
@@ -478,8 +486,8 @@ class TestReports:
         # scaled condition numbers and the winning label ignore L -> cL
         l = random_lower(4, rng)
         k = matmul(l, l.T)
-        ev1 = NormwiseEvaluator(l, k)
-        ev2 = NormwiseEvaluator(3.5 * l, k)
+        ev1 = NormwiseEvaluator(l, k, np.ones(4))
+        ev2 = NormwiseEvaluator(3.5 * l, k, np.ones(4))
         assert ev1.kappa_label == ev2.kappa_label
         for label in ev1.kappas:
             assert ev1.kappas[label] == pytest.approx(ev2.kappas[label], rel=1e-12)

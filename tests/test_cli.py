@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,16 +8,17 @@ import pytest
 
 from genchol import cli
 from genchol.densela import ConvergenceError, fro_norm, lower_tri_inverse, read_matrix
-from genchol.factorization import factorize, read_saddle
-from genchol.harness import CampaignError
+from genchol.factorization import factorize, read_saddle, write_saddle
+from genchol.harness import CampaignError, emit_rows, make_saddle
 from genchol.oracle import build_w, w_inverse_norm
 
 SADDLE_42 = "1 1\n4 2\n2 -1\n"
 
 
 def run_cli(*args, cwd=None):
+    # a RuntimeWarning fails the run, as it fails the in-process tests
     return subprocess.run(
-        [sys.executable, "-m", "genchol", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "genchol", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -92,11 +94,33 @@ class TestBounds:
     def test_w_bound_included(self, tmp_path, saddle_file):
         dk = tmp_path / "dk.txt"
         dk.write_text("2 2\n1e-3 0\n0 1e-3\n")
-        res = run_cli("bounds", str(saddle_file), str(dk), "--with-w-bound")
+        res = run_cli("bounds", str(saddle_file), str(dk))
         assert res.returncode == 0
         rep = json.loads(res.stdout)
         assert rep["cond_3_16_ok"] is True
         assert rep["b_3_15"] > 0.0
+
+    @pytest.mark.parametrize("m, n", [(12, 12), (13, 12)])
+    def test_w_bound_follows_the_order(self, tmp_path, m, n):
+        # bound 3.15 is evaluated up to order W_BOUND_MAX_ORDER = 24 and is
+        # null above it; neither case is an error
+        path, dk = tmp_path / "k.txt", tmp_path / "dk.txt"
+        write_saddle(make_saddle(m, n, 10.0, np.random.default_rng(1))[0], path)
+        p = m + n
+        dk.write_text(f"{p} {p}\n" + f"{' '.join(['0'] * p)}\n" * p)
+        res = run_cli("bounds", str(path), str(dk))
+        assert res.returncode == 0
+        rep = json.loads(res.stdout)
+        if p <= 24:
+            assert rep["b_3_15"] == 0.0 and rep["cond_3_16_ok"] is True
+        else:
+            assert rep["b_3_15"] is None and rep["cond_3_16_ok"] is None
+            # and --dump-w, which writes that operator matrix, is a usage error
+            wpath = tmp_path / "w.txt"
+            res = run_cli("bounds", str(path), str(dk), "--dump-w", str(wpath))
+            assert res.returncode == 1
+            assert "--dump-w supports order at most 24, got 25" in res.stderr
+            assert not wpath.exists()
 
     def test_with_actual(self, tmp_path, saddle_file):
         dk = tmp_path / "dk.txt"
@@ -120,10 +144,7 @@ class TestBounds:
         dk = tmp_path / "dk.txt"
         dk.write_text("2 2\n1e-3 0\n0 1e-3\n")
         wpath = tmp_path / "w.txt"
-        res = run_cli(
-            "bounds", str(saddle_file), str(dk), "--with-w-bound",
-            "--dump-w", str(wpath),
-        )
+        res = run_cli("bounds", str(saddle_file), str(dk), "--dump-w", str(wpath))
         assert res.returncode == 0
         lines = wpath.read_text().splitlines()
         assert lines[0] == "3 3"  # order p(p+1)/2 = 3 for p = 2
@@ -133,8 +154,7 @@ class TestBounds:
         dk = tmp_path / "dk.txt"
         dk.write_text("2 2\n1e-3 2e-4\n2e-4 -1e-3\n")
         wpath, out = tmp_path / "w.txt", tmp_path / "rep.json"
-        argv = ["bounds", str(saddle_file), str(dk), "--with-w-bound",
-                "--dump-w", str(wpath), "--out", str(out)]
+        argv = ["bounds", str(saddle_file), str(dk), "--dump-w", str(wpath), "--out", str(out)]
         assert cli.main(argv) == 0
         w = build_w(factorize(read_saddle(saddle_file)))
         assert np.array_equal(read_matrix(wpath), w)
@@ -155,19 +175,10 @@ class TestBounds:
         dk = tmp_path / "dk.txt"
         dk.write_text("2 2\n1e-3 0\n0 1e-3\n")
         out = tmp_path / "rep.json"
-        argv = ["bounds", str(saddle_file), str(dk), "--with-w-bound", "--with-actual",
-                "--out", str(out)]
+        argv = ["bounds", str(saddle_file), str(dk), "--with-actual", "--out", str(out)]
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["b_3_15"] > 0.0
         assert calls == [(2, 2)]
-
-    def test_dump_w_requires_w_bound(self, tmp_path, saddle_file):
-        dk = tmp_path / "dk.txt"
-        dk.write_text("2 2\n0 0\n0 0\n")
-        res = run_cli(
-            "bounds", str(saddle_file), str(dk), "--dump-w", str(tmp_path / "w.txt")
-        )
-        assert res.returncode == 1
 
 
 class TestVerify:
@@ -308,36 +319,60 @@ class TestSweep:
         assert "dk_fro must be finite and nonnegative" in res.stderr
         assert not out.exists()
 
-    def test_svd_failure_is_kernel_failure(self, tmp_path):
-        # gamma = 1e200 overflows W^-1 and LAPACK's SVD does not converge
+    def test_svd_failure_is_kernel_failure(self, monkeypatch, capsys, tmp_path):
+        # a failed LAPACK SVD of the evaluator's W^-1 is a ConvergenceError
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
         out = tmp_path / "s.csv"
-        res = run_cli("sweep", "--kind", "remark32", "--gammas", "1e200,1", "--out", str(out))
-        assert res.returncode == 5
-        assert "numerical kernel failure" in res.stderr
-        assert not out.exists()
+        argv = ["sweep", "--kind", "remark33", "--gammas", "10,100", "--out", str(out)]
+        assert cli.main(argv) == 5
+        assert "numerical kernel failure: SVD of W^-1 failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt, message", [
+        ("json", "JSON has no representation"), ("csv", "non-finite CSV cell"),
+    ])
+    def test_non_finite_cell_is_refused(self, monkeypatch, capsys, tmp_path, fmt, message):
+        # the text is built before the atomic write, so a non-finite cell
+        # leaves neither file nor temp file, and no slope is printed
+        rows = [{"gamma": 10.0, "winv2": 1.0}, {"gamma": 100.0, "winv2": math.inf}]
+        monkeypatch.setattr(cli, "run_gamma_sweep", lambda kind, gammas, dk_fro: rows)
+        argv = ["sweep", "--kind", "remark33", "--format", fmt,
+                "--out", str(tmp_path / f"s.{fmt}")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "slope" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_json_is_refused(self, tmp_path):
-        # the remark33 row for gamma = 1e200 holds inf and nan; the text is
-        # refused before the atomic write, so neither file nor temp file is left
-        res = run_cli(
-            "sweep", "--kind", "remark33", "--gammas", "1e200,1", "--format", "json",
-            "--out", str(tmp_path / "s.json"),
-        )
-        assert res.returncode == 1
-        assert "JSON has no representation" in res.stderr
+        with pytest.raises(ValueError, match="JSON has no representation"):
+            emit_rows([{"gamma": 1.0, "winv2": math.inf}], "json", tmp_path / "s.json")
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_csv_is_refused(self, tmp_path):
-        # the same inf and nan cells; the CSV text is built before the atomic
-        # write too, so no slope is printed and no file is left
-        res = run_cli(
-            "sweep", "--kind", "remark33", "--gammas", "1e200,1",
-            "--out", str(tmp_path / "s.csv"),
-        )
-        assert res.returncode == 1
-        assert "non-finite CSV cell" in res.stderr
-        assert "slope" not in res.stderr
+        with pytest.raises(ValueError, match="non-finite CSV cell"):
+            emit_rows([{"gamma": 1.0, "winv2": math.nan}], "csv", tmp_path / "s.csv")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, gammas, gamma", [
+        ("remark32", "1e-160,1", "1e-160"),  # L J L^T overflows
+        ("remark32", "1e200,1", "1e+200"),  # W^-1 overflows
+        ("remark33", "1e200,1", "1e+200"),  # L J L^T overflows
+        ("remark33", "1,1e100", "1e+100"),  # ||W^-1||_2^2 overflows
+    ])
+    def test_overflowing_gamma_is_refused(self, tmp_path, kind, gammas, gamma):
+        # refused before anything is written: exit 1, the gamma named, no
+        # RuntimeWarning (run_cli makes one an error)
+        for fmt in ("csv", "json"):
+            res = run_cli("sweep", "--kind", kind, "--gammas", gammas, "--format", fmt,
+                          "--out", str(tmp_path / "s.out"))
+            assert res.returncode == 1
+            assert res.stderr.startswith(f"genchol: error: gamma {gamma} is out of range")
+            assert "Warning" not in res.stderr
+            assert list(tmp_path.iterdir()) == []
 
     def test_kind_required(self, tmp_path):
         res = run_cli("sweep", "--gammas", "10")

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genchol import densela
+from genchol.bounds import build_componentwise_report
 from genchol.densela import (
     UNIT_ROUNDOFF,
     ShapeError,
     SingularMatrixError,
-    cond_bauer_skeel,
     fro_norm,
     gamma_k,
     is_psd,
@@ -204,42 +204,37 @@ class TestSingularValues:
 
 
 class TestCondBauerSkeel:
+    """|| |X^-1||X| ||_F has one home, the componentwise report: ``cond_bs_L``
+    for X = L and ``cond_bs_LinvT`` for the upper-triangular X = L^-T."""
+
     @pytest.mark.parametrize("p", [1, 2, 5, 8])
     def test_identity(self, p):
-        assert cond_bauer_skeel(np.eye(p)) == pytest.approx(math.sqrt(p), rel=1e-14)
+        rep = build_componentwise_report(np.eye(p), 0.0)
+        assert rep.cond_bs_L == pytest.approx(math.sqrt(p), rel=1e-14)
+        assert rep.cond_bs_LinvT == pytest.approx(math.sqrt(p), rel=1e-14)
 
     def test_positive_diagonal_invariance(self, rng):
         for p in (1, 3, 6):
-            d = np.diag(10.0 ** rng.uniform(-3, 3, p))
-            assert cond_bauer_skeel(d) == pytest.approx(math.sqrt(p), rel=1e-12)
+            rep = build_componentwise_report(np.diag(10.0 ** rng.uniform(-3, 3, p)), 0.0)
+            assert rep.cond_bs_L == pytest.approx(math.sqrt(p), rel=1e-12)
+            assert rep.cond_bs_LinvT == pytest.approx(math.sqrt(p), rel=1e-12)
 
     def test_unit_lower_example(self):
         # |L^-1||L| = [[1, 0], [20, 1]] for L = [[1, 0], [10, 1]]
-        l = np.array([[1.0, 0.0], [10.0, 1.0]])
-        assert cond_bauer_skeel(l) == pytest.approx(20.049937655763422, rel=1e-13)
-
-    def test_general_square_matches_entrywise_oracle(self, rng):
-        for _ in range(10):
-            x = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-            oracle = float(
-                np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro")
-            )
-            assert cond_bauer_skeel(x) == pytest.approx(oracle, rel=1e-10)
-
-    def test_singular_general(self):
-        with pytest.raises(SingularMatrixError):
-            cond_bauer_skeel(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        rep = build_componentwise_report(np.array([[1.0, 0.0], [10.0, 1.0]]), 0.0)
+        assert rep.cond_bs_L == pytest.approx(20.049937655763422, rel=1e-13)
+        assert rep.cond_bs_LinvT == pytest.approx(20.049937655763422, rel=1e-13)
 
     def test_upper_triangular_matches_entrywise_oracle(self, rng):
-        # the cond_bs_LinvT input of the componentwise report
         for p in (1, 3, 6):
             l = np.tril(rng.standard_normal((p, p)))
             np.fill_diagonal(l, np.abs(np.diagonal(l)) + 1.0)
-            x = lower_tri_inverse(l).T
-            oracle = float(
-                np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro")
-            )
-            assert cond_bauer_skeel(x) == pytest.approx(oracle, rel=1e-10)
+            rep = build_componentwise_report(l, 0.0)
+            for value, x in ((rep.cond_bs_L, l), (rep.cond_bs_LinvT, lower_tri_inverse(l).T)):
+                oracle = float(
+                    np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro")
+                )
+                assert value == pytest.approx(oracle, rel=1e-10)
 
 
 class TestLowerTriInverse:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from genchol.factorization import (
     SaddleValidationError,
     factorize_dense,
 )
+from genchol.bounds import eps_componentwise
 from genchol.harness import (
+    ComponentwiseTrialRecord,
     EnsembleConfig,
+    NormwiseTrialRecord,
     emit_report,
     emit_rows,
     gen_fullrank,
@@ -87,6 +92,24 @@ class TestMakeSaddle:
         s, ka, ks = make_saddle(4, 3, 1e4, rng)
         assert 1.0 <= ka <= 1e4 and 1.0 <= ks <= 1e4
         assert s.spec.m == 4 and s.spec.n == 3
+
+    def test_one_by_one_blocks_report_condition_one(self):
+        # a 1 x 1 block is [[1]] whatever its drawn target
+        s, kappa_a, kappa_s = make_saddle(1, 1, 1e4, np.random.default_rng(0))
+        assert (kappa_a, kappa_s) == (1.0, 1.0)
+        # the targets are still drawn, so the matrix does not depend on the cap
+        same, _, _ = make_saddle(1, 1, 1e8, np.random.default_rng(0))
+        assert np.array_equal(s.K, same.K)
+        (rec,) = run_normwise_campaign(
+            EnsembleConfig(m=1, n=1, trials=1, dk_levels=(1e-4,), seed=0)
+        )
+        assert (rec.kappa_a, rec.kappa_s) == (1.0, 1.0)
+
+    def test_larger_block_keeps_its_target(self):
+        rng = np.random.default_rng(0)
+        _, kappa_a, kappa_s = make_saddle(2, 1, 1e4, np.random.default_rng(0))
+        assert kappa_a == 10.0 ** rng.uniform(0.0, 4.0)
+        assert kappa_s == 1.0
 
     def test_n_zero(self, rng):
         s, _, _ = make_saddle(3, 0, 100.0, rng)
@@ -302,6 +325,72 @@ class TestComponentwiseCampaign:
             assert not any(key.startswith("ratio_") for key in obj)
 
 
+class TestTrialRecords:
+    """Records store what was measured; every verdict follows from it."""
+
+    def test_stored_fields(self):
+        assert [f.name for f in dataclasses.fields(NormwiseTrialRecord)] == [
+            "trial", "m", "n", "seed", "dk_level", "kappa_a", "kappa_s", "report",
+            "diag_3_8_ok", "cond318_strength_ok",
+        ]
+        assert [f.name for f in dataclasses.fields(ComponentwiseTrialRecord)] == [
+            "trial", "m", "n", "seed", "report", "env_lt_fro", "env_tl_fro", "bw_env_ok",
+        ]
+        for cls, names in (
+            (NormwiseTrialRecord, ("worst_ratio", "violation", "tightness")),
+            (ComponentwiseTrialRecord, (
+                "worst_ratio", "violation", "tightness", "skipped", "breakdown",
+                "eps_gamma_min_paper", "eps_gamma_max_safe",
+            )),
+        ):
+            for name in names:
+                assert isinstance(getattr(cls, name), property), (cls.__name__, name)
+
+    def test_derived_componentwise_fields(self):
+        # eps = 0.3 mixes breakdowns and condition-4.2 failures
+        for eps in (1e-6, 0.3):
+            cfg = EnsembleConfig(m=2, n=2, trials=3, seed=3, eps_synth=eps)
+            for r in run_componentwise_campaign(cfg):
+                assert r.breakdown == (r.report.actual_dl_fro is None)
+                assert r.skipped == (r.breakdown or not r.report.cond_4_2_ok)
+                assert r.eps_gamma_min_paper == eps_componentwise(2, 2, convention="min-paper")
+                assert r.eps_gamma_max_safe == eps_componentwise(2, 2, convention="max-safe")
+        # a breakdown inside condition 4.2 is skipped too: there is no dL to compare
+        rec = run_componentwise_campaign(EnsembleConfig(m=2, n=2, trials=1, seed=3))[0]
+        assert rec.report.cond_4_2_ok and not rec.skipped
+        report = dataclasses.replace(rec.report, actual_dl_fro=None, actual_dl_2=None)
+        broken = dataclasses.replace(rec, report=report)
+        assert broken.breakdown and broken.skipped
+        assert (broken.worst_ratio, broken.violation, broken.tightness) == (0.0, False, {})
+
+    def test_replace_trial_and_seed(self):
+        # the benchmark relabels one-trial campaigns this way
+        for campaign in (run_normwise_campaign, run_componentwise_campaign):
+            rec = campaign(EnsembleConfig(m=2, n=1, trials=1, seed=4))[0]
+            moved = dataclasses.replace(rec, trial=7, seed=11)
+            assert (moved.trial, moved.seed) == (7, 11)
+            assert moved.csv_values()[4:] == rec.csv_values()[4:]
+            assert moved.json_items()[4:] == rec.json_items()[4:]
+            assert not hasattr(moved, "__dict__")
+
+    def test_backward_error_failure_is_a_violation(self, monkeypatch, capsys, tmp_path):
+        # a residual outside the envelope makes every record a violation,
+        # skipped or not, and `genchol backward` exit 4
+        from genchol import cli, harness
+
+        monkeypatch.setattr(harness, "compensated_residual", lambda lt, s: np.ones_like(s.K))
+        for eps, skipped in ((1e-6, False), (0.3, True)):
+            cfg = EnsembleConfig(m=2, n=2, trials=3, seed=3, eps_synth=eps)
+            records = run_componentwise_campaign(cfg)
+            assert all(r.skipped == skipped for r in records)
+            assert all(not r.bw_env_ok and r.violation for r in records)
+        out = tmp_path / "b.csv"
+        assert cli.main(["backward", "--trials", "2", "--out", str(out)]) == 4
+        assert "violations=2" in capsys.readouterr().err
+        for line in out.read_text().splitlines()[1:]:  # bw_env_ok false, violation true
+            assert line.split(",")[-4] == "false" and line.split(",")[-2] == "true"
+
+
 class TestGammaSweep:
     def test_remark32_ratio(self):
         rows = run_gamma_sweep("remark32", [1e-3], 1e-8)
@@ -327,6 +416,15 @@ class TestGammaSweep:
     def test_dk_fro_must_be_finite_and_nonnegative(self, dk_fro):
         with pytest.raises(ValueError, match="dk_fro must be finite and nonnegative"):
             run_gamma_sweep("remark33", [10.0], dk_fro)
+
+    @pytest.mark.parametrize("kind, gamma", [
+        ("remark32", 1e-160), ("remark32", 1e200), ("remark33", 1e200), ("remark33", 1e100),
+    ])
+    def test_overflowing_gamma_is_refused(self, kind, gamma):
+        # numpy overflows in the first three; ||W^-1||_2^2 in the last
+        message = re.escape(f"gamma {gamma:g} is out of range")
+        with pytest.raises(ValueError, match=message):
+            run_gamma_sweep(kind, [1.0, gamma])
 
     def test_slope_needs_two_distinct_x(self):
         with pytest.raises(ValueError, match="two distinct x values"):
@@ -390,6 +488,14 @@ class TestEmission:
     def test_empty_emission_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], "csv", tmp_path / "x.csv")
+
+    def test_non_finite_record_is_refused(self, tmp_path):
+        rec = run_componentwise_campaign(EnsembleConfig(m=2, n=1, trials=1, seed=5))[0]
+        bad = dataclasses.replace(rec, trial=1, env_lt_fro=math.inf)
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError):
+                emit_report([rec, bad], fmt, tmp_path / f"r.{fmt}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_emit_rows_table(self, tmp_path):
         out = tmp_path / "t.csv"

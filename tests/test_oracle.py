@@ -189,7 +189,7 @@ class TestActualDeltaL:
             f = factorize(s)
             l = f.L
             dk = gen_sym_perturbation(5, 1e-3, rng)
-            value = NormwiseEvaluator(l, s.K).report(fro_norm(dk)).b_3_3
+            value = NormwiseEvaluator(l, s.K, f.spec.signature()).report(fro_norm(dk)).b_3_3
             assert value is not None
             assert fro_norm(actual_delta_l(s, dk)) <= value + 1e-12
 
