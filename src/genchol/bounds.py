@@ -10,6 +10,11 @@ candidate set and the winning label is always reported so tightness is
 auditable.  ``NormwiseEvaluator.report`` and ``build_componentwise_report``
 are the only places the formulas are evaluated; a bound whose condition
 fails is None in the report, next to its false ``cond_*_ok`` flag.
+Each number is computed once: kappa(L D^-1) is ||L D^-1||_2 ||D L^-1||_2, a
+product of largest singular values that keeps the digits sigma_max/sigma_min
+loses (the identity candidate gives L's own norms); the componentwise report
+inverts L~ once, |L~^T||L~^-T| being the transpose of |L~^-1||L~|; and the
+normwise report carries inequality (3.8) and the 3.18 strength test.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .densela import (
     gamma_k,
     lower_tri_inverse,
     matmul,
-    singular_values,
     spectral_norm,
     UNIT_ROUNDOFF,
     format_json_object,
@@ -45,11 +49,13 @@ __all__ = [
     "report_to_json",
     "NEAR_BOUNDARY_EPS",
     "W_BOUND_MAX_ORDER",
+    "VIOLATION_SLACK",
 ]
 
 SQRT2 = math.sqrt(2.0)
 NEAR_BOUNDARY_EPS = 1e-15  # discriminant closer to zero than this gets flagged
 W_BOUND_MAX_ORDER = 24  # operator-matrix bound is skipped for larger orders
+VIOLATION_SLACK = 1e-12  # absolute slack on every domination comparison
 _POSITIVE_FLOOR = 1e-300
 
 EPS_CONVENTIONS = ("min-paper", "max-safe")
@@ -75,11 +81,6 @@ def scaling_candidates(l_dense, bauer=None) -> tuple[tuple[str, np.ndarray], ...
 
 
 # --- shared scalar formulas --------------------------------------------------
-
-
-def _kappa_scaled(l: np.ndarray, d: np.ndarray) -> float:
-    s = singular_values(l * (1.0 / d)[None, :])
-    return float(s[0] / s[-1])
 
 
 def _b33_value(linv2: float, kappa: float, dk_fro: float, x: float) -> float:
@@ -127,7 +128,9 @@ class NormwiseBoundReport:
     """All normwise bound values with their applicability flags.
 
     A bound field is None exactly when its condition flag is false (or, for
-    b_3_15, when the order is above ``W_BOUND_MAX_ORDER``).
+    b_3_15, when the order is above ``W_BOUND_MAX_ORDER``).  ``diag_3_8_ok`` is
+    inequality (3.8) on a measured dL (None without one), and
+    ``cond_3_18_strength_ok`` says condition 3.18 is at least as strong as 3.1.
     """
 
     dk_fro: float
@@ -151,6 +154,8 @@ class NormwiseBoundReport:
     near_boundary: str
     actual_dl_fro: float | None
     actual_dl_2: float | None
+    diag_3_8_ok: bool | None
+    cond_3_18_strength_ok: bool
 
     def rigorous_bounds(self) -> dict[str, float]:
         """Present rigorous bounds by name (first-order coefficient excluded)."""
@@ -164,7 +169,8 @@ class ComponentwiseBoundReport:
     """Componentwise bound values for a computed factor.
 
     ``cond_bs_LinvT`` = || |L^T||L^-T| ||_F is the norm of the transpose of
-    |L^-1||L|, so it equals ``cond_bs_L`` up to the rounding of the inverses.
+    |L^-1||L|, so it is ``cond_bs_L`` itself, kept as its own field and CSV
+    column; condition 4.2 reads cond_bs_L^2 eps < 1/2.
     """
 
     eps: float
@@ -200,32 +206,27 @@ class NormwiseEvaluator:
         l = np.asarray(l_dense, dtype=np.float64)
         k = np.asarray(k, dtype=np.float64)
         self.l = l
-        self.linv = lower_tri_inverse(l)
-        self.linv2 = spectral_norm(self.linv)
-        self.linv_f = fro_norm(self.linv)
-        sl = singular_values(l)
-        self.l2 = float(sl[0])
-        self.kappa_l = float(sl[0] / sl[-1])
+        self.linv = linv = lower_tri_inverse(l)
+        self.linv_f = fro_norm(linv)
         self.k2 = spectral_norm(k)
         jvec = np.asarray(signature, dtype=np.float64)
         p = l.shape[0]
         if jvec.shape != (p,):
             raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
         self.w_inv_norm = self._w_inverse_norm(jvec) if p <= W_BOUND_MAX_ORDER else None
-        self.kappas = {}
-        # per label, kappa(L) ||L||_2 ||D L^-1||_2 ||D^-1||_2: bound 3.17's
-        # test quantity is this coefficient times ||dK||_F / ||K||_2
-        self.coeff_317 = {}
-        for label, d in scaling_candidates(l):
-            if label == "identity":  # D = I: the SVDs of L and L^-1 above
-                self.kappas[label] = self.kappa_l
-                scaled_linv2 = self.linv2
-            else:
-                self.kappas[label] = _kappa_scaled(l, d)
-                scaled_linv2 = spectral_norm(d[:, None] * self.linv)
-            self.coeff_317[label] = (
-                self.kappa_l * self.l2 * scaled_linv2 * float(np.max(1.0 / d))
-            )
+        # per candidate: ||L D^-1||_2, ||D L^-1||_2 (their product is kappa(L D^-1)), D
+        norms = {
+            label: (spectral_norm(l * (1.0 / d)[None, :]), spectral_norm(d[:, None] * linv), d)
+            for label, d in scaling_candidates(l)
+        }
+        self.l2, self.linv2, _ = norms["identity"]  # D = I: L's own norms
+        self.kappa_l = self.l2 * self.linv2
+        self.kappas = {label: ld2 * dlinv2 for label, (ld2, dlinv2, _) in norms.items()}
+        # times ||dK||_F / ||K||_2, this is bound 3.17's test quantity
+        self.coeff_317 = {
+            label: self.kappa_l * self.l2 * dlinv2 * float(np.max(1.0 / d))
+            for label, (_, dlinv2, d) in norms.items()
+        }
         # first minimal candidate wins, so ties resolve deterministically
         self.kappa_label = min(self.kappas, key=self.kappas.get)
         self.kappa_min = self.kappas[self.kappa_label]
@@ -261,13 +262,6 @@ class NormwiseEvaluator:
             return float(np.linalg.svd(winv, compute_uv=False)[0])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"SVD of W^-1 failed: {exc}") from exc
-
-    def condition_318_strength_ok(self, dk_fro: float) -> bool:
-        """True when the refined-bound test is at least as strong as the 1/2 test
-        for every candidate (left side >= ||L^-1||_2^2 ||dK||_F)."""
-        x = self.linv2 * self.linv2 * dk_fro
-        rel = dk_fro / self.k2
-        return not any(c * rel < x for c in self.coeff_317.values())
 
     def report(self, dk_fro: float, actual_dl=None) -> NormwiseBoundReport:
         near = []
@@ -306,8 +300,10 @@ class NormwiseEvaluator:
         best317 = None
         best317_label = None
         excluded = []
+        strength_ok = True
         for label, coeff in self.coeff_317.items():
             lhs = coeff * rel
+            strength_ok = strength_ok and not lhs < x
             if not lhs < 0.25:
                 excluded.append(label)
                 continue
@@ -322,6 +318,10 @@ class NormwiseEvaluator:
                 best317_label = label
         cond318 = best317 is not None
         actual_f, actual_2 = _measure_dl(actual_dl)
+        diag38 = None
+        if actual_dl is not None:
+            rhs38 = (1.0 - math.sqrt(max(1.0 - 2.0 * x, 0.0))) / SQRT2
+            diag38 = fro_norm(matmul(self.linv, actual_dl)) <= rhs38 + VIOLATION_SLACK
 
         return NormwiseBoundReport(
             dk_fro=dk_fro,
@@ -345,6 +345,8 @@ class NormwiseEvaluator:
             near_boundary=",".join(near),
             actual_dl_fro=actual_f,
             actual_dl_2=actual_2,
+            diag_3_8_ok=diag38,
+            cond_3_18_strength_ok=strength_ok,
         )
 
 
@@ -360,12 +362,11 @@ def build_componentwise_report(
         raise ValueError(f"unknown convention {eps_convention!r}")
     lt = np.asarray(l_tilde_dense, dtype=np.float64)
     lt_inv = lower_tri_inverse(lt)
-    # the Bauer-Skeel numbers || |X^-1||X| ||_F of L~ and of L~^-T; the
-    # inverse of L~^-T is taken as the transposed inverse of L~^-1
+    # the Bauer-Skeel number || |L~^-1||L~| ||_F; that of L~^-T is the norm of
+    # the transpose |L~^T||L~^-T|, the same number
     babs = matmul(np.abs(lt_inv), np.abs(lt))
     cbs_l = fro_norm(babs)
-    cbs_it = fro_norm(matmul(np.abs(lower_tri_inverse(lt_inv).T), np.abs(lt_inv.T)))
-    t = cbs_l * cbs_it * eps
+    t = cbs_l * cbs_l * eps
     cond42 = t < 0.5
     near = []
     b43 = b44 = None
@@ -394,7 +395,7 @@ def build_componentwise_report(
         b_4_4=b44,
         b_4_9_coeff=b49,
         cond_bs_L=cbs_l,
-        cond_bs_LinvT=cbs_it,
+        cond_bs_LinvT=cbs_l,
         near_boundary=",".join(near),
         actual_dl_fro=actual_f,
         actual_dl_2=actual_2,

@@ -195,7 +195,7 @@ def test_06_w_conditioning_reproduction():
 
 def test_07_condition_strength(default_campaign):
     records, _ = default_campaign
-    bad = [r for r in records if not r.cond318_strength_ok]
+    bad = [r for r in records if not r.report.cond_3_18_strength_ok]
     report_line(7, "condition-strength", not bad, f"{len(bad)} exceptions")
     assert not bad
 

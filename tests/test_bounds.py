@@ -22,8 +22,14 @@ from genchol.bounds import (
     report_to_json,
     scaling_candidates,
 )
-from genchol.factorization import GenCholFactor, factorize, reconstruct
-from genchol.harness import make_saddle
+from genchol.factorization import GenCholFactor, factorize, factorize_dense, reconstruct
+from genchol.harness import (
+    EnsembleConfig,
+    _draw,
+    _trial_rng,
+    gen_sym_perturbation,
+    make_saddle,
+)
 from genchol.oracle import build_w, w_inverse_norm
 
 U = UNIT_ROUNDOFF
@@ -338,7 +344,7 @@ class TestBound317:
             ev = NormwiseEvaluator(l, reconstruct(f), f.spec.signature())
             for level in (1e-8, 1e-4, 0.1, 0.4):
                 dk_fro = level / ev.linv2**2
-                assert ev.condition_318_strength_ok(dk_fro)
+                assert ev.report(dk_fro).cond_3_18_strength_ok
 
     def test_exclusion_reporting(self):
         l = np.array([[1.0, 0.0], [30.0, 1.0]])
@@ -446,12 +452,59 @@ class TestReports:
         for name, value in rep.rigorous_bounds().items():
             assert value >= 0.0, name
 
-    def test_identity_candidate_reuses_unscaled_svds(self, rng):
-        l = random_lower(5, rng)
-        ev = NormwiseEvaluator(l, matmul(l, l.T), np.ones(5))
-        assert ev.kappas["identity"] == kappa(l)
-        linv2 = spectral_norm(lower_tri_inverse(l))
-        assert ev.coeff_317["identity"] == ev.kappa_l * ev.l2 * linv2 * 1.0
+    def test_kappas_are_products_of_largest_singular_values(self, rng):
+        # the identity candidate gives L's own norms, bit for bit
+        s, _, _ = make_saddle(4, 3, 1e8, rng)
+        f = factorize(s)
+        l = f.L
+        linv = lower_tri_inverse(l)
+        ev = NormwiseEvaluator(l, s.K, f.spec.signature())
+        assert ev.l2 == spectral_norm(l)
+        assert ev.linv2 == spectral_norm(linv)
+        assert ev.kappa_l == ev.l2 * ev.linv2
+        for label, d in scaling_candidates(l):
+            dlinv2 = spectral_norm(d[:, None] * linv)
+            assert ev.kappas[label] == spectral_norm(l * (1.0 / d)[None, :]) * dlinv2
+            assert ev.coeff_317[label] == ev.kappa_l * ev.l2 * dlinv2 * float(np.max(1.0 / d))
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (6, 6)])
+    def test_kappas_match_a_50_digit_reference(self, m, n):
+        # sigma_max / sigma_min of one SVD loses digits to the small singular
+        # value (2.1e-13 at 4+3 and 5.0e-13 at 6+6 on these draws); the
+        # product of the two largest singular values stays within 3.1e-15
+        mpmath = pytest.importorskip("mpmath")
+        cfg = EnsembleConfig(m=m, n=n, trials=20, cond_target=1e12, seed=7)
+        worst = 0.0
+        for trial in range(cfg.trials):
+            _, f, _, _ = _draw(cfg, _trial_rng(cfg.seed, trial), trial)
+            l = f.L
+            ev = NormwiseEvaluator(l, reconstruct(f), f.spec.signature())
+            for label, d in scaling_candidates(l):
+                with mpmath.workdps(50):  # L D^-1 from the exact float64 entries
+                    ld = mpmath.matrix(l.tolist()) * mpmath.diag([1 / mpmath.mpf(v) for v in d])
+                    s = sorted(abs(v) for v in mpmath.svd_r(ld, compute_uv=False))
+                    exact = s[-1] / s[0]
+                    worst = max(worst, float(abs(ev.kappas[label] - exact) / exact))
+        assert worst <= 1e-14
+
+    def test_per_level_diagnostics(self, rng):
+        s, _, _ = make_saddle(3, 2, 1e4, rng)
+        f = factorize(s)
+        ev = NormwiseEvaluator(f.L, s.K, f.spec.signature())
+        dk = gen_sym_perturbation(5, 0.1 / ev.linv2**2, rng)
+        dk_fro = fro_norm(dk)
+        dl = factorize_dense(s.K + dk, 3, 2).L - f.L
+        rep = ev.report(dk_fro, actual_dl=dl)
+        assert rep.diag_3_8_ok is True and rep.cond_3_18_strength_ok is True
+        assert ev.report(dk_fro).diag_3_8_ok is None  # (3.8) needs a measured dL
+        # a dL with ||L^-1 dL||_F past the right side of (3.8) fails it
+        x = ev.linv2 * ev.linv2 * dk_fro
+        rhs = (1.0 - math.sqrt(1.0 - 2.0 * x)) / SQRT2
+        past = dl * ((rhs + 1e-9) / fro_norm(matmul(ev.linv, dl)))
+        assert ev.report(dk_fro, actual_dl=past).diag_3_8_ok is False
+        # a candidate whose 3.18 left side is below x makes the test weaker
+        ev.coeff_317["identity"] = 0.5 * x * ev.k2 / dk_fro
+        assert ev.report(dk_fro).cond_3_18_strength_ok is False
 
     def test_json_round_trip(self, rng):
         import json
@@ -475,12 +528,25 @@ class TestReports:
 
     @pytest.mark.parametrize("m, n, cond", [(3, 3, 1e3), (6, 6, 1e8)])
     def test_bauer_skeel_transpose_identity(self, rng, m, n, cond):
-        # |L^T||L^-T| is the transpose of |L^-1||L|: the two numbers differ
-        # only by the rounding of the two inversions
+        # |L^T||L^-T| is the transpose of |L^-1||L|, so the two numbers are one
         for _ in range(25):
             s, _, _ = make_saddle(m, n, cond, rng)
             rep = build_componentwise_report(factorize(s).L, 1e-6)
-            assert rep.cond_bs_LinvT == pytest.approx(rep.cond_bs_L, rel=1e-14)
+            assert rep.cond_bs_LinvT == rep.cond_bs_L
+
+    def test_componentwise_report_inverts_once(self, rng, monkeypatch):
+        from genchol import bounds
+
+        calls = []
+
+        def counting(l):
+            calls.append(np.shape(l))
+            return lower_tri_inverse(l)
+
+        monkeypatch.setattr(bounds, "lower_tri_inverse", counting)
+        s, _, _ = make_saddle(4, 3, 1e4, rng)
+        build_componentwise_report(factorize(s).L, 1e-6)
+        assert calls == [(7, 7)]
 
     def test_scaling_argmin_invariant_under_scalar(self, rng):
         # scaled condition numbers and the winning label ignore L -> cL

@@ -81,6 +81,9 @@ class TestBounds:
         assert rep["b_3_3"] == 0.0
         assert rep["b_3_4"] == 0.0
         assert rep["cond_3_1_ok"] is True
+        # (3.8) needs a measured dL; the strength test does not
+        assert rep["diag_3_8_ok"] is None
+        assert rep["cond_3_18_strength_ok"] is True
 
     def test_condition_failure_exit_code(self, tmp_path, saddle_file):
         dk = tmp_path / "dk.txt"
@@ -132,6 +135,9 @@ class TestBounds:
         assert res.returncode == 0
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert rep["actual_dl_fro"] > 0.0
+        # the per-level diagnostics close the report
+        assert list(rep)[-2:] == ["diag_3_8_ok", "cond_3_18_strength_ok"]
+        assert rep["diag_3_8_ok"] is True
         assert rep["actual_dl_fro"] <= rep["b_3_3"]
 
     def test_asymmetric_perturbation_rejected(self, tmp_path, saddle_file):
