@@ -50,7 +50,6 @@ from .oracle import (
 from .harness import (
     EnsembleConfig,
     emit_report,
-    gen_fullrank,
     gen_spd,
     gen_sym_perturbation,
     make_saddle,

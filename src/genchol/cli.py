@@ -2,8 +2,10 @@
 
 `bounds` reports every normwise bound; bound 3.15 is evaluated whenever the
 order is at most ``W_BOUND_MAX_ORDER`` and is null above it, where
-`--dump-w` is a usage error.  `sweep` refuses a gamma at which a quantity of
-its row overflows (a usage error, before any output is written).
+`--dump-w` is a usage error.  It also refactors K + dK and reports the true
+factor change dL; when K + dK breaks down, dL is null and a note goes to
+stderr.  `sweep` refuses a gamma at which a quantity of its row overflows (a
+usage error, before any output is written).
 
 Exit codes are a fixed function of what happened:
   0  success (and, for campaigns, zero violations)
@@ -28,7 +30,6 @@ import numpy as np
 from .densela import (
     ConvergenceError,
     ParseError,
-    ShapeError,
     fro_norm,
     read_matrix,
     write_matrix,
@@ -112,11 +113,6 @@ def _build_parser() -> _Parser:
     p_bounds.add_argument("input", help="saddle matrix file")
     p_bounds.add_argument("perturbation", help="symmetric perturbation in matrix text format")
     p_bounds.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p_bounds.add_argument(
-        "--with-actual",
-        action="store_true",
-        help="also factorize the perturbed matrix and report the true factor change",
-    )
     p_bounds.add_argument(
         "--dump-w",
         default=None,
@@ -211,13 +207,11 @@ def _cmd_bounds(args) -> int:
             raise _UsageError(f"--dump-w supports order at most {W_BOUND_MAX_ORDER}, got {p}")
         write_matrix(build_w(factor), args.dump_w)
     evaluator = NormwiseEvaluator(factor.L, s.K, factor.spec.signature())
-    actual_dl = None
-    if args.with_actual:
-        try:
-            perturbed = factorize_dense(s.K + dk, s.spec.m, s.spec.n, "K+dK")
-            actual_dl = perturbed.L - factor.L
-        except FactorizationError as exc:
-            print(f"note: perturbed matrix did not factorize ({exc})", file=sys.stderr)
+    try:
+        actual_dl = factorize_dense(s.K + dk, s.spec.m, s.spec.n, "K+dK").L - factor.L
+    except FactorizationError as exc:
+        print(f"note: perturbed matrix did not factorize ({exc})", file=sys.stderr)
+        actual_dl = None
     report = evaluator.report(dk_fro, actual_dl=actual_dl)
     text = report_to_json(report) + "\n"
     if args.out:
@@ -287,12 +281,6 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"genchol: error: {exc}", file=sys.stderr)
-        return 1
     handlers = {
         "factor": _cmd_factor,
         "bounds": _cmd_bounds,
@@ -300,21 +288,17 @@ def main(argv=None) -> int:
         "backward": _cmd_backward,
         "sweep": _cmd_sweep,
     }
+    # SaddleValidationError is a ValueError, so exit 2 is matched before exit 1
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"genchol: error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, OSError) as exc:
-        print(f"genchol: error: {exc}", file=sys.stderr)
-        return 1
     except (FactorizationError, SaddleValidationError, CampaignError) as exc:
         print(f"genchol: factorization failed: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"genchol: numerical kernel failure: {exc}", file=sys.stderr)
         return 5
-    except (ShapeError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"genchol: error: {exc}", file=sys.stderr)
         return 1
 

@@ -106,15 +106,8 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 
 def fro_norm(x) -> float:
     """Frobenius norm (the Euclidean norm of a vector), overflow-safe; the
-    column kernel above applied to the entries in row order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return 0.0
-    amax = float(np.abs(x).max())
-    if amax == 0.0:
-        return 0.0
-    t = x.ravel() / amax
-    return amax * math.sqrt(float(np.add.accumulate(t * t)[-1]))
+    column kernel above applied to the entries, in row order, as one column."""
+    return float(_column_norms(np.asarray(x, dtype=np.float64).reshape(-1, 1))[0])
 
 
 def _round_robin_rounds(n: int) -> list[list[tuple[int, int]]]:

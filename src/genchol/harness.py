@@ -15,8 +15,8 @@ import numpy as np
 
 from .densela import (
     fro_norm,
-    format_float,
     format_json_object,
+    format_json_scalar,
     matmul,
     spectral_norm,
     write_text_atomic,
@@ -50,7 +50,6 @@ __all__ = [
     "NORMWISE_CSV_COLUMNS",
     "COMPONENTWISE_CSV_COLUMNS",
     "gen_spd",
-    "gen_fullrank",
     "gen_sym_perturbation",
     "make_saddle",
     "run_normwise_campaign",
@@ -146,13 +145,6 @@ def gen_spd(order: int, cond: float, rng: np.random.Generator) -> np.ndarray:
     return np.tril(raw) + np.tril(raw, -1).T  # exact symmetry
 
 
-def gen_fullrank(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Dense n x m Gaussian draw, n <= m; full row rank almost surely."""
-    if n > m:
-        raise ValueError("need n <= m for full row rank")
-    return rng.standard_normal((n, m))
-
-
 def gen_sym_perturbation(p: int, target_fro: float, rng: np.random.Generator) -> np.ndarray:
     """Exactly symmetric Gaussian direction rescaled to the target norm."""
     if target_fro <= 0.0:
@@ -191,7 +183,7 @@ def make_saddle(
         return s, kappa_a, kappa_s
     schur_target = gen_spd(n, kappa_s, rng)
     lam_min = 1.0 / kappa_s  # spectrum is known by construction
-    l21_raw = gen_fullrank(n, m, rng)
+    l21_raw = rng.standard_normal((n, m))  # full row rank almost surely
     smax = spectral_norm(l21_raw)
     zeta = rng.uniform(0.1, 0.9)
     l21 = l21_raw * (math.sqrt(zeta * lam_min) / smax)
@@ -549,63 +541,45 @@ def loglog_slope(xs, ys) -> float:
 # --- emission -------------------------------------------------------------------
 
 
-def _check_emittable(fmt: str, rows, what: str) -> None:
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if not rows:
-        raise ValueError(f"nothing to emit: no {what}")
-
-
 def _cell(v) -> str:
+    """A CSV cell: the JSON scalar text, except that None is empty and a str
+    is left unquoted."""
+    if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+        raise ValueError(f"refusing to write a non-finite CSV cell: {v}")
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"refusing to write a non-finite CSV cell: {v}")
-        return format_float(v)
-    return str(v)
-
-
-def _write_csv(path, columns, rows) -> None:
-    """Every cell is formatted before the atomic write, so a non-finite one
-    leaves no file."""
-    lines = [",".join(columns)]
-    lines += [",".join(_cell(v) for v in row) for row in rows]
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _write_json(path, objects) -> None:
-    """A JSON array of flat objects, each given as (key, value) pairs."""
-    objs = [format_json_object(items) for items in objects]
-    write_text_atomic(path, "[\n" + ",\n".join(objs) + "\n]\n")
+    return v if isinstance(v, str) else format_json_scalar(v)
 
 
 def emit_rows(rows, fmt: str, path) -> None:
-    """Write a table of dict rows atomically; the first row's keys, in order,
-    are the columns."""
-    _check_emittable(fmt, rows, "rows")
-    columns = tuple(rows[0])
-    values = [tuple(row[c] for c in columns) for row in rows]
+    """Write a table of dict rows atomically.  CSV takes its columns from the
+    first row's keys, in order; each JSON object keeps its own row's keys.
+    Every cell is formatted before the write, so a non-finite one leaves no
+    file."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    if not rows:
+        raise ValueError("nothing to emit: no rows")
     if fmt == "csv":
-        _write_csv(path, columns, values)
+        columns = tuple(rows[0])
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
     else:
-        _write_json(path, [zip(columns, v) for v in values])
+        objs = [format_json_object(row.items()) for row in rows]
+        text = "[\n" + ",\n".join(objs) + "\n]\n"
+    write_text_atomic(path, text)
 
 
 def emit_report(records, fmt: str, path) -> None:
-    """Serialize trial records (CSV with the fixed schema, or JSON array).
-
-    Records are ordered by trial index (stable), so concurrent producers can
-    hand results over in any order and still get byte-identical files.
-    """
-    _check_emittable(fmt, records, "records")
+    """Serialize trial records (CSV with the fixed schema, or JSON array),
+    ordered by trial index (a stable sort)."""
     records = sorted(records, key=lambda r: r.trial)
     if fmt == "csv":
-        _write_csv(path, records[0].CSV_COLUMNS, [r.csv_values() for r in records])
+        rows = [dict(zip(r.CSV_COLUMNS, r.csv_values())) for r in records]
     else:
-        _write_json(path, [r.json_items() for r in records])
+        rows = [dict(r.json_items()) for r in records]
+    emit_rows(rows, fmt, path)
 
 
 def summarize(records) -> tuple[int, int, float]:

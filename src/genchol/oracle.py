@@ -30,19 +30,11 @@ __all__ = [
     "duvec",
     "uvec_lower",
     "unuvec",
-    "halfvec_index",
     "build_w",
     "w_inverse_norm",
     "actual_delta_l",
     "compensated_residual",
 ]
-
-
-def halfvec_index(i: int, j: int, p: int) -> int:
-    """Position of entry (i, j), i >= j, in the column-stacked lower triangle."""
-    if not 0 <= j <= i < p:
-        raise IndexError(f"({i}, {j}) is not a lower-triangle position for order {p}")
-    return j * p - j * (j - 1) // 2 + (i - j)
 
 
 def duvec(s) -> np.ndarray:

@@ -7,8 +7,22 @@ import numpy as np
 import pytest
 
 from genchol import cli
-from genchol.densela import ConvergenceError, fro_norm, lower_tri_inverse, read_matrix
-from genchol.factorization import factorize, read_saddle, write_saddle
+from genchol.densela import (
+    ConvergenceError,
+    ParseError,
+    ShapeError,
+    SingularMatrixError,
+    fro_norm,
+    lower_tri_inverse,
+    read_matrix,
+)
+from genchol.factorization import (
+    FactorizationError,
+    SaddleValidationError,
+    factorize,
+    read_saddle,
+    write_saddle,
+)
 from genchol.harness import CampaignError, emit_rows, make_saddle
 from genchol.oracle import build_w, w_inverse_norm
 
@@ -81,8 +95,9 @@ class TestBounds:
         assert rep["b_3_3"] == 0.0
         assert rep["b_3_4"] == 0.0
         assert rep["cond_3_1_ok"] is True
-        # (3.8) needs a measured dL; the strength test does not
-        assert rep["diag_3_8_ok"] is None
+        # K + dK is K, so the measured dL is zero and satisfies (3.8)
+        assert rep["actual_dl_fro"] == 0.0
+        assert rep["diag_3_8_ok"] is True
         assert rep["cond_3_18_strength_ok"] is True
 
     def test_condition_failure_exit_code(self, tmp_path, saddle_file):
@@ -129,8 +144,7 @@ class TestBounds:
         dk = tmp_path / "dk.txt"
         dk.write_text("2 2\n1e-3 0\n0 1e-3\n")
         res = run_cli(
-            "bounds", str(saddle_file), str(dk), "--with-actual", "--out",
-            str(tmp_path / "rep.json"),
+            "bounds", str(saddle_file), str(dk), "--out", str(tmp_path / "rep.json")
         )
         assert res.returncode == 0
         rep = json.loads((tmp_path / "rep.json").read_text())
@@ -181,7 +195,7 @@ class TestBounds:
         dk = tmp_path / "dk.txt"
         dk.write_text("2 2\n1e-3 0\n0 1e-3\n")
         out = tmp_path / "rep.json"
-        argv = ["bounds", str(saddle_file), str(dk), "--with-actual", "--out", str(out)]
+        argv = ["bounds", str(saddle_file), str(dk), "--out", str(out)]
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["b_3_15"] > 0.0
         assert calls == [(2, 2)]
@@ -383,6 +397,32 @@ class TestSweep:
     def test_kind_required(self, tmp_path):
         res = run_cli("sweep", "--gammas", "10")
         assert res.returncode == 1
+
+
+class TestExitCodes:
+    PREFIX = {1: "error", 2: "factorization failed", 5: "numerical kernel failure"}
+
+    # the whole exit-code map; SaddleValidationError is a ValueError, so its
+    # row checks the order of the handlers (--help's exit 0: TestHelp)
+    @pytest.mark.parametrize("exc, code", [
+        (ParseError("x"), 1),
+        (ShapeError("x"), 1),
+        (SingularMatrixError("x"), 1),
+        (OSError("x"), 1),
+        (ValueError("x"), 1),
+        (cli._UsageError("x"), 1),
+        (FactorizationError("A", 1, -1.0), 2),
+        (SaddleValidationError("x"), 2),
+        (CampaignError("x"), 2),
+        (ConvergenceError("x"), 5),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_exception_maps_to_exit_code(self, monkeypatch, capsys, exc, code):
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_factor", raising)
+        assert cli.main(["factor", "k.txt", "l.txt"]) == code
+        assert capsys.readouterr().err == f"genchol: {self.PREFIX[code]}: {exc}\n"
 
 
 class TestHelp:

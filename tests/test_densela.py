@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genchol import densela
-from genchol.bounds import build_componentwise_report
 from genchol.densela import (
     UNIT_ROUNDOFF,
     ShapeError,
@@ -201,40 +200,6 @@ class TestSingularValues:
         got = singular_values(x)
         assert got == pytest.approx([1.0, 1e-145], rel=1e-15)
         assert got == pytest.approx(np.linalg.svd(x, compute_uv=False), rel=1e-15)
-
-
-class TestCondBauerSkeel:
-    """|| |X^-1||X| ||_F has one home, the componentwise report: ``cond_bs_L``
-    for X = L and ``cond_bs_LinvT`` for the upper-triangular X = L^-T."""
-
-    @pytest.mark.parametrize("p", [1, 2, 5, 8])
-    def test_identity(self, p):
-        rep = build_componentwise_report(np.eye(p), 0.0)
-        assert rep.cond_bs_L == pytest.approx(math.sqrt(p), rel=1e-14)
-        assert rep.cond_bs_LinvT == pytest.approx(math.sqrt(p), rel=1e-14)
-
-    def test_positive_diagonal_invariance(self, rng):
-        for p in (1, 3, 6):
-            rep = build_componentwise_report(np.diag(10.0 ** rng.uniform(-3, 3, p)), 0.0)
-            assert rep.cond_bs_L == pytest.approx(math.sqrt(p), rel=1e-12)
-            assert rep.cond_bs_LinvT == pytest.approx(math.sqrt(p), rel=1e-12)
-
-    def test_unit_lower_example(self):
-        # |L^-1||L| = [[1, 0], [20, 1]] for L = [[1, 0], [10, 1]]
-        rep = build_componentwise_report(np.array([[1.0, 0.0], [10.0, 1.0]]), 0.0)
-        assert rep.cond_bs_L == pytest.approx(20.049937655763422, rel=1e-13)
-        assert rep.cond_bs_LinvT == pytest.approx(20.049937655763422, rel=1e-13)
-
-    def test_upper_triangular_matches_entrywise_oracle(self, rng):
-        for p in (1, 3, 6):
-            l = np.tril(rng.standard_normal((p, p)))
-            np.fill_diagonal(l, np.abs(np.diagonal(l)) + 1.0)
-            rep = build_componentwise_report(l, 0.0)
-            for value, x in ((rep.cond_bs_L, l), (rep.cond_bs_LinvT, lower_tri_inverse(l).T)):
-                oracle = float(
-                    np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro")
-                )
-                assert value == pytest.approx(oracle, rel=1e-10)
 
 
 class TestLowerTriInverse:

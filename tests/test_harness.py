@@ -19,7 +19,6 @@ from genchol.harness import (
     NormwiseTrialRecord,
     emit_report,
     emit_rows,
-    gen_fullrank,
     gen_spd,
     gen_sym_perturbation,
     loglog_slope,
@@ -61,16 +60,6 @@ class TestGenSpd:
     def test_exactly_symmetric(self, rng):
         a = gen_spd(5, 10.0, rng)
         assert np.array_equal(a, a.T)
-
-
-class TestGenPsd:
-    def test_fullrank_sigma_min(self, rng):
-        b = gen_fullrank(2, 5, rng)
-        assert np.linalg.svd(b, compute_uv=False)[-1] > 0.0
-
-    def test_fullrank_needs_wide(self, rng):
-        with pytest.raises(ValueError):
-            gen_fullrank(5, 2, rng)
 
 
 class TestGenSymPerturbation:
@@ -514,6 +503,16 @@ class TestEmission:
         out = tmp_path / "t.csv"
         emit_rows([{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}], "csv", out)
         assert out.read_text().splitlines()[0] == "a,b"
+
+    def test_numpy_scalar_cells_match_json(self, tmp_path):
+        # a numpy scalar is written as the JSON scalar text in both formats
+        row = {"b": np.bool_(True), "f": np.float64(0.1), "i": np.int64(7)}
+        emit_rows([row], "csv", tmp_path / "t.csv")
+        emit_rows([row], "json", tmp_path / "t.json")
+        cells = (tmp_path / "t.csv").read_text().splitlines()[1].split(",")
+        assert cells == ["true", "0.10000000000000001", "7"]
+        obj = (tmp_path / "t.json").read_text().splitlines()[1]
+        assert obj == '{"b": true, "f": 0.10000000000000001, "i": 7}'
 
     def test_summarize(self):
         records = run_normwise_campaign(SMALL_CFG)

@@ -20,7 +20,6 @@ from genchol.oracle import (
     build_w,
     compensated_residual,
     duvec,
-    halfvec_index,
     unuvec,
     uvec_lower,
     w_inverse_norm,
@@ -85,14 +84,6 @@ class TestUvec:
     def test_rejects_upper_entries(self):
         with pytest.raises(ShapeError):
             uvec_lower(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_index_mapping(self):
-        p = 4
-        pos = 0
-        for j in range(p):
-            for i in range(j, p):
-                assert halfvec_index(i, j, p) == pos
-                pos += 1
 
 
 class TestBuildW:
