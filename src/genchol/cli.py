@@ -2,10 +2,11 @@
 
 `bounds` reports every normwise bound; bound 3.15 is evaluated whenever the
 order is at most ``W_BOUND_MAX_ORDER`` and is null above it, where
-`--dump-w` is a usage error.  It also refactors K + dK and reports the true
-factor change dL; when K + dK breaks down, dL is null and a note goes to
-stderr.  `sweep` refuses a gamma at which a quantity of its row overflows (a
-usage error, before any output is written).
+`--dump-w` is a usage error; the W file is written only once the report is
+built.  It also refactors K + dK and reports the true factor change dL; when
+K + dK breaks down, dL is null and a note goes to stderr.  `sweep` refuses a
+gamma that is not positive and finite or at which a quantity of its row
+overflows (a usage error, before any output is written).
 
 Exit codes are a fixed function of what happened:
   0  success (and, for campaigns, zero violations)
@@ -39,7 +40,6 @@ from .factorization import (
     FactorizationError,
     SaddleValidationError,
     factorize,
-    factorize_dense,
     read_saddle,
 )
 from .bounds import (
@@ -59,7 +59,7 @@ from .harness import (
     run_normwise_campaign,
     summarize,
 )
-from .oracle import build_w
+from .oracle import actual_delta_l, build_w
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 100
@@ -123,35 +123,34 @@ def _build_parser() -> _Parser:
         ),
     )
 
-    p_verify = sub.add_parser(
-        "verify",
-        help="normwise bound-domination campaign over a random ensemble",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    def campaign_parser(name, help, m, cond_target):
+        """A campaign command with the flags that verify and backward share."""
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--m", type=int, default=m, help="order of the leading block")
+        p.add_argument("--n", type=int, default=3, help="order of the trailing block")
+        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="number of trials")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
+        p.add_argument(
+            "--cond-target", type=float, default=cond_target,
+            help="condition-number cap for the blocks",
+        )
+        p.add_argument("--format", **fmt)
+        p.add_argument("--out", default=f"{name}.csv", help="report path")
+        return p
+
+    p_verify = campaign_parser(
+        "verify", "normwise bound-domination campaign over a random ensemble", 4, 1e4
     )
-    p_verify.add_argument("--m", type=int, default=4, help="order of the leading block")
-    p_verify.add_argument("--n", type=int, default=3, help="order of the trailing block")
-    p_verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="number of trials")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
     p_verify.add_argument(
         "--dk-levels",
+        type=_float_list,
         default=DEFAULT_DK_LEVELS,
         help="comma list of targets for ||L^-1||_2^2 ||dK||_F, each in (0, 0.5)",
     )
-    p_verify.add_argument(
-        "--cond-target", type=float, default=1e4, help="condition-number cap for the blocks"
-    )
-    p_verify.add_argument("--format", **fmt)
-    p_verify.add_argument("--out", default="verify.csv", help="report path")
 
-    p_backward = sub.add_parser(
-        "backward",
-        help="componentwise campaign: synthetic envelope plus backward-error check",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    p_backward = campaign_parser(
+        "backward", "componentwise campaign: synthetic envelope plus backward-error check", 3, 1e3
     )
-    p_backward.add_argument("--m", type=int, default=3, help="order of the leading block")
-    p_backward.add_argument("--n", type=int, default=3, help="order of the trailing block")
-    p_backward.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="number of trials")
-    p_backward.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
     p_backward.add_argument(
         "--eps", type=float, default=1e-6, help="synthetic componentwise envelope size"
     )
@@ -161,11 +160,6 @@ def _build_parser() -> _Parser:
         default="max-safe",
         help="label for the records' eps_convention column; the envelope size is --eps",
     )
-    p_backward.add_argument(
-        "--cond-target", type=float, default=1e3, help="condition-number cap for the blocks"
-    )
-    p_backward.add_argument("--format", **fmt)
-    p_backward.add_argument("--out", default="backward.csv", help="report path")
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -175,7 +169,9 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument(
         "--kind", choices=("remark32", "remark33"), required=True, help="sweep family"
     )
-    p_sweep.add_argument("--gammas", default=DEFAULT_GAMMAS, help="comma list of gamma values")
+    p_sweep.add_argument(
+        "--gammas", type=_float_list, default=DEFAULT_GAMMAS, help="comma list of gamma values"
+    )
     p_sweep.add_argument(
         "--dk-fro", type=float, default=1e-8, help="perturbation norm used for the bounds"
     )
@@ -201,18 +197,17 @@ def _cmd_bounds(args) -> int:
     if not np.array_equal(dk, dk.T):
         raise ParseError("perturbation is not exactly symmetric")
     factor = factorize(s)
-    dk_fro = fro_norm(dk)
-    if args.dump_w:
-        if p > W_BOUND_MAX_ORDER:
-            raise _UsageError(f"--dump-w supports order at most {W_BOUND_MAX_ORDER}, got {p}")
-        write_matrix(build_w(factor), args.dump_w)
+    if args.dump_w and p > W_BOUND_MAX_ORDER:
+        raise _UsageError(f"--dump-w supports order at most {W_BOUND_MAX_ORDER}, got {p}")
     evaluator = NormwiseEvaluator(factor.L, s.K, factor.spec.signature())
     try:
-        actual_dl = factorize_dense(s.K + dk, s.spec.m, s.spec.n, "K+dK").L - factor.L
+        actual_dl = actual_delta_l(factor, s.K, dk)
     except FactorizationError as exc:
         print(f"note: perturbed matrix did not factorize ({exc})", file=sys.stderr)
         actual_dl = None
-    report = evaluator.report(dk_fro, actual_dl=actual_dl)
+    report = evaluator.report(fro_norm(dk), actual_dl=actual_dl)
+    if args.dump_w:  # only once the report is built, so a failure leaves no W
+        write_matrix(build_w(factor), args.dump_w)
     text = report_to_json(report) + "\n"
     if args.out:
         write_text_atomic(args.out, text)
@@ -221,19 +216,22 @@ def _cmd_bounds(args) -> int:
     return 0 if report.cond_3_1_ok else 3
 
 
-def _cmd_verify(args) -> int:
-    levels = _float_list(args.dk_levels)
+def _run_campaign(args, run, **fields) -> tuple[list, int, int, float]:
+    """Build the config from the shared campaign flags and ``fields``, run the
+    campaign, write its report; returns the records and their summary."""
     cfg = EnsembleConfig(
-        m=args.m,
-        n=args.n,
-        trials=args.trials,
-        cond_target=args.cond_target,
-        dk_levels=tuple(levels),
-        seed=args.seed,
+        m=args.m, n=args.n, trials=args.trials, cond_target=args.cond_target, seed=args.seed,
+        **fields,
     )
-    records = run_normwise_campaign(cfg)
+    records = run(cfg)
     emit_report(records, args.format, args.out)
-    count, violations, worst = summarize(records)
+    return (records, *summarize(records))
+
+
+def _cmd_verify(args) -> int:
+    _, count, violations, worst = _run_campaign(
+        args, run_normwise_campaign, dk_levels=args.dk_levels
+    )
     print(
         f"verify: records={count} violations={violations} worst_ratio={worst:.6g}",
         file=sys.stderr,
@@ -242,18 +240,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_backward(args) -> int:
-    cfg = EnsembleConfig(
-        m=args.m,
-        n=args.n,
-        trials=args.trials,
-        cond_target=args.cond_target,
-        seed=args.seed,
-        eps_convention=args.eps_convention,
-        eps_synth=args.eps,
+    records, count, violations, worst = _run_campaign(
+        args, run_componentwise_campaign, eps_convention=args.eps_convention, eps_synth=args.eps
     )
-    records = run_componentwise_campaign(cfg)
-    emit_report(records, args.format, args.out)
-    count, violations, worst = summarize(records)
     skipped = sum(1 for r in records if r.skipped)
     print(
         f"backward: records={count} violations={violations} skipped={skipped} "
@@ -264,8 +253,7 @@ def _cmd_backward(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    gammas = _float_list(args.gammas)
-    rows = run_gamma_sweep(args.kind, gammas, args.dk_fro)
+    rows = run_gamma_sweep(args.kind, args.gammas, args.dk_fro)
     emit_rows(rows, args.format, args.out)
     if args.kind == "remark33":
         if len({r["gamma"] for r in rows}) > 1:  # a slope needs two distinct gammas

@@ -3,7 +3,8 @@
 Provides the half-vectorization pair (duvec for symmetric matrices, uvec for
 lower-triangular ones), the operator matrix of the linearized perturbation map
 X -> X J L^T + L J X^T built column by column from its definition, the
-double-factorization ground truth for the factor perturbation, and a
+refactorization ground truth for the factor perturbation (the one dL
+measurement of both campaigns and of `genchol bounds`), and a
 compensated-arithmetic residual for backward-error experiments.
 """
 
@@ -13,18 +14,12 @@ import numpy as np
 
 from .densela import (
     ShapeError,
-    SingularMatrixError,
     as_matrix,
     lower_tri_solve,
     matmul,
     spectral_norm,
 )
-from .factorization import (
-    GenCholFactor,
-    SaddleMatrix,
-    factorize,
-    factorize_dense,
-)
+from .factorization import GenCholFactor, SaddleMatrix, factorize_dense
 
 __all__ = [
     "duvec",
@@ -37,6 +32,12 @@ __all__ = [
 ]
 
 
+def _stack_lower(x: np.ndarray) -> np.ndarray:
+    """The lower triangle of a square matrix, stacked column by column."""
+    p = x.shape[0]
+    return np.concatenate([x[j:, j] for j in range(p)]) if p else np.zeros(0)
+
+
 def duvec(s) -> np.ndarray:
     """Column-stacked lower triangle of an exactly symmetric matrix."""
     s = as_matrix(s)
@@ -44,8 +45,7 @@ def duvec(s) -> np.ndarray:
         raise ShapeError("duvec expects a square matrix")
     if not np.array_equal(s, s.T):
         raise ShapeError("duvec expects an exactly symmetric matrix")
-    p = s.shape[0]
-    return np.concatenate([s[j:, j] for j in range(p)]) if p else np.zeros(0)
+    return _stack_lower(s)
 
 
 def uvec_lower(x) -> np.ndarray:
@@ -55,8 +55,7 @@ def uvec_lower(x) -> np.ndarray:
         raise ShapeError("uvec_lower expects a square matrix")
     if x.shape[0] and np.any(np.triu(x, 1) != 0.0):
         raise ShapeError("uvec_lower expects a lower-triangular matrix")
-    p = x.shape[0]
-    return np.concatenate([x[j:, j] for j in range(p)]) if p else np.zeros(0)
+    return _stack_lower(x)
 
 
 def unuvec(h) -> np.ndarray:
@@ -105,26 +104,23 @@ def build_w(factor: GenCholFactor) -> np.ndarray:
 def w_inverse_norm(w) -> float:
     """Spectral norm of W^-1 via forward substitution on ``build_w``'s triangular W."""
     w = np.asarray(w, dtype=np.float64)
-    if np.any(np.diagonal(w) == 0.0):
-        raise SingularMatrixError("operator matrix has a zero diagonal entry")
     return spectral_norm(lower_tri_solve(w, np.eye(w.shape[0])))
 
 
-def actual_delta_l(s: SaddleMatrix, dk) -> np.ndarray:
-    """Ground-truth factor perturbation by double factorization.
+def actual_delta_l(factor: GenCholFactor, k, dk) -> np.ndarray:
+    """Ground-truth factor perturbation L(K + dK) - L by refactorization.
 
-    Returns factorize(K + dK) - factorize(K) as a dense lower-triangular
-    matrix.  Breakdowns carry the label of the matrix that failed.
+    ``factor`` is the factor L of K; K + dK is factored with its block split.
+    A breakdown raises FactorizationError labelled "K+dK".
     """
     dk = as_matrix(dk)
-    p = s.p
+    p = factor.p
     if dk.shape != (p, p):
         raise ShapeError(f"perturbation must be {p} x {p}")
     if not np.array_equal(dk, dk.T):
         raise ShapeError("perturbation must be exactly symmetric")
-    base = factorize(s)
-    perturbed = factorize_dense(s.K + dk, s.spec.m, s.spec.n, "K+dK")
-    return perturbed.L - base.L
+    perturbed = factorize_dense(k + dk, factor.spec.m, factor.spec.n, "K+dK")
+    return perturbed.L - factor.L
 
 
 # --- compensated residual ---------------------------------------------------

@@ -285,7 +285,7 @@ def test_11_oracle_consistency():
         predicted = unuvec(winv @ duvec(dk))
         from genchol.oracle import actual_delta_l
 
-        actual = actual_delta_l(s, dk)
+        actual = actual_delta_l(f, s.K, dk)
         worst_lin = max(worst_lin, fro_norm(predicted - actual) / fro_norm(actual))
     ok = worst_map <= 1.0 and worst_lin <= 1e-3
     report_line(11, "oracle-consistency", ok,

@@ -23,7 +23,7 @@ from genchol.factorization import (
     read_saddle,
     write_saddle,
 )
-from genchol.harness import CampaignError, emit_rows, make_saddle
+from genchol.harness import CampaignError, EnsembleConfig, emit_rows, make_saddle
 from genchol.oracle import build_w, w_inverse_norm
 
 SADDLE_42 = "1 1\n4 2\n2 -1\n"
@@ -182,6 +182,22 @@ class TestBounds:
         expected = 2.0 * w_inverse_norm(w) * fro_norm(read_matrix(dk))
         assert rep["b_3_15"] == pytest.approx(expected, rel=1e-12)
 
+    def test_failed_report_leaves_no_w(self, tmp_path, saddle_file, monkeypatch):
+        # W is written only once the report is built
+        from genchol import bounds
+
+        def failing_norm(x):
+            raise ConvergenceError("one-sided Jacobi did not converge")
+
+        monkeypatch.setattr(bounds, "spectral_norm", failing_norm)
+        dk = tmp_path / "dk.txt"
+        dk.write_text("2 2\n1e-3 0\n0 1e-3\n")
+        wpath, out = tmp_path / "w.txt", tmp_path / "rep.json"
+        argv = ["bounds", str(saddle_file), str(dk), "--dump-w", str(wpath), "--out", str(out)]
+        assert cli.main(argv) == 5
+        assert not wpath.exists()
+        assert not out.exists()
+
     def test_w_bound_inverts_the_factor_once(self, tmp_path, saddle_file, monkeypatch):
         from genchol import bounds
 
@@ -255,6 +271,39 @@ class TestVerify:
         assert cli.main(["verify", "--trials", "1", "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert message in err and str(exc) in err
+        assert not out.exists()
+
+
+class TestCampaignFlags:
+    def test_defaults_are_pinned(self, monkeypatch, tmp_path):
+        configs = {}
+
+        def capturing(command):
+            def run(cfg):
+                configs[command] = cfg
+                return []
+            return run
+
+        monkeypatch.setattr(cli, "run_normwise_campaign", capturing("verify"))
+        monkeypatch.setattr(cli, "run_componentwise_campaign", capturing("backward"))
+        for command in ("verify", "backward"):
+            cli.main([command, "--out", str(tmp_path / f"{command}.csv")])
+        assert configs == {
+            "verify": EnsembleConfig(m=4, n=3, trials=100, cond_target=1e4, seed=1729),
+            "backward": EnsembleConfig(
+                m=3, n=3, trials=100, cond_target=1e3, seed=1729,
+                eps_synth=1e-6, eps_convention="max-safe",
+            ),
+        }
+
+    @pytest.mark.parametrize("argv, text", [
+        (["verify", "--dk-levels", "1e-4,x"], "1e-4,x"),
+        (["sweep", "--kind", "remark33", "--gammas", "10,x"], "10,x"),
+    ])
+    def test_bad_numeric_list_is_usage_error(self, capsys, tmp_path, argv, text):
+        out = tmp_path / "r.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"genchol: error: bad numeric list {text!r}\n"
         assert not out.exists()
 
 
@@ -382,10 +431,15 @@ class TestSweep:
         ("remark32", "1e200,1", "1e+200"),  # W^-1 overflows
         ("remark33", "1e200,1", "1e+200"),  # L J L^T overflows
         ("remark33", "1,1e100", "1e+100"),  # ||W^-1||_2^2 overflows
+        ("remark32", "nan", "nan"),  # not a positive finite number
+        ("remark32", "1,inf", "inf"),
+        ("remark33", "10,nan", "nan"),
+        ("remark33", "inf", "inf"),
     ])
     def test_overflowing_gamma_is_refused(self, tmp_path, kind, gammas, gamma):
-        # refused before anything is written: exit 1, the gamma named, no
-        # RuntimeWarning (run_cli makes one an error)
+        # an overflowing or non-finite gamma is refused before anything is
+        # written: exit 1, the gamma named, no RuntimeWarning (run_cli makes
+        # one an error)
         for fmt in ("csv", "json"):
             res = run_cli("sweep", "--kind", kind, "--gammas", gammas, "--format", fmt,
                           "--out", str(tmp_path / "s.out"))

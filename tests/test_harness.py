@@ -254,13 +254,13 @@ class TestNormwiseCampaign:
     def test_perturbed_breakdown_is_not_redrawn(self, monkeypatch):
         # condition 3.1 says K + dK factors; a breakdown there is an error,
         # not a reason to draw another saddle matrix
-        from genchol import harness
+        from genchol import oracle
 
         def breaking_factorize_dense(k, m, n, matrix_label="K"):
-            monkeypatch.setattr(harness, "factorize_dense", factorize_dense)
+            monkeypatch.setattr(oracle, "factorize_dense", factorize_dense)
             raise FactorizationError("Schur", m + 1, -1.0, matrix_label)
 
-        monkeypatch.setattr(harness, "factorize_dense", breaking_factorize_dense)
+        monkeypatch.setattr(oracle, "factorize_dense", breaking_factorize_dense)
         with pytest.raises(FactorizationError, match="K\\+dK"):
             run_normwise_campaign(EnsembleConfig(m=3, n=2, trials=2, seed=2))
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from genchol.densela import UNIT_ROUNDOFF, ShapeError, fro_norm, matmul
 from genchol.factorization import (
     BlockSpec,
+    FactorizationError,
     GenCholFactor,
     SaddleMatrix,
     factorize,
@@ -164,12 +165,13 @@ class TestWInverseNorm:
 class TestActualDeltaL:
     def test_zero_perturbation(self, rng):
         s, _, _ = make_saddle(3, 2, 100.0, rng)
-        assert np.array_equal(actual_delta_l(s, np.zeros((5, 5))), np.zeros((5, 5)))
+        f = factorize(s)
+        assert np.array_equal(actual_delta_l(f, s.K, np.zeros((5, 5))), np.zeros((5, 5)))
 
     def test_scalar_closed_form(self):
         s = SaddleMatrix.from_blocks([[1.0]], np.zeros((0, 1)), np.zeros((0, 0)))
         delta = 0.25
-        dl = actual_delta_l(s, [[delta]])
+        dl = actual_delta_l(factorize(s), s.K, [[delta]])
         assert dl[0, 0] == pytest.approx(math.sqrt(1.0 + delta) - 1.0, rel=1e-15)
 
     def test_dominated_by_rigorous_bound(self, rng):
@@ -182,7 +184,7 @@ class TestActualDeltaL:
             dk = gen_sym_perturbation(5, 1e-3, rng)
             value = NormwiseEvaluator(l, s.K, f.spec.signature()).report(fro_norm(dk)).b_3_3
             assert value is not None
-            assert fro_norm(actual_delta_l(s, dk)) <= value + 1e-12
+            assert fro_norm(actual_delta_l(f, s.K, dk)) <= value + 1e-12
 
     def test_first_order_linearization(self, rng):
         # prediction through the inverse operator matrix agrees to 0.1 %
@@ -195,8 +197,22 @@ class TestActualDeltaL:
             winv = lower_tri_solve(w, np.eye(w.shape[0]))
             dk = gen_sym_perturbation(5, 1e-10, rng)
             predicted = unuvec(winv @ duvec(dk))
-            actual = actual_delta_l(s, dk)
+            actual = actual_delta_l(f, s.K, dk)
             assert fro_norm(predicted - actual) <= 1e-3 * fro_norm(actual)
+
+    @pytest.mark.parametrize("dk, message", [
+        ([[1e-3]], "must be 5 x 5"),  # would broadcast over K
+        (np.triu(np.full((5, 5), 1e-3)), "exactly symmetric"),
+    ], ids=["broadcastable", "asymmetric"])
+    def test_rejects_bad_perturbation(self, rng, dk, message):
+        s, _, _ = make_saddle(3, 2, 100.0, rng)
+        with pytest.raises(ShapeError, match=message):
+            actual_delta_l(factorize(s), s.K, dk)
+
+    def test_breakdown_names_the_perturbed_matrix(self, rng):
+        s, _, _ = make_saddle(3, 2, 100.0, rng)
+        with pytest.raises(FactorizationError, match="K\\+dK"):
+            actual_delta_l(factorize(s), s.K, -10.0 * np.eye(5))
 
 
 class TestCompensatedResidual:
