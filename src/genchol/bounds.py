@@ -208,25 +208,21 @@ class NormwiseEvaluator:
         self.l = l
         self.linv = linv = lower_tri_inverse(l)
         self.linv_f = fro_norm(linv)
-        self.k2 = spectral_norm(k)
         jvec = np.asarray(signature, dtype=np.float64)
         p = l.shape[0]
         if jvec.shape != (p,):
             raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
         self.w_inv_norm = self._w_inverse_norm(jvec) if p <= W_BOUND_MAX_ORDER else None
-        # per candidate: ||L D^-1||_2, ||D L^-1||_2 (their product is kappa(L D^-1)), D
-        norms = {
-            label: (spectral_norm(l * (1.0 / d)[None, :]), spectral_norm(d[:, None] * linv), d)
-            for label, d in scaling_candidates(l)
-        }
-        self.l2, self.linv2, _ = norms["identity"]  # D = I: L's own norms
+        # one stack: ||K||_2, then per candidate D ||L D^-1||_2 and ||D L^-1||_2
+        cands = scaling_candidates(l)
+        mats = [k] + [m for _, d in cands for m in (l * (1.0 / d)[None, :], d[:, None] * linv)]
+        self.k2, *sig = spectral_norm(np.stack(mats))
+        self.l2, self.linv2 = sig[:2]  # the identity candidate comes first: L's own norms
         self.kappa_l = self.l2 * self.linv2
-        self.kappas = {label: ld2 * dlinv2 for label, (ld2, dlinv2, _) in norms.items()}
+        self.kappas = {c: ld2 * dlinv2 for (c, _), ld2, dlinv2 in zip(cands, sig[::2], sig[1::2])}
         # times ||dK||_F / ||K||_2, this is bound 3.17's test quantity
-        self.coeff_317 = {
-            label: self.kappa_l * self.l2 * dlinv2 * float(np.max(1.0 / d))
-            for label, (_, dlinv2, d) in norms.items()
-        }
+        self.coeff_317 = {c: self.kappa_l * self.l2 * dlinv2 * float(np.max(1.0 / d))
+                          for (c, d), dlinv2 in zip(cands, sig[1::2])}
         # first minimal candidate wins, so ties resolve deterministically
         self.kappa_label = min(self.kappas, key=self.kappas.get)
         self.kappa_min = self.kappas[self.kappa_label]
@@ -371,12 +367,13 @@ def build_componentwise_report(
     near = []
     b43 = b44 = None
     b43_label = None
-    # min over D of ||L~ D^-1||_2 ||D |L~^-1||L~| ||_2; the first minimum wins
-    factor = label = None
-    for cand, d in scaling_candidates(lt, babs):
-        val = spectral_norm(lt * (1.0 / d)[None, :]) * spectral_norm(babs * d[:, None])
-        if factor is None or val < factor:
-            factor, label = val, cand
+    # min over D of ||L~ D^-1||_2 ||D |L~^-1||L~| ||_2, one stack; the first minimum wins
+    cands = scaling_candidates(lt, babs)
+    mats = [m for _, d in cands for m in (lt * (1.0 / d)[None, :], babs * d[:, None])]
+    sig = spectral_norm(np.stack(mats))
+    vals = [ld2 * dbabs2 for ld2, dbabs2 in zip(sig[::2], sig[1::2])]
+    best = min(range(len(vals)), key=vals.__getitem__)
+    factor, label = vals[best], cands[best][0]
     b49 = factor * cbs_l * eps
     if cond42:
         if 0.0 < 1.0 - 2.0 * t < NEAR_BOUNDARY_EPS:

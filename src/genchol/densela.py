@@ -3,9 +3,11 @@
 Everything operates on plain 2-D float64 numpy arrays.  Reductions with a
 bit-level contract (matmul, the Frobenius/Euclidean norm) accumulate strictly
 left to right so repeated runs produce identical bits; the Jacobi SVD is
-deterministic for a fixed build.  Symmetric eigenvalues come from LAPACK
-through numpy.linalg; the only inverse is the triangular one, by forward
-substitution.
+deterministic for a fixed build.  Its one sweep loop rotates a (b, r, c)
+stack at once, with the bits of each matrix alone: each inner product is the
+same contiguous reduction, every other step is elementwise.  Symmetric
+eigenvalues come from LAPACK through numpy.linalg; the only inverse is the
+triangular one, by forward substitution.
 """
 
 from __future__ import annotations
@@ -94,14 +96,14 @@ def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _column_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of a 2-D array, overflow-safe: a column is
-    scaled by its largest magnitude and its squares are accumulated top to
-    bottom, bit-identical to the scalar loop ``total += t*t``."""
-    if x.shape[0] == 0:
-        return np.zeros(x.shape[1])
-    amax = np.abs(x).max(axis=0)
-    t = x / np.where(amax == 0.0, 1.0, amax)
-    return amax * np.sqrt(np.add.accumulate(t * t, axis=0)[-1])
+    """Euclidean norm of each column of a 2-D array (or of a stack of them),
+    overflow-safe: a column is scaled by its largest magnitude and its squares
+    are accumulated top to bottom, bit-identical to the scalar loop ``total += t*t``."""
+    if x.shape[-2] == 0:
+        return np.zeros(x.shape[:-2] + x.shape[-1:])
+    amax = np.abs(x).max(axis=-2)
+    t = x / np.where(amax == 0.0, 1.0, amax)[..., None, :]
+    return amax * np.sqrt(np.add.accumulate(t * t, axis=-2)[..., -1, :])
 
 
 def fro_norm(x) -> float:
@@ -133,36 +135,41 @@ def _pair_schedule(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     built once per order."""
     schedule = []
     for pairs in _round_robin_rounds(n):
-        ii = np.array([p[0] for p in pairs])
-        jj = np.array([p[1] for p in pairs])
-        ii.setflags(write=False)
-        jj.setflags(write=False)
-        schedule.append((ii, jj))
+        ij = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+        ij.setflags(write=False)
+        schedule.append(tuple(ij))
     return tuple(schedule)
 
 
 @np.errstate(over="raise")  # only tau * tau can overflow; caught there
 def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> bool:
-    """Rotate column pairs of ``a`` in place until a whole sweep needs no
-    rotation; False if ``max_sweeps`` sweeps were not enough."""
+    """Rotate column pairs of each matrix of the (b, r, n) stack ``a`` in place
+    until a whole sweep of it needs no rotation, then drop it from ``work``;
+    False if ``max_sweeps`` sweeps were not enough for some matrix."""
+    cols = a.transpose(0, 2, 1)  # cols[k, j] is column j of matrix k
+    work = np.ascontiguousarray(cols)
+    live = np.arange(work.shape[0])  # the matrix of ``a`` each row of ``work`` is
     for _ in range(max_sweeps):
-        rotated = False
+        if not live.size:
+            return True
+        rotated = np.zeros(live.size, dtype=bool)
         for ii0, jj0 in index_pairs:
-            ai = a[:, ii0]
-            aj = a[:, jj0]
-            app = np.einsum("ij,ij->j", ai, ai)
-            aqq = np.einsum("ij,ij->j", aj, aj)
-            apq = np.einsum("ij,ij->j", ai, aj)
+            ai, aj = work[:, ii0], work[:, jj0]
+            app = np.einsum("kpr,kpr->kp", ai, ai)
+            aqq = np.einsum("kpr,kpr->kp", aj, aj)
+            apq = np.einsum("kpr,kpr->kp", ai, aj)
             need = apq * apq > tol2 * app * aqq
-            if not need.any():
+            count = np.count_nonzero(need)
+            if not count:
                 continue
-            rotated = True
-            if not need.all():
-                ii, jj = ii0[need], jj0[need]
-                ai, aj = ai[:, need], aj[:, need]
-                app, aqq, apq = app[need], aqq[need], apq[need]
+            if count == need.size:
+                kk, ii, jj = slice(None), ii0, jj0
             else:
-                ii, jj = ii0, jj0
+                kk, pp = np.nonzero(need)
+                ii, jj = ii0[pp], jj0[pp]
+                ai, aj = ai[kk, pp], aj[kk, pp]
+                app, aqq, apq = app[kk, pp], aqq[kk, pp], apq[kk, pp]
+            rotated[kk] = True
             tau = (aqq - app) / (2.0 * apq)
             try:
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
@@ -174,16 +181,18 @@ def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> 
                 np.copyto(root, np.abs(tau), where=np.isinf(root))
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
             c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            a[:, ii] = c * ai - s * aj
-            a[:, jj] = s * ai + c * aj
-        if not rotated:
-            return True
-    return False
+            c, s = c[..., None], (t * c)[..., None]
+            work[kk, ii] = c * ai - s * aj
+            work[kk, jj] = s * ai + c * aj
+        if np.count_nonzero(rotated) < live.size:
+            cols[live[~rotated]] = work[~rotated]
+            live, work = live[rotated], work[rotated]
+    return not live.size
 
 
 def singular_values(x) -> np.ndarray:
-    """All singular values, descending, by one-sided Jacobi orthogonalization.
+    """All singular values, descending, by one-sided Jacobi orthogonalization
+    (for a (b, r, c) stack, a (b, min(r, c)) array).
 
     Column pairs are swept in a round-robin order; pairs within one round are
     disjoint and rotated together.  A pair is skipped once its normalized
@@ -191,33 +200,25 @@ def singular_values(x) -> np.ndarray:
     rotations.  Raises ConvergenceError after ``_JACOBI_MAX_SWEEPS`` sweeps.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("singular_values expects a 2-D matrix")
-    if x.size == 0:
-        return np.zeros(min(x.shape) if x.shape else 0)
-    amax = float(np.max(np.abs(x)))
-    if amax == 0.0:
-        return np.zeros(min(x.shape))
-    a = x / amax
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    a = np.asfortranarray(a)
-    n = a.shape[1]
-    if n == 1:
-        return np.array([amax * fro_norm(a[:, 0])])
-    tol2 = _JACOBI_TOL * _JACOBI_TOL
-    if not _jacobi_sweeps(a, _pair_schedule(n), tol2, _JACOBI_MAX_SWEEPS):
+    if x.ndim not in (2, 3):
+        raise ShapeError("singular_values expects a 2-D matrix or a stack of them")
+    stack = x[None] if x.ndim == 2 else x
+    amax = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    a = stack / np.where(amax == 0.0, 1.0, amax)[:, None, None]
+    if a.shape[1] < a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    if not _jacobi_sweeps(a, _pair_schedule(a.shape[2]), _JACOBI_TOL ** 2, _JACOBI_MAX_SWEEPS):
         raise ConvergenceError(
             f"one-sided Jacobi did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
         )
-    sig = sorted(_column_norms(a).tolist(), reverse=True)
-    return amax * np.array(sig)
+    sig = amax[:, None] * np.sort(_column_norms(a), axis=1)[:, ::-1]
+    return sig.reshape(x.shape[:-2] + sig.shape[1:])
 
 
-def spectral_norm(x) -> float:
-    """Largest singular value."""
+def spectral_norm(x) -> float | list[float]:
+    """Largest singular value; of a (b, r, c) stack, a list of them."""
     s = singular_values(x)
-    return float(s[0]) if s.size else 0.0
+    return (s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])).tolist()
 
 
 def lower_tri_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:

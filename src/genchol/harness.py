@@ -379,6 +379,7 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
     breakdown of K + dK propagates as FactorizationError and is not redrawn.
     """
     records: list[NormwiseTrialRecord] = []
+    # the levels' ||dL||_2 are not stacked: that waits on ROADMAP item 1 (benchmark memory)
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         s, factor, kappa_a, kappa_s = _draw(cfg, rng, trial)
@@ -467,11 +468,12 @@ def _sweep_row(kind: str, gamma: float, dk_fro: float) -> dict:
     report = ev.report(dk_fro)
     if kind == "remark32":
         d = np.array([[1.0 / gamma, 1.0]])  # the scaling that makes L D^-1 O(1)
+        ld2, dlinv2 = spectral_norm(np.stack([factor.L / d, d.T * ev.linv]))
         return {
             "gamma": gamma,
             "dk_fro": dk_fro,
             "kappa_l": ev.kappa_l,
-            "kappa_ld_analytic": spectral_norm(factor.L / d) * spectral_norm(d.T * ev.linv),
+            "kappa_ld_analytic": ld2 * dlinv2,
             "b33": report.b_3_3,
             "b33_label": report.b_3_3_label,
             "b313": report.b_3_13,

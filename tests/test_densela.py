@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from genchol import densela
 from genchol.densela import (
     UNIT_ROUNDOFF,
+    ConvergenceError,
     ShapeError,
     SingularMatrixError,
     fro_norm,
@@ -118,8 +119,8 @@ class TestNormByteContract:
             assert fro_norm(x.T) == scalar_loop_norm(x.T)  # row order of a view
 
     def test_column_norms_equal_scalar_loop(self, rng):
-        # both layouts: Jacobi hands over Fortran-ordered (column-contiguous)
-        # arrays, where numpy's sum would add pairwise
+        # both layouts: Jacobi hands over transposed (column-contiguous)
+        # stacks of wide matrices, where numpy's sum would add pairwise
         for _ in range(200):
             rows, cols = rng.integers(1, 40), rng.integers(1, 12)
             x = extreme_matrix(rng, rows, cols)
@@ -127,6 +128,7 @@ class TestNormByteContract:
             want = [scalar_loop_norm(x[:, j]) for j in range(cols)]
             assert densela._column_norms(x).tolist() == want
             assert densela._column_norms(np.asfortranarray(x)).tolist() == want
+            assert densela._column_norms(np.stack([x, -x])).tolist() == [want, want]
 
     def test_zero_columns(self):
         assert densela._column_norms(np.zeros((4, 3))).tolist() == [0.0, 0.0, 0.0]
@@ -138,18 +140,21 @@ class TestNormByteContract:
             assert densela._column_norms(np.array([[v]])).tolist() == [abs(v)]
 
     def test_singular_values_are_sorted_column_norms(self, rng):
-        # rerun the rotations of singular_values and read its columns off
+        # rerun the rotations of singular_values on a stack, each matrix
+        # scaled and transposed as it does, and read its columns off
         for shape in [(5, 5), (7, 4), (3, 6)]:
-            x = rng.standard_normal(shape)
-            amax = float(np.max(np.abs(x)))
-            a = x / amax
-            a = np.asfortranarray(a if a.shape[0] >= a.shape[1] else a.T)
-            schedule = densela._pair_schedule(a.shape[1])
+            x = rng.standard_normal((3,) + shape)
+            amax = np.abs(x).max(axis=(1, 2))
+            a = x / amax[:, None, None]
+            if shape[0] < shape[1]:
+                a = a.transpose(0, 2, 1)
+            schedule = densela._pair_schedule(a.shape[2])
             assert densela._jacobi_sweeps(
                 a, schedule, densela._JACOBI_TOL ** 2, densela._JACOBI_MAX_SWEEPS
             )
-            cols = sorted((fro_norm(a[:, j]) for j in range(a.shape[1])), reverse=True)
-            assert singular_values(x).tolist() == (amax * np.array(cols)).tolist()
+            for k in range(3):
+                cols = sorted((fro_norm(a[k, :, j]) for j in range(a.shape[2])), reverse=True)
+                assert singular_values(x[k]).tolist() == (amax[k] * np.array(cols)).tolist()
 
 
 class TestPairSchedule:
@@ -200,6 +205,81 @@ class TestSingularValues:
         got = singular_values(x)
         assert got == pytest.approx([1.0, 1e-145], rel=1e-15)
         assert got == pytest.approx(np.linalg.svd(x, compute_uv=False), rel=1e-15)
+
+
+def assert_stack_is_its_members(stack):
+    """A stack's singular values and spectral norms are, bit for bit, those
+    of its members taken one at a time."""
+    stack = np.asarray(stack, dtype=np.float64)
+    got = singular_values(stack)
+    assert got.shape == (stack.shape[0], min(stack.shape[1:]))
+    assert got.tolist() == [singular_values(x).tolist() for x in stack]
+    norms = spectral_norm(stack)
+    assert norms == [spectral_norm(x) for x in stack]
+    assert all(type(v) is float for v in norms)
+
+
+class TestStackedSingularValues:
+    def test_zero_member(self, rng):
+        stack = rng.standard_normal((3, 4, 4))
+        stack[1] = 0.0
+        assert_stack_is_its_members(stack)
+        assert spectral_norm(stack)[1] == 0.0
+
+    def test_tau_overflow_member_among_ordinary_ones(self, rng):
+        tiny = np.array([[1.0, 1e-156], [0.0, 1e-145]])
+        ordinary = rng.standard_normal((2, 2, 2))
+        stack = np.stack([ordinary[0], tiny, np.eye(2), ordinary[1]])
+        assert_stack_is_its_members(stack)
+        assert singular_values(stack)[1] == pytest.approx([1.0, 1e-145], rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 5)])
+    def test_single_column_or_row(self, rng, shape):
+        assert_stack_is_its_members(rng.standard_normal((4,) + shape))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 7), (6, 12)])
+    def test_wide(self, rng, shape):
+        assert_stack_is_its_members(rng.standard_normal((3,) + shape))
+
+    @pytest.mark.parametrize("shape, values", [
+        ((0, 3, 3), (0, 3)), ((2, 0, 3), (2, 0)), ((2, 3, 0), (2, 0)),
+    ])
+    def test_empty(self, shape, values):
+        assert singular_values(np.zeros(shape)).shape == values
+        assert spectral_norm(np.zeros(shape)) == [0.0] * shape[0]
+
+    def test_column_scales_property(self, rng):
+        # members of one stack converge after different numbers of sweeps
+        for _ in range(60):
+            n = int(rng.choice([2, 3, 7, 12]))
+            rows = int(rng.choice([1, n - 1, n, n + 3]))
+            shape = (rows, n) if rng.random() < 0.5 else (n, rows)
+            scales = 10.0 ** rng.uniform(-8.0, 8.0, (6, 1, shape[1]))
+            assert_stack_is_its_members(rng.standard_normal((6,) + shape) * scales)
+
+    def test_one_unconverged_member_fails_the_stack(self, monkeypatch, rng):
+        # one sweep cannot end without rotations unless every pair is
+        # already orthogonal, as for the diagonal members
+        monkeypatch.setattr(densela, "_JACOBI_MAX_SWEEPS", 1)
+        stack = np.stack([np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0]), rng.standard_normal((4, 4))])
+        assert spectral_norm(stack[:2]) == [1.0, 4.0]
+        with pytest.raises(ConvergenceError, match="did not converge within 1 sweeps"):
+            spectral_norm(stack)
+
+    def test_unconverged_member_exits_5(self, monkeypatch, tmp_path):
+        from genchol import cli
+
+        monkeypatch.setattr(densela, "_JACOBI_MAX_SWEEPS", 1)
+        out = tmp_path / "v.csv"
+        assert cli.main(["verify", "--trials", "1", "--out", str(out)]) == 5
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 3)])
+    def test_other_ranks_are_shape_errors(self, shape):
+        with pytest.raises(ShapeError):
+            singular_values(np.ones(shape))
+        with pytest.raises(ShapeError):
+            spectral_norm(np.ones(shape))
 
 
 class TestLowerTriInverse:

@@ -232,7 +232,11 @@ class TestNormwiseCampaign:
 
     def test_singular_value_calls_per_trial(self, monkeypatch):
         # one-trial campaigns at the default four levels; the rank check of B
-        # goes to LAPACK, so only SVDs whose values are reported remain
+        # goes to LAPACK, so only SVDs whose values are reported remain.  A
+        # normwise trial takes ||L21||_2 of the draw, ||K||_2 and both norms of
+        # each of its two candidates in one stack, and ||dL||_2 per level; a
+        # componentwise trial takes ||L21||_2, both norms of its three
+        # candidates in one stack, and ||dL||_2
         from genchol import bounds, densela, factorization, harness, oracle
 
         original = densela.singular_values
@@ -246,10 +250,10 @@ class TestNormwiseCampaign:
             if getattr(module, "singular_values", None) is original:
                 monkeypatch.setattr(module, "singular_values", counting)
         run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
-        assert len(calls) == 10
+        assert calls == [(3, 4), (5, 7, 7)] + [(7, 7)] * 4
         calls.clear()
         run_componentwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
-        assert len(calls) == 8
+        assert calls == [(3, 4), (6, 7, 7), (7, 7)]
 
     def test_perturbed_breakdown_is_not_redrawn(self, monkeypatch):
         # condition 3.1 says K + dK factors; a breakdown there is an error,
@@ -486,6 +490,30 @@ class TestEmission:
         emit_report(run_normwise_campaign(cfg), "csv", out1)
         emit_report(run_normwise_campaign(cfg), "csv", out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("write", [
+        lambda path: emit_report(run_normwise_campaign(
+            EnsembleConfig(m=4, n=3, trials=6, cond_target=1e8, seed=23)), "csv", path),
+        lambda path: emit_report(run_componentwise_campaign(
+            EnsembleConfig(m=4, n=3, trials=6, seed=23)), "csv", path),
+        lambda path: emit_rows(run_gamma_sweep("remark32", [1e-4, 0.5, 3.0]), "csv", path),
+    ], ids=["normwise", "componentwise", "remark32"])
+    def test_stacked_norms_match_one_at_a_time(self, monkeypatch, tmp_path, write):
+        # the same build, once with stacked spectral norms and once with each
+        # stack's members passed to the kernel one at a time
+        from genchol import densela
+
+        write(tmp_path / "stacked.csv")
+        original = densela.singular_values
+
+        def one_at_a_time(x):
+            x = np.asarray(x, dtype=np.float64)
+            return original(x) if x.ndim == 2 else np.stack([original(m) for m in x])
+
+        monkeypatch.setattr(densela, "singular_values", one_at_a_time)
+        write(tmp_path / "single.csv")
+        stacked = (tmp_path / "stacked.csv").read_bytes()
+        assert stacked == (tmp_path / "single.csv").read_bytes()
 
     def test_empty_emission_rejected(self, tmp_path):
         with pytest.raises(ValueError):
