@@ -13,8 +13,9 @@ fails is None in the report, next to its false ``cond_*_ok`` flag.
 Each number is computed once: kappa(L D^-1) is ||L D^-1||_2 ||D L^-1||_2, a
 product of largest singular values that keeps the digits sigma_max/sigma_min
 loses (the identity candidate gives L's own norms); the componentwise report
-inverts L~ once, |L~^T||L~^-T| being the transpose of |L~^-1||L~|; and the
-normwise report carries inequality (3.8) and the 3.18 strength test.
+inverts L~ once and has one Bauer-Skeel number for L~ and L~^-T, since
+|L~^T||L~^-T| is the transpose of |L~^-1||L~|; and the normwise report
+carries inequality (3.8) and the 3.18 strength test.
 """
 
 from __future__ import annotations
@@ -168,20 +169,18 @@ class NormwiseBoundReport:
 class ComponentwiseBoundReport:
     """Componentwise bound values for a computed factor.
 
-    ``cond_bs_LinvT`` = || |L^T||L^-T| ||_F is the norm of the transpose of
-    |L^-1||L|, so it is ``cond_bs_L`` itself, kept as its own field and CSV
-    column; condition 4.2 reads cond_bs_L^2 eps < 1/2.
+    ``cond_bs_L`` = || |L^-1||L| ||_F is also the Bauer-Skeel number of
+    L^-T: || |L^T||L^-T| ||_F is the norm of the transpose of |L^-1||L|.
+    Condition 4.2 reads cond_bs_L^2 eps < 1/2.
     """
 
     eps: float
-    eps_convention: str
     cond_4_2_ok: bool
     b_4_3: float | None
     b_4_3_label: str | None
     b_4_4: float | None
     b_4_9_coeff: float
     cond_bs_L: float
-    cond_bs_LinvT: float
     near_boundary: str
     actual_dl_fro: float | None
     actual_dl_2: float | None
@@ -347,19 +346,12 @@ class NormwiseEvaluator:
 
 
 def build_componentwise_report(
-    l_tilde_dense,
-    eps: float,
-    eps_convention: str = "max-safe",
-    *,
-    actual_dl=None,
+    l_tilde_dense, eps: float, *, actual_dl=None
 ) -> ComponentwiseBoundReport:
     """Evaluate the componentwise bounds for a computed factor."""
-    if eps_convention not in EPS_CONVENTIONS:
-        raise ValueError(f"unknown convention {eps_convention!r}")
     lt = np.asarray(l_tilde_dense, dtype=np.float64)
     lt_inv = lower_tri_inverse(lt)
-    # the Bauer-Skeel number || |L~^-1||L~| ||_F; that of L~^-T is the norm of
-    # the transpose |L~^T||L~^-T|, the same number
+    # the Bauer-Skeel number || |L~^-1||L~| ||_F, of L~^-T too (see the report)
     babs = matmul(np.abs(lt_inv), np.abs(lt))
     cbs_l = fro_norm(babs)
     t = cbs_l * cbs_l * eps
@@ -385,14 +377,12 @@ def build_componentwise_report(
 
     return ComponentwiseBoundReport(
         eps=eps,
-        eps_convention=eps_convention,
         cond_4_2_ok=cond42,
         b_4_3=b43,
         b_4_3_label=b43_label,
         b_4_4=b44,
         b_4_9_coeff=b49,
         cond_bs_L=cbs_l,
-        cond_bs_LinvT=cbs_l,
         near_boundary=",".join(near),
         actual_dl_fro=actual_f,
         actual_dl_2=actual_2,

@@ -3,9 +3,10 @@
 Everything operates on plain 2-D float64 numpy arrays.  Reductions with a
 bit-level contract (matmul, the Frobenius/Euclidean norm) accumulate strictly
 left to right so repeated runs produce identical bits; the Jacobi SVD is
-deterministic for a fixed build.  Its one sweep loop rotates a (b, r, c)
-stack at once, with the bits of each matrix alone: each inner product is the
-same contiguous reduction, every other step is elementwise.  Symmetric
+deterministic for a fixed build.  Its one sweep loop rotates a whole stack,
+columns stored as contiguous rows, with the bits of each matrix alone: each
+inner product is the same contiguous reduction, every other step is
+elementwise, and a matrix a sweep leaves unrotated stays unrotated.  Symmetric
 eigenvalues come from LAPACK through numpy.linalg; the only inverse is the
 triangular one, by forward substitution.
 """
@@ -112,49 +113,32 @@ def fro_norm(x) -> float:
     return float(_column_norms(np.asarray(x, dtype=np.float64).reshape(-1, 1))[0])
 
 
-def _round_robin_rounds(n: int) -> list[list[tuple[int, int]]]:
-    """Tournament schedule: n-1 rounds of pairwise-disjoint column pairs."""
-    slots = list(range(n)) if n % 2 == 0 else list(range(n)) + [-1]
-    k = len(slots)
-    rounds = []
-    order = slots[:]
-    for _ in range(k - 1):
-        pairs = []
-        for t in range(k // 2):
-            a, b = order[t], order[k - 1 - t]
-            if a >= 0 and b >= 0:
-                pairs.append((min(a, b), max(a, b)))
-        rounds.append(pairs)
-        order = [order[0]] + [order[-1]] + order[1:-1]
-    return rounds
-
-
 @functools.lru_cache(maxsize=32)
 def _pair_schedule(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``_round_robin_rounds(n)`` as read-only (first, second) index arrays,
-    built once per order."""
+    """Round-robin rounds of disjoint column pairs i < j, each pair once, as
+    read-only (first, second) index arrays, built once per order."""
+    order = list(range(n)) + [-1] * (n % 2)  # -1: the bye of an odd order
     schedule = []
-    for pairs in _round_robin_rounds(n):
+    for _ in range(len(order) - 1):
+        pairs = [sorted(q) for q in zip(order[: len(order) // 2], order[::-1]) if min(q) >= 0]
         ij = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
         ij.setflags(write=False)
         schedule.append(tuple(ij))
+        order = [order[0], order[-1]] + order[1:-1]
     return tuple(schedule)
 
 
 @np.errstate(over="raise")  # only tau * tau can overflow; caught there
 def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> bool:
-    """Rotate column pairs of each matrix of the (b, r, n) stack ``a`` in place
-    until a whole sweep of it needs no rotation, then drop it from ``work``;
-    False if ``max_sweeps`` sweeps were not enough for some matrix."""
-    cols = a.transpose(0, 2, 1)  # cols[k, j] is column j of matrix k
-    work = np.ascontiguousarray(cols)
-    live = np.arange(work.shape[0])  # the matrix of ``a`` each row of ``work`` is
+    """Rotate column pairs of each matrix of a stack in place; row j of member
+    k of the contiguous (b, c, r) ``a`` is column j of matrix k.  True after
+    the first sweep that rotates nothing, False if ``max_sweeps`` were not
+    enough.  A matrix that one sweep leaves unrotated is left so by all later
+    ones: they see the same inner products."""
     for _ in range(max_sweeps):
-        if not live.size:
-            return True
-        rotated = np.zeros(live.size, dtype=bool)
+        rotated = False
         for ii0, jj0 in index_pairs:
-            ai, aj = work[:, ii0], work[:, jj0]
+            ai, aj = a[:, ii0], a[:, jj0]
             app = np.einsum("kpr,kpr->kp", ai, ai)
             aqq = np.einsum("kpr,kpr->kp", aj, aj)
             apq = np.einsum("kpr,kpr->kp", ai, aj)
@@ -162,6 +146,7 @@ def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> 
             count = np.count_nonzero(need)
             if not count:
                 continue
+            rotated = True
             if count == need.size:
                 kk, ii, jj = slice(None), ii0, jj0
             else:
@@ -169,7 +154,6 @@ def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> 
                 ii, jj = ii0[pp], jj0[pp]
                 ai, aj = ai[kk, pp], aj[kk, pp]
                 app, aqq, apq = app[kk, pp], aqq[kk, pp], apq[kk, pp]
-            rotated[kk] = True
             tau = (aqq - app) / (2.0 * apq)
             try:
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
@@ -182,12 +166,11 @@ def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> 
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
             c = 1.0 / np.sqrt(1.0 + t * t)
             c, s = c[..., None], (t * c)[..., None]
-            work[kk, ii] = c * ai - s * aj
-            work[kk, jj] = s * ai + c * aj
-        if np.count_nonzero(rotated) < live.size:
-            cols[live[~rotated]] = work[~rotated]
-            live, work = live[rotated], work[rotated]
-    return not live.size
+            a[kk, ii] = c * ai - s * aj
+            a[kk, jj] = s * ai + c * aj
+        if not rotated:
+            return True
+    return False
 
 
 def singular_values(x) -> np.ndarray:
@@ -205,13 +188,13 @@ def singular_values(x) -> np.ndarray:
     stack = x[None] if x.ndim == 2 else x
     amax = np.abs(stack).max(axis=(1, 2), initial=0.0)
     a = stack / np.where(amax == 0.0, 1.0, amax)[:, None, None]
-    if a.shape[1] < a.shape[2]:
-        a = a.transpose(0, 2, 1)
-    if not _jacobi_sweeps(a, _pair_schedule(a.shape[2]), _JACOBI_TOL ** 2, _JACOBI_MAX_SWEEPS):
+    # now a[k, j] is column j of matrix k, or of its transpose when it is wide
+    a = np.ascontiguousarray(a if a.shape[1] < a.shape[2] else a.transpose(0, 2, 1))
+    if not _jacobi_sweeps(a, _pair_schedule(a.shape[1]), _JACOBI_TOL ** 2, _JACOBI_MAX_SWEEPS):
         raise ConvergenceError(
             f"one-sided Jacobi did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
         )
-    sig = amax[:, None] * np.sort(_column_norms(a), axis=1)[:, ::-1]
+    sig = amax[:, None] * np.sort(_column_norms(a.transpose(0, 2, 1)), axis=1)[:, ::-1]
     return sig.reshape(x.shape[:-2] + sig.shape[1:])
 
 

@@ -241,20 +241,15 @@ class NormwiseTrialRecord:
         )
 
     def json_items(self) -> list[tuple[str, object]]:
-        """The CSV columns and values, then the JSON-only fields."""
-        r = self.report
-        items = list(zip(self.CSV_COLUMNS, self.csv_values()))
-        items += [
+        return _json_items(self, [
             ("dk_level", self.dk_level),
             ("kappa_a", self.kappa_a),
             ("kappa_s", self.kappa_s),
-            ("b317_excluded", r.b_3_17_excluded),
-            ("near_boundary", r.near_boundary),
-            ("diag_3_8_ok", r.diag_3_8_ok),
-            ("cond318_strength_ok", r.cond_3_18_strength_ok),
-        ]
-        items += [(f"ratio_{name}", value) for name, value in self.tightness.items()]
-        return items
+            ("b317_excluded", self.report.b_3_17_excluded),
+            ("near_boundary", self.report.near_boundary),
+            ("diag_3_8_ok", self.report.diag_3_8_ok),
+            ("cond318_strength_ok", self.report.cond_3_18_strength_ok),
+        ])
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,6 +266,7 @@ class ComponentwiseTrialRecord:
     m: int
     n: int
     seed: int
+    eps_convention: str  # the campaign's label for its column, not a bound input
     report: ComponentwiseBoundReport
     env_lt_fro: float
     env_tl_fro: float
@@ -311,25 +307,28 @@ class ComponentwiseTrialRecord:
         """The values of ``CSV_COLUMNS``, in order."""
         r = self.report
         return (
-            self.trial, self.m, self.n, self.seed, r.eps, r.eps_convention,
+            self.trial, self.m, self.n, self.seed, r.eps, self.eps_convention,
             r.cond_4_2_ok, r.b_4_3, r.b_4_3_label, r.b_4_4, r.b_4_9_coeff,
-            r.cond_bs_L, r.cond_bs_LinvT, r.actual_dl_fro, r.actual_dl_2,
+            r.cond_bs_L, r.cond_bs_L, r.actual_dl_fro, r.actual_dl_2,
             self.env_lt_fro, self.env_tl_fro, self.bw_env_ok,
             self.worst_ratio, self.violation, self.skipped,
         )
 
     def json_items(self) -> list[tuple[str, object]]:
-        """The CSV columns and values, then the JSON-only fields."""
-        r = self.report
-        items = list(zip(self.CSV_COLUMNS, self.csv_values()))
-        items += [
-            ("near_boundary", r.near_boundary),
+        return _json_items(self, [
+            ("near_boundary", self.report.near_boundary),
             ("breakdown", self.breakdown),
             ("eps_gamma_min_paper", self.eps_gamma_min_paper),
             ("eps_gamma_max_safe", self.eps_gamma_max_safe),
-        ]
-        items += [(f"ratio_{name}", value) for name, value in self.tightness.items()]
-        return items
+        ])
+
+
+def _json_items(record, extras) -> list[tuple[str, object]]:
+    """A record's CSV columns and values, its JSON-only ``extras``, its ratios."""
+    items = list(zip(record.CSV_COLUMNS, record.csv_values(), strict=True))
+    items += extras
+    items += [(f"ratio_{name}", value) for name, value in record.tightness.items()]
+    return items
 
 
 def _domination(report) -> tuple[float, bool, dict[str, float | None]]:
@@ -443,9 +442,8 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
             m=cfg.m,
             n=cfg.n,
             seed=cfg.seed,
-            report=build_componentwise_report(
-                lt.L, eps, cfg.eps_convention, actual_dl=actual_dl
-            ),
+            eps_convention=cfg.eps_convention,
+            report=build_componentwise_report(lt.L, eps, actual_dl=actual_dl),
             env_lt_fro=env_lt_fro,
             env_tl_fro=env_tl_fro,
             bw_env_ok=bw_ok,
@@ -571,7 +569,7 @@ def emit_report(records, fmt: str, path) -> None:
     ordered by trial index (a stable sort)."""
     records = sorted(records, key=lambda r: r.trial)
     if fmt == "csv":
-        rows = [dict(zip(r.CSV_COLUMNS, r.csv_values())) for r in records]
+        rows = [dict(zip(r.CSV_COLUMNS, r.csv_values(), strict=True)) for r in records]
     else:
         rows = [dict(r.json_items()) for r in records]
     emit_rows(rows, fmt, path)

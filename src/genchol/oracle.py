@@ -15,7 +15,7 @@ import numpy as np
 from .densela import (
     ShapeError,
     as_matrix,
-    lower_tri_solve,
+    lower_tri_inverse,
     matmul,
     spectral_norm,
 )
@@ -102,9 +102,8 @@ def build_w(factor: GenCholFactor) -> np.ndarray:
 
 
 def w_inverse_norm(w) -> float:
-    """Spectral norm of W^-1 via forward substitution on ``build_w``'s triangular W."""
-    w = np.asarray(w, dtype=np.float64)
-    return spectral_norm(lower_tri_solve(w, np.eye(w.shape[0])))
+    """Spectral norm of W^-1 by forward substitution on ``build_w``'s triangular W."""
+    return spectral_norm(lower_tri_inverse(w))
 
 
 def actual_delta_l(factor: GenCholFactor, k, dk) -> np.ndarray:

@@ -57,6 +57,11 @@ def random_lower(p, rng, boost=1.0):
     return l
 
 
+def entrywise_bauer_skeel(x):
+    """|| |X^-1||X| ||_F by definition, with LAPACK's inverse."""
+    return float(np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro"))
+
+
 def bauer_product(l):
     """|L^-1||L|, the product build_componentwise_report passes on."""
     return matmul(np.abs(lower_tri_inverse(l)), np.abs(l))
@@ -217,12 +222,13 @@ class TestBound314:
         assert normwise(np.eye(2), 0.0).b_3_14 == 0.0
 
     def test_equals_bound_33_with_identity_candidates(self, rng):
-        # bound 3.3's formula with kappa of the unscaled factor
+        # bound 3.3's formula with kappa of the unscaled factor, taken as the
+        # evaluator takes it: ||L||_2 ||L^-1||_2
         l = random_lower(4, rng)
         linv2 = spectral_norm(lower_tri_inverse(l))
         dk = 0.2 / linv2**2
         x = linv2 * linv2 * dk
-        v33 = SQRT2 * linv2 * kappa(l) * dk / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
+        v33 = SQRT2 * linv2 * (spectral_norm(l) * linv2) * dk / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
         assert normwise(l, dk).b_3_14 == v33
 
     def test_gap_to_best_candidate(self):
@@ -392,13 +398,9 @@ class TestCondition42:
 
     def test_threshold_from_brute_force(self):
         l = np.array([[1.0, 0.0], [50.0, 1.0]])
-
-        def bauer_skeel(x):  # || |X^-1||X| ||_F with LAPACK's inverse
-            return float(np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro"))
-
-        prod = bauer_skeel(l) * bauer_skeel(np.linalg.inv(l).T)
+        prod = entrywise_bauer_skeel(l) * entrywise_bauer_skeel(np.linalg.inv(l).T)
         rep = build_componentwise_report(l, 0.0)
-        assert rep.cond_bs_L * rep.cond_bs_LinvT == pytest.approx(prod, rel=1e-14)
+        assert rep.cond_bs_L * rep.cond_bs_L == pytest.approx(prod, rel=1e-14)
         assert build_componentwise_report(l, 0.499 / prod).cond_4_2_ok is True
         assert build_componentwise_report(l, 0.501 / prod).cond_4_2_ok is False
 
@@ -524,15 +526,20 @@ class TestReports:
         assert rep.cond_4_2_ok
         assert rep.b_4_3 is not None
         assert rep.b_4_4 / rep.b_4_9_coeff == pytest.approx(2.0 + SQRT2, rel=1e-12)
-        assert rep.cond_bs_L == pytest.approx(rep.cond_bs_LinvT, rel=1e-6)
+        # cond_bs_L is also the Bauer-Skeel number of L^-T
+        assert rep.cond_bs_L == pytest.approx(
+            entrywise_bauer_skeel(np.linalg.inv(f.L).T), rel=1e-6
+        )
 
     @pytest.mark.parametrize("m, n, cond", [(3, 3, 1e3), (6, 6, 1e8)])
     def test_bauer_skeel_transpose_identity(self, rng, m, n, cond):
         # |L^T||L^-T| is the transpose of |L^-1||L|, so the two numbers are one
         for _ in range(25):
             s, _, _ = make_saddle(m, n, cond, rng)
-            rep = build_componentwise_report(factorize(s).L, 1e-6)
-            assert rep.cond_bs_LinvT == rep.cond_bs_L
+            l = factorize(s).L
+            rep = build_componentwise_report(l, 1e-6)
+            transposed = matmul(np.abs(l.T), np.abs(lower_tri_inverse(l).T))
+            assert rep.cond_bs_L == pytest.approx(fro_norm(transposed), rel=1e-13)
 
     def test_componentwise_report_inverts_once(self, rng, monkeypatch):
         from genchol import bounds
@@ -560,34 +567,40 @@ class TestReports:
 
 
 class TestCondBauerSkeel:
-    """|| |X^-1||X| ||_F has one home, the componentwise report: ``cond_bs_L``
-    for X = L and ``cond_bs_LinvT`` for the upper-triangular X = L^-T."""
+    """|| |X^-1||X| ||_F has one home, the componentwise report's
+    ``cond_bs_L``: for X = L, and for the upper-triangular X = L^-T."""
 
     @pytest.mark.parametrize("p", [1, 2, 5, 8])
     def test_identity(self, p):
         rep = build_componentwise_report(np.eye(p), 0.0)
         assert rep.cond_bs_L == pytest.approx(math.sqrt(p), rel=1e-14)
-        assert rep.cond_bs_LinvT == pytest.approx(math.sqrt(p), rel=1e-14)
+        assert rep.cond_bs_L == pytest.approx(
+            entrywise_bauer_skeel(lower_tri_inverse(np.eye(p)).T), rel=1e-14
+        )
 
     def test_positive_diagonal_invariance(self, rng):
         for p in (1, 3, 6):
-            rep = build_componentwise_report(np.diag(10.0 ** rng.uniform(-3, 3, p)), 0.0)
+            l = np.diag(10.0 ** rng.uniform(-3, 3, p))
+            rep = build_componentwise_report(l, 0.0)
             assert rep.cond_bs_L == pytest.approx(math.sqrt(p), rel=1e-12)
-            assert rep.cond_bs_LinvT == pytest.approx(math.sqrt(p), rel=1e-12)
+            assert entrywise_bauer_skeel(lower_tri_inverse(l).T) == pytest.approx(
+                math.sqrt(p), rel=1e-12
+            )
 
     def test_unit_lower_example(self):
-        # |L^-1||L| = [[1, 0], [20, 1]] for L = [[1, 0], [10, 1]]
-        rep = build_componentwise_report(np.array([[1.0, 0.0], [10.0, 1.0]]), 0.0)
+        # |L^-1||L| = [[1, 0], [20, 1]] for L = [[1, 0], [10, 1]], and
+        # |L^T||L^-T| = [[1, 20], [0, 1]] is its transpose
+        l = np.array([[1.0, 0.0], [10.0, 1.0]])
+        rep = build_componentwise_report(l, 0.0)
         assert rep.cond_bs_L == pytest.approx(20.049937655763422, rel=1e-13)
-        assert rep.cond_bs_LinvT == pytest.approx(20.049937655763422, rel=1e-13)
+        assert entrywise_bauer_skeel(lower_tri_inverse(l).T) == pytest.approx(
+            20.049937655763422, rel=1e-13
+        )
 
     def test_upper_triangular_matches_entrywise_oracle(self, rng):
         for p in (1, 3, 6):
             l = np.tril(rng.standard_normal((p, p)))
             np.fill_diagonal(l, np.abs(np.diagonal(l)) + 1.0)
             rep = build_componentwise_report(l, 0.0)
-            for value, x in ((rep.cond_bs_L, l), (rep.cond_bs_LinvT, lower_tri_inverse(l).T)):
-                oracle = float(
-                    np.linalg.norm(np.abs(np.linalg.inv(x)) @ np.abs(x), ord="fro")
-                )
-                assert value == pytest.approx(oracle, rel=1e-10)
+            for x in (l, lower_tri_inverse(l).T):
+                assert rep.cond_bs_L == pytest.approx(entrywise_bauer_skeel(x), rel=1e-10)

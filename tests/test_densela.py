@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -141,30 +142,46 @@ class TestNormByteContract:
 
     def test_singular_values_are_sorted_column_norms(self, rng):
         # rerun the rotations of singular_values on a stack, each matrix
-        # scaled and transposed as it does, and read its columns off
+        # scaled as it does and its columns (a wide one's rows) stored as
+        # contiguous rows, and read the column norms off those rows
         for shape in [(5, 5), (7, 4), (3, 6)]:
             x = rng.standard_normal((3,) + shape)
             amax = np.abs(x).max(axis=(1, 2))
             a = x / amax[:, None, None]
-            if shape[0] < shape[1]:
-                a = a.transpose(0, 2, 1)
-            schedule = densela._pair_schedule(a.shape[2])
+            cols = np.ascontiguousarray(a if shape[0] < shape[1] else a.transpose(0, 2, 1))
+            schedule = densela._pair_schedule(cols.shape[1])
             assert densela._jacobi_sweeps(
-                a, schedule, densela._JACOBI_TOL ** 2, densela._JACOBI_MAX_SWEEPS
+                cols, schedule, densela._JACOBI_TOL ** 2, densela._JACOBI_MAX_SWEEPS
             )
             for k in range(3):
-                cols = sorted((fro_norm(a[k, :, j]) for j in range(a.shape[2])), reverse=True)
-                assert singular_values(x[k]).tolist() == (amax[k] * np.array(cols)).tolist()
+                norms = sorted((fro_norm(col) for col in cols[k]), reverse=True)
+                assert singular_values(x[k]).tolist() == (amax[k] * np.array(norms)).tolist()
 
 
 class TestPairSchedule:
-    @pytest.mark.parametrize("n", [2, 3, 6, 7, 28])
+    @pytest.mark.parametrize("n", [*range(1, 14), 28])
     def test_matches_round_robin(self, n):
+        # a round-robin tournament: n - 1 rounds (n for odd n) of disjoint
+        # pairs i < j, every pair exactly once per sweep
         schedule = densela._pair_schedule(n)
-        rounds = densela._round_robin_rounds(n)
-        assert [(ii.tolist(), jj.tolist()) for ii, jj in schedule] == [
-            ([p[0] for p in pairs], [p[1] for p in pairs]) for pairs in rounds
-        ]
+        assert len(schedule) == n - 1 + n % 2
+        pairs = []
+        for ii, jj in schedule:
+            members = ii.tolist() + jj.tolist()
+            assert len(set(members)) == len(members)
+            pairs += zip(ii.tolist(), jj.tolist())
+        assert all(i < j for i, j in pairs)
+        assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+
+    def test_pinned_order(self):
+        # the order of the rotations sets the output bits
+        pinned = {
+            4: [([0, 1], [3, 2]), ([0, 1], [2, 3]), ([0, 2], [1, 3])],
+            5: [([1, 2], [4, 3]), ([0, 1], [4, 2]), ([0, 2], [3, 4]), ([0, 1], [2, 3]),
+                ([0, 3], [1, 4])],
+        }
+        for n, rounds in pinned.items():
+            assert [(ii.tolist(), jj.tolist()) for ii, jj in densela._pair_schedule(n)] == rounds
 
     def test_built_once_and_read_only(self):
         schedule = densela._pair_schedule(5)

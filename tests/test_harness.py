@@ -340,7 +340,8 @@ class TestTrialRecords:
             "trial", "m", "n", "seed", "dk_level", "kappa_a", "kappa_s", "report",
         ]
         assert [f.name for f in dataclasses.fields(ComponentwiseTrialRecord)] == [
-            "trial", "m", "n", "seed", "report", "env_lt_fro", "env_tl_fro", "bw_env_ok",
+            "trial", "m", "n", "seed", "eps_convention", "report", "env_lt_fro",
+            "env_tl_fro", "bw_env_ok",
         ]
         for cls, names in (
             (NormwiseTrialRecord, ("worst_ratio", "violation", "tightness")),
@@ -525,6 +526,16 @@ class TestEmission:
         for fmt in ("csv", "json"):
             with pytest.raises(ValueError):
                 emit_report([rec, bad], fmt, tmp_path / f"r.{fmt}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_short_csv_values_are_refused(self, monkeypatch, tmp_path, fmt):
+        # a value too few must not silently drop the last column
+        records = run_normwise_campaign(EnsembleConfig(m=2, n=1, trials=1, seed=5))
+        full = NormwiseTrialRecord.csv_values
+        monkeypatch.setattr(NormwiseTrialRecord, "csv_values", lambda rec: full(rec)[:-1])
+        with pytest.raises(ValueError):
+            emit_report(records, fmt, tmp_path / f"r.{fmt}")
         assert list(tmp_path.iterdir()) == []
 
     def test_emit_rows_table(self, tmp_path):
