@@ -35,7 +35,6 @@ from .densela import (
     lower_tri_inverse,
     matmul,
     spectral_norm,
-    UNIT_ROUNDOFF,
     format_json_object,
 )
 
@@ -106,9 +105,7 @@ def _measure_dl(actual_dl) -> tuple[float | None, float | None]:
     return fro_norm(actual_dl), spectral_norm(actual_dl)
 
 
-def eps_componentwise(
-    m: int, n: int, u: float = UNIT_ROUNDOFF, convention: str = "max-safe"
-) -> float:
+def eps_componentwise(m: int, n: int, convention: str = "max-safe") -> float:
     """Componentwise envelope size from the blockwise rounding-error constants.
 
     "min-paper" takes the smaller of the two block constants as printed;
@@ -116,8 +113,8 @@ def eps_componentwise(
     """
     if convention not in EPS_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    ga = gamma_k(3 * m + 1, u)
-    gc = gamma_k(3 * n + 1, u)
+    ga = gamma_k(3 * m + 1)
+    gc = gamma_k(3 * n + 1)
     return min(ga, gc) if convention == "min-paper" else max(ga, gc)
 
 
@@ -143,7 +140,6 @@ class NormwiseBoundReport:
     b_3_3: float | None
     b_3_3_label: str | None
     b_3_4: float | None
-    b_3_4_label: str | None
     b_3_11_coeff: float
     b_3_12: float | None
     b_3_13: float | None
@@ -267,14 +263,13 @@ class NormwiseEvaluator:
 
         b311 = self.linv2 * self.kappa_min * dk_fro
         b33 = b34 = b313 = b314 = None
-        b33_label = b34_label = None
+        b33_label = None
         if cond31:
             if 0.0 < 1.0 - 2.0 * x < NEAR_BOUNDARY_EPS:
                 near.append("b_3_3")
             b33 = _b33_value(self.linv2, self.kappa_min, dk_fro, x)
             b33_label = self.kappa_label
             b34 = (2.0 + SQRT2) * b311
-            b34_label = self.kappa_label
             b313 = _b312_style_value(self.linv2, self.kappa_l, dk_fro, x)
             b314 = _b33_value(self.linv2, self.kappa_l, dk_fro, x)
 
@@ -328,7 +323,6 @@ class NormwiseEvaluator:
             b_3_3=b33,
             b_3_3_label=b33_label,
             b_3_4=b34,
-            b_3_4_label=b34_label,
             b_3_11_coeff=b311,
             b_3_12=b312,
             b_3_13=b313,

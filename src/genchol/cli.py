@@ -15,8 +15,8 @@ Exit codes are a fixed function of what happened:
      campaign trial with no valid draw within the retry cap)
   3  the primary applicability condition failed in `bounds`
   4  at least one bound violation in a campaign
-  5  numerical kernel failure (Jacobi did not converge or a LAPACK routine
-     failed)
+  5  numerical kernel failure (Jacobi did not converge, a LAPACK routine
+     failed, or the factor overflows)
 
 Output files are written atomically (temp file plus rename).
 """
@@ -61,9 +61,7 @@ from .harness import (
 )
 from .oracle import actual_delta_l, build_w
 
-DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 100
-DEFAULT_DK_LEVELS = "1e-8,1e-4,0.1,0.4"
 DEFAULT_GAMMAS = "10,100,1000"
 
 
@@ -123,13 +121,13 @@ def _build_parser() -> _Parser:
         ),
     )
 
-    def campaign_parser(name, help, m, cond_target):
+    def campaign_parser(name, help, m, cond_target=EnsembleConfig.cond_target):
         """A campaign command with the flags that verify and backward share."""
         p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--m", type=int, default=m, help="order of the leading block")
         p.add_argument("--n", type=int, default=3, help="order of the trailing block")
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="number of trials")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="campaign seed")
+        p.add_argument("--seed", type=int, default=EnsembleConfig.seed, help="campaign seed")
         p.add_argument(
             "--cond-target", type=float, default=cond_target,
             help="condition-number cap for the blocks",
@@ -139,12 +137,12 @@ def _build_parser() -> _Parser:
         return p
 
     p_verify = campaign_parser(
-        "verify", "normwise bound-domination campaign over a random ensemble", 4, 1e4
+        "verify", "normwise bound-domination campaign over a random ensemble", 4
     )
     p_verify.add_argument(
         "--dk-levels",
         type=_float_list,
-        default=DEFAULT_DK_LEVELS,
+        default=EnsembleConfig.dk_levels,
         help="comma list of targets for ||L^-1||_2^2 ||dK||_F, each in (0, 0.5)",
     )
 
@@ -152,12 +150,13 @@ def _build_parser() -> _Parser:
         "backward", "componentwise campaign: synthetic envelope plus backward-error check", 3, 1e3
     )
     p_backward.add_argument(
-        "--eps", type=float, default=1e-6, help="synthetic componentwise envelope size"
+        "--eps", type=float, default=EnsembleConfig.eps_synth,
+        help="synthetic componentwise envelope size",
     )
     p_backward.add_argument(
         "--eps-convention",
         choices=EPS_CONVENTIONS,
-        default="max-safe",
+        default=EnsembleConfig.eps_convention,
         help="label for the records' eps_convention column; the envelope size is --eps",
     )
 

@@ -62,7 +62,8 @@ class SingularMatrixError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative kernel failed to meet its tolerance within the sweep cap."""
+    """A numerical kernel failed: an iteration missed its tolerance within the
+    sweep cap, a LAPACK routine failed, or a factor overflowed."""
 
 
 class ParseError(ValueError):

@@ -195,18 +195,23 @@ class GenCholFactor:
 
 def _factor_core(k: np.ndarray, m: int, n: int, matrix_label: str) -> GenCholFactor:
     l = np.zeros((m + n, m + n))
-    l11 = _cholesky_lower(k[:m, :m], "A", 0, matrix_label)
-    l[:m, :m] = l11
-    if n > 0:
-        # L21 solves L21 L11^T = B, i.e. L11 L21^T = B^T by forward
-        # substitution.  B^T is taken as the transpose of the lower block, not
-        # as the upper block: the two hold the same values but have different
-        # memory layouts, and the layout picks the BLAS path of the solve.
-        l21 = lower_tri_solve(l11, k[m:, :m].T).T
-        l[m:, :m] = l21
-        schur = -k[m:, m:] + matmul(l21, l21.T)
-        l[m:, m:] = _cholesky_lower(schur, "Schur", m, matrix_label)
-    return GenCholFactor.from_dense(l, m, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        l11 = _cholesky_lower(k[:m, :m], "A", 0, matrix_label)
+        l[:m, :m] = l11
+        if n > 0:
+            # L21 solves L21 L11^T = B, i.e. L11 L21^T = B^T by forward
+            # substitution.  B^T is taken as the transpose of the lower block, not
+            # as the upper block: the two hold the same values but have different
+            # memory layouts, and the layout picks the BLAS path of the solve.
+            l21 = lower_tri_solve(l11, k[m:, :m].T).T
+            l[m:, :m] = l21
+            schur = -k[m:, m:] + matmul(l21, l21.T)
+            l[m:, m:] = _cholesky_lower(schur, "Schur", m, matrix_label)
+    # lower triangular with a positive diagonal by construction; finite is not promised
+    if not np.isfinite(l).all():
+        raise ConvergenceError(f"{matrix_label}: the factor overflows")
+    l.setflags(write=False)
+    return GenCholFactor(BlockSpec(m, n), l)
 
 
 def factorize(s: SaddleMatrix) -> GenCholFactor:

@@ -46,8 +46,6 @@ __all__ = [
     "ComponentwiseTrialRecord",
     "CampaignError",
     "VIOLATION_SLACK",
-    "NORMWISE_CSV_COLUMNS",
-    "COMPONENTWISE_CSV_COLUMNS",
     "gen_spd",
     "gen_sym_perturbation",
     "make_saddle",
@@ -61,20 +59,6 @@ __all__ = [
 ]
 
 _RETRY_CAP = 100
-
-NORMWISE_CSV_COLUMNS = (
-    "trial", "m", "n", "seed", "dk_fro", "linv2", "cond31", "b33", "b33_label",
-    "b34", "b311", "cond312", "b312", "b313", "b314", "cond316", "b315",
-    "cond318", "b317", "b317_label", "actual_f", "actual_2", "worst_ratio",
-    "violation",
-)
-
-COMPONENTWISE_CSV_COLUMNS = (
-    "trial", "m", "n", "seed", "eps", "eps_convention", "cond42", "b43",
-    "b43_label", "b44", "b49", "cond_bs_l", "cond_bs_linvt", "actual_f",
-    "actual_2", "env_lt_fro", "env_tl_fro", "bw_env_ok", "worst_ratio",
-    "violation", "skipped",
-)
 
 
 class CampaignError(RuntimeError):
@@ -214,8 +198,6 @@ class NormwiseTrialRecord:
     kappa_s: float
     report: NormwiseBoundReport
 
-    CSV_COLUMNS = NORMWISE_CSV_COLUMNS
-
     @property
     def worst_ratio(self) -> float:
         return _domination(self.report)[0]
@@ -229,16 +211,20 @@ class NormwiseTrialRecord:
         """bound/actual for each rigorous bound (see ``_domination``)."""
         return _domination(self.report)[2]
 
-    def csv_values(self) -> tuple:
-        """The values of ``CSV_COLUMNS``, in order."""
+    def csv_items(self) -> list[tuple[str, object]]:
+        """The CSV row: (column, value) pairs, in the fixed schema order."""
         r = self.report
-        return (
-            self.trial, self.m, self.n, self.seed, r.dk_fro, r.linv_2,
-            r.cond_3_1_ok, r.b_3_3, r.b_3_3_label, r.b_3_4, r.b_3_11_coeff,
-            r.cond_3_12_ok, r.b_3_12, r.b_3_13, r.b_3_14, r.cond_3_16_ok,
-            r.b_3_15, r.cond_3_18_ok, r.b_3_17, r.b_3_17_label,
-            r.actual_dl_fro, r.actual_dl_2, self.worst_ratio, self.violation,
-        )
+        return [
+            ("trial", self.trial), ("m", self.m), ("n", self.n), ("seed", self.seed),
+            ("dk_fro", r.dk_fro), ("linv2", r.linv_2), ("cond31", r.cond_3_1_ok),
+            ("b33", r.b_3_3), ("b33_label", r.b_3_3_label), ("b34", r.b_3_4),
+            ("b311", r.b_3_11_coeff), ("cond312", r.cond_3_12_ok), ("b312", r.b_3_12),
+            ("b313", r.b_3_13), ("b314", r.b_3_14), ("cond316", r.cond_3_16_ok),
+            ("b315", r.b_3_15), ("cond318", r.cond_3_18_ok), ("b317", r.b_3_17),
+            ("b317_label", r.b_3_17_label), ("actual_f", r.actual_dl_fro),
+            ("actual_2", r.actual_dl_2), ("worst_ratio", self.worst_ratio),
+            ("violation", self.violation),
+        ]
 
     def json_items(self) -> list[tuple[str, object]]:
         return _json_items(self, [
@@ -272,8 +258,6 @@ class ComponentwiseTrialRecord:
     env_tl_fro: float
     bw_env_ok: bool
 
-    CSV_COLUMNS = COMPONENTWISE_CSV_COLUMNS
-
     @property
     def breakdown(self) -> bool:
         return self.report.actual_dl_fro is None
@@ -295,40 +279,34 @@ class ComponentwiseTrialRecord:
         """bound/actual for each rigorous bound; empty when skipped."""
         return {} if self.skipped else _domination(self.report)[2]
 
-    @property
-    def eps_gamma_min_paper(self) -> float:
-        return eps_componentwise(self.m, self.n, convention="min-paper")
-
-    @property
-    def eps_gamma_max_safe(self) -> float:
-        return eps_componentwise(self.m, self.n, convention="max-safe")
-
-    def csv_values(self) -> tuple:
-        """The values of ``CSV_COLUMNS``, in order."""
+    def csv_items(self) -> list[tuple[str, object]]:
+        """The CSV row: (column, value) pairs, in the fixed schema order."""
         r = self.report
-        return (
-            self.trial, self.m, self.n, self.seed, r.eps, self.eps_convention,
-            r.cond_4_2_ok, r.b_4_3, r.b_4_3_label, r.b_4_4, r.b_4_9_coeff,
-            r.cond_bs_L, r.cond_bs_L, r.actual_dl_fro, r.actual_dl_2,
-            self.env_lt_fro, self.env_tl_fro, self.bw_env_ok,
-            self.worst_ratio, self.violation, self.skipped,
-        )
+        return [
+            ("trial", self.trial), ("m", self.m), ("n", self.n), ("seed", self.seed),
+            ("eps", r.eps), ("eps_convention", self.eps_convention),
+            ("cond42", r.cond_4_2_ok), ("b43", r.b_4_3), ("b43_label", r.b_4_3_label),
+            ("b44", r.b_4_4), ("b49", r.b_4_9_coeff), ("cond_bs_l", r.cond_bs_L),
+            ("cond_bs_linvt", r.cond_bs_L), ("actual_f", r.actual_dl_fro),
+            ("actual_2", r.actual_dl_2), ("env_lt_fro", self.env_lt_fro),
+            ("env_tl_fro", self.env_tl_fro), ("bw_env_ok", self.bw_env_ok),
+            ("worst_ratio", self.worst_ratio), ("violation", self.violation),
+            ("skipped", self.skipped),
+        ]
 
     def json_items(self) -> list[tuple[str, object]]:
         return _json_items(self, [
             ("near_boundary", self.report.near_boundary),
             ("breakdown", self.breakdown),
-            ("eps_gamma_min_paper", self.eps_gamma_min_paper),
-            ("eps_gamma_max_safe", self.eps_gamma_max_safe),
+            ("eps_gamma_min_paper", eps_componentwise(self.m, self.n, convention="min-paper")),
+            ("eps_gamma_max_safe", eps_componentwise(self.m, self.n, convention="max-safe")),
         ])
 
 
 def _json_items(record, extras) -> list[tuple[str, object]]:
-    """A record's CSV columns and values, its JSON-only ``extras``, its ratios."""
-    items = list(zip(record.CSV_COLUMNS, record.csv_values(), strict=True))
-    items += extras
-    items += [(f"ratio_{name}", value) for name, value in record.tightness.items()]
-    return items
+    """A record's CSV items, its JSON-only ``extras``, its ratios."""
+    ratios = [(f"ratio_{name}", value) for name, value in record.tightness.items()]
+    return record.csv_items() + extras + ratios
 
 
 def _domination(report) -> tuple[float, bool, dict[str, float | None]]:
@@ -569,7 +547,7 @@ def emit_report(records, fmt: str, path) -> None:
     ordered by trial index (a stable sort)."""
     records = sorted(records, key=lambda r: r.trial)
     if fmt == "csv":
-        rows = [dict(zip(r.CSV_COLUMNS, r.csv_values(), strict=True)) for r in records]
+        rows = [dict(r.csv_items()) for r in records]
     else:
         rows = [dict(r.json_items()) for r in records]
     emit_rows(rows, fmt, path)

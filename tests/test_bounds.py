@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genchol.densela import (
     ShapeError,
@@ -169,6 +171,32 @@ class TestBound34:
         rep = normwise(np.eye(2), 0.5 - 1e-9)
         assert rep.b_3_3 / rep.b_3_11_coeff == pytest.approx(2.0 + SQRT2, abs=1e-3)
         assert rep.b_3_3 / rep.b_3_11_coeff <= 2.0 + SQRT2
+
+
+class TestReportOrderings:
+    """Orderings that hold by construction of the formulas: 3.4 and 3.14 are
+    3.3 with a larger coefficient, 3.12 is 3.13 at x_F >= x, 4.4 is 4.3 as 3.4
+    is 3.3, and 3.3 is at least its first-order term."""
+
+    @staticmethod
+    def assert_ordered(*values):
+        present = [v for v in values if v is not None]
+        for low, high in zip(present, present[1:]):
+            assert low <= high * (1.0 + 1e-15), values
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 0.499))
+    def test_orderings(self, p, seed, x):
+        rng = np.random.default_rng(seed)
+        l = random_lower(p, rng) * 10.0 ** rng.uniform(-8.0, 8.0, p)[None, :]
+        ev = NormwiseEvaluator(l, matmul(l, l.T), np.ones(p))
+        rep = ev.report(x / (ev.linv2 * ev.linv2))
+        self.assert_ordered(rep.b_3_11_coeff, rep.b_3_3, rep.b_3_4)
+        self.assert_ordered(rep.b_3_3, rep.b_3_14)
+        self.assert_ordered(rep.b_3_13, rep.b_3_12)
+        cbs = fro_norm(bauer_product(l))
+        comp = build_componentwise_report(l, x / (cbs * cbs))
+        self.assert_ordered(comp.b_4_3, comp.b_4_4)
 
 
 class TestBound311:

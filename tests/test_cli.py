@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from genchol.harness import CampaignError, EnsembleConfig, emit_rows, make_saddl
 from genchol.oracle import build_w, w_inverse_norm
 
 SADDLE_42 = "1 1\n4 2\n2 -1\n"
+SADDLE_OVERFLOW = "1 1\n1e-300 1e200\n1e200 0\n"  # valid, but L21 = 1e350
 
 
 def run_cli(*args, cwd=None):
@@ -451,6 +453,31 @@ class TestSweep:
     def test_kind_required(self, tmp_path):
         res = run_cli("sweep", "--gammas", "10")
         assert res.returncode == 1
+
+
+class TestOverflowingFactor:
+    """A valid saddle matrix whose factor overflows is a kernel failure, not a
+    usage error."""
+
+    @pytest.mark.parametrize("command", ["factor", "bounds"])
+    def test_exit_5_without_warning_or_output(self, capsys, tmp_path, command):
+        k = tmp_path / "k.txt"
+        k.write_text(SADDLE_OVERFLOW)
+        dk = tmp_path / "dk.txt"
+        dk.write_text("2 2\n0 0\n0 0\n")
+        out = tmp_path / "out.txt"
+        argv = {
+            "factor": ["factor", str(k), str(out)],
+            "bounds": ["bounds", str(k), str(dk), "--out", str(out)],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert (code, caught) == (5, [])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "genchol: numerical kernel failure: K: the factor overflows\n"
+        assert not out.exists()
 
 
 class TestExitCodes:

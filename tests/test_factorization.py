@@ -91,6 +91,18 @@ class TestFactorize:
         assert err.value.pivot == 2
         assert err.value.block == "A"
 
+    def test_factor_is_read_only(self):
+        f = factorize(SaddleMatrix.from_blocks([[4.0]], [[2.0]], [[1.0]]))
+        assert not f.L.flags.writeable
+
+    def test_overflowing_factor_is_a_kernel_failure(self):
+        # a valid saddle matrix whose L21 = 1e200 / 1e-150 overflows
+        k = [[1e-300, 1e200], [1e200, 0.0]]
+        s = SaddleMatrix.from_dense(k, 1, 1)
+        for run in (lambda: factorize(s), lambda: factorize_dense(k, 1, 1, "K + dK")):
+            with pytest.raises(ConvergenceError, match="the factor overflows"):
+                run()
+
     def test_schur_breakdown_labeled(self):
         # trailing block too positive: C + L21 L21^T loses definiteness
         k = np.array([[1.0, 0.0], [0.0, 1.0]])  # -C = 1 means C = -1, not PSD

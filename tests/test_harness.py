@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,17 @@ from genchol.harness import (
 )
 
 SMALL_CFG = EnsembleConfig(m=3, n=2, trials=5, cond_target=1e3, seed=99)
+
+# the fixed CSV schema, one literal per campaign kind
+NORMWISE_HEADER = (
+    "trial,m,n,seed,dk_fro,linv2,cond31,b33,b33_label,b34,b311,cond312,b312,b313,b314,"
+    "cond316,b315,cond318,b317,b317_label,actual_f,actual_2,worst_ratio,violation"
+)
+COMPONENTWISE_HEADER = (
+    "trial,m,n,seed,eps,eps_convention,cond42,b43,b43_label,b44,b49,cond_bs_l,cond_bs_linvt,"
+    "actual_f,actual_2,env_lt_fro,env_tl_fro,bw_env_ok,worst_ratio,violation,skipped"
+)
+PERFBENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def _csv_cell(v) -> str:
@@ -347,7 +359,6 @@ class TestTrialRecords:
             (NormwiseTrialRecord, ("worst_ratio", "violation", "tightness")),
             (ComponentwiseTrialRecord, (
                 "worst_ratio", "violation", "tightness", "skipped", "breakdown",
-                "eps_gamma_min_paper", "eps_gamma_max_safe",
             )),
         ):
             for name in names:
@@ -360,8 +371,11 @@ class TestTrialRecords:
             for r in run_componentwise_campaign(cfg):
                 assert r.breakdown == (r.report.actual_dl_fro is None)
                 assert r.skipped == (r.breakdown or not r.report.cond_4_2_ok)
-                assert r.eps_gamma_min_paper == eps_componentwise(2, 2, convention="min-paper")
-                assert r.eps_gamma_max_safe == eps_componentwise(2, 2, convention="max-safe")
+                items = dict(r.json_items())
+                assert (items["eps_gamma_min_paper"], items["eps_gamma_max_safe"]) == (
+                    eps_componentwise(2, 2, convention="min-paper"),
+                    eps_componentwise(2, 2, convention="max-safe"),
+                )
         # a breakdown inside condition 4.2 is skipped too: there is no dL to compare
         rec = run_componentwise_campaign(EnsembleConfig(m=2, n=2, trials=1, seed=3))[0]
         assert rec.report.cond_4_2_ok and not rec.skipped
@@ -376,7 +390,7 @@ class TestTrialRecords:
             rec = campaign(EnsembleConfig(m=2, n=1, trials=1, seed=4))[0]
             moved = dataclasses.replace(rec, trial=7, seed=11)
             assert (moved.trial, moved.seed) == (7, 11)
-            assert moved.csv_values()[4:] == rec.csv_values()[4:]
+            assert moved.csv_items()[4:] == rec.csv_items()[4:]
             assert moved.json_items()[4:] == rec.json_items()[4:]
             assert not hasattr(moved, "__dict__")
 
@@ -466,13 +480,25 @@ class TestEmission:
         for recs in (records, comp):
             emit_report(recs, "json", out)
             emit_report(recs, "csv", tmp_path / "r.csv")
-            columns = recs[0].CSV_COLUMNS
+            columns = [column for column, _ in recs[0].csv_items()]
             lines = (tmp_path / "r.csv").read_text().splitlines()
             assert lines[0] == ",".join(columns)
             for obj, line in zip(json.loads(out.read_text()), lines[1:], strict=True):
                 assert list(obj)[: len(columns)] == list(columns)
                 cells = [_csv_cell(obj[c]) for c in columns]
                 assert ",".join(cells) == line
+
+    @pytest.mark.parametrize("campaign, header, references", [
+        (run_normwise_campaign, NORMWISE_HEADER, ("verify-small", "verify-wop")),
+        (run_componentwise_campaign, COMPONENTWISE_HEADER, ("backward-mid",)),
+    ], ids=["normwise", "componentwise"])
+    def test_csv_header_is_pinned(self, tmp_path, campaign, header, references):
+        # the schema guard: the header as a literal, as the benchmark's references have it
+        emit_report(campaign(EnsembleConfig(m=2, n=1, trials=1, seed=5)), "csv", tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text().splitlines()[0] == header
+        for name in references:
+            with open(PERFBENCH_REFERENCE / f"{name}.csv", encoding="ascii") as fh:
+                assert fh.readline().rstrip("\n") == header
 
     def test_componentwise_json_has_both_gamma_conventions(self, tmp_path):
         cfg = EnsembleConfig(m=3, n=2, trials=1, seed=5)
@@ -526,16 +552,6 @@ class TestEmission:
         for fmt in ("csv", "json"):
             with pytest.raises(ValueError):
                 emit_report([rec, bad], fmt, tmp_path / f"r.{fmt}")
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_short_csv_values_are_refused(self, monkeypatch, tmp_path, fmt):
-        # a value too few must not silently drop the last column
-        records = run_normwise_campaign(EnsembleConfig(m=2, n=1, trials=1, seed=5))
-        full = NormwiseTrialRecord.csv_values
-        monkeypatch.setattr(NormwiseTrialRecord, "csv_values", lambda rec: full(rec)[:-1])
-        with pytest.raises(ValueError):
-            emit_report(records, fmt, tmp_path / f"r.{fmt}")
         assert list(tmp_path.iterdir()) == []
 
     def test_emit_rows_table(self, tmp_path):
