@@ -27,7 +27,6 @@ import numpy as np
 
 from .densela import (
     ConvergenceError,
-    ShapeError,
     _column_norms,
     _require_lower_triangular,
     fro_norm,
@@ -83,13 +82,10 @@ def scaling_candidates(l_dense, bauer=None) -> tuple[tuple[str, np.ndarray], ...
 # --- shared scalar formulas --------------------------------------------------
 
 
-def _b33_value(linv2: float, kappa: float, dk_fro: float, x: float) -> float:
-    """The shape of bound 3.3, shared by 3.14 and the componentwise 4.3."""
-    return SQRT2 * linv2 * kappa * dk_fro / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
-
-
-def _b312_style_value(linv2: float, kappa: float, dk_fro: float, xx: float) -> float:
-    return SQRT2 * linv2 * kappa * dk_fro / (1.0 + math.sqrt(1.0 - 2.0 * xx))
+def _b33_value(linv2: float, kappa: float, dk_fro: float, x: float, offset: float) -> float:
+    """The shape of bound 3.3.  Bounds 3.3, 3.14 and the componentwise 4.3
+    take ``offset`` sqrt(2) - 1; bounds 3.12 and 3.13 take 1."""
+    return SQRT2 * linv2 * kappa * dk_fro / (offset + math.sqrt(1.0 - 2.0 * x))
 
 
 def _present_bounds(report, names) -> dict[str, float]:
@@ -191,22 +187,19 @@ class NormwiseEvaluator:
 
     Campaigns evaluate many perturbation sizes against one factor; building
     the report through this object avoids re-running the SVD kernels.
-    ``signature`` is the diagonal of J.  Up to order ``W_BOUND_MAX_ORDER``
+    L is ``factor.L`` and J is ``factor.spec.signature()``; ``k`` is the
+    matrix whose ||K||_2 bound 3.17 reads.  Up to order ``W_BOUND_MAX_ORDER``
     the evaluator also computes ``w_inv_norm`` = ||W^-1||_2 for bound 3.15
     from its own L^-1; above it ``w_inv_norm`` is None and so are ``b_3_15``
     and ``cond_3_16_ok``.
     """
 
-    def __init__(self, l_dense, k, signature):
-        l = np.asarray(l_dense, dtype=np.float64)
-        k = np.asarray(k, dtype=np.float64)
-        self.l = l
+    def __init__(self, factor, k):
+        self.l = l = factor.L
         self.linv = linv = lower_tri_inverse(l)
         self.linv_f = fro_norm(linv)
-        jvec = np.asarray(signature, dtype=np.float64)
         p = l.shape[0]
-        if jvec.shape != (p,):
-            raise ShapeError(f"signature must have {p} entries, got shape {jvec.shape}")
+        jvec = factor.spec.signature()
         self.w_inv_norm = self._w_inverse_norm(jvec) if p <= W_BOUND_MAX_ORDER else None
         # one stack: ||K||_2, then per candidate D ||L D^-1||_2 and ||D L^-1||_2
         cands = scaling_candidates(l)
@@ -267,17 +260,19 @@ class NormwiseEvaluator:
         if cond31:
             if 0.0 < 1.0 - 2.0 * x < NEAR_BOUNDARY_EPS:
                 near.append("b_3_3")
-            b33 = _b33_value(self.linv2, self.kappa_min, dk_fro, x)
+            # 3.3 is at least its first-order term and 3.14 at least 3.3; a
+            # subnormal dk_fro can round either below, so each takes the max
+            b33 = max(b311, _b33_value(self.linv2, self.kappa_min, dk_fro, x, SQRT2 - 1.0))
             b33_label = self.kappa_label
             b34 = (2.0 + SQRT2) * b311
-            b313 = _b312_style_value(self.linv2, self.kappa_l, dk_fro, x)
-            b314 = _b33_value(self.linv2, self.kappa_l, dk_fro, x)
+            b313 = _b33_value(self.linv2, self.kappa_l, dk_fro, x, 1.0)
+            b314 = max(b33, _b33_value(self.linv2, self.kappa_l, dk_fro, x, SQRT2 - 1.0))
 
         b312 = None
         if cond312:
             if 0.0 < 1.0 - 2.0 * x_f < NEAR_BOUNDARY_EPS:
                 near.append("b_3_12")
-            b312 = _b312_style_value(self.linv2, self.kappa_l, dk_fro, x_f)
+            b312 = _b33_value(self.linv2, self.kappa_l, dk_fro, x_f, 1.0)
 
         cond316: bool | None = None
         b315 = None
@@ -364,7 +359,7 @@ def build_componentwise_report(
     if cond42:
         if 0.0 < 1.0 - 2.0 * t < NEAR_BOUNDARY_EPS:
             near.append("b_4_3")
-        b43 = _b33_value(factor, cbs_l, eps, t)
+        b43 = max(b49, _b33_value(factor, cbs_l, eps, t, SQRT2 - 1.0))  # as 3.3 in the report
         b43_label = label
         b44 = (2.0 + SQRT2) * b49
     actual_f, actual_2 = _measure_dl(actual_dl)

@@ -198,7 +198,7 @@ def _cmd_bounds(args) -> int:
     factor = factorize(s)
     if args.dump_w and p > W_BOUND_MAX_ORDER:
         raise _UsageError(f"--dump-w supports order at most {W_BOUND_MAX_ORDER}, got {p}")
-    evaluator = NormwiseEvaluator(factor.L, s.K, factor.spec.signature())
+    evaluator = NormwiseEvaluator(factor, s.K)
     try:
         actual_dl = actual_delta_l(factor, s.K, dk)
     except FactorizationError as exc:

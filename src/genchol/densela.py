@@ -248,11 +248,11 @@ def up_operator(a) -> np.ndarray:
     return u
 
 
-def gamma_k(k: int, u: float = UNIT_ROUNDOFF) -> float:
-    """Rounding-error accumulation constant k*u / (1 - k*u)."""
+def gamma_k(k: int) -> float:
+    """Rounding-error accumulation constant k*u / (1 - k*u), u the unit roundoff."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ku = k * float(u)
+    ku = k * UNIT_ROUNDOFF
     if ku >= 1.0:
         raise ValueError(f"k*u = {ku} is out of range (needs k*u < 1)")
     return ku / (1.0 - ku)

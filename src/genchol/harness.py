@@ -360,7 +360,7 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         s, factor, kappa_a, kappa_s = _draw(cfg, rng, trial)
-        ev = NormwiseEvaluator(factor.L, s.K, factor.spec.signature())
+        ev = NormwiseEvaluator(factor, s.K)
         direction = gen_sym_perturbation(cfg.p, 1.0, rng)
         for level in cfg.dk_levels:
             dk = direction * (level / (ev.linv2 * ev.linv2))
@@ -440,7 +440,7 @@ def _sweep_factor(kind: str, gamma: float) -> GenCholFactor:
 
 def _sweep_row(kind: str, gamma: float, dk_fro: float) -> dict:
     factor = _sweep_factor(kind, gamma)
-    ev = NormwiseEvaluator(factor.L, reconstruct(factor), factor.spec.signature())
+    ev = NormwiseEvaluator(factor, reconstruct(factor))
     report = ev.report(dk_fro)
     if kind == "remark32":
         d = np.array([[1.0 / gamma, 1.0]])  # the scaling that makes L D^-1 O(1)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genchol.densela import (
-    ShapeError,
     SingularMatrixError,
     UNIT_ROUNDOFF,
     fro_norm,
@@ -24,7 +23,13 @@ from genchol.bounds import (
     report_to_json,
     scaling_candidates,
 )
-from genchol.factorization import GenCholFactor, factorize, factorize_dense, reconstruct
+from genchol.factorization import (
+    BlockSpec,
+    GenCholFactor,
+    factorize,
+    factorize_dense,
+    reconstruct,
+)
 from genchol.harness import (
     EnsembleConfig,
     _draw,
@@ -37,14 +42,22 @@ from genchol.oracle import build_w, w_inverse_norm
 U = UNIT_ROUNDOFF
 
 
-def normwise(l, dk_fro, k=None, signature=None):
+def as_factor(l, m=None):
+    """``l`` as a factor with J = diag(I_m, -I_(p-m)), m = p unless given.
+    The dataclass constructor does not check the diagonal."""
+    l = np.asarray(l, dtype=np.float64)
+    p = l.shape[0]
+    m = p if m is None else m
+    return GenCholFactor(BlockSpec(m, p - m), l)
+
+
+def normwise(l, dk_fro, k=None, m=None):
     """Normwise report for the factor ``l``; K is L L^T and J the identity
     unless given (only bound 3.17 reads K, through ||K||_2, and only bound
     3.15 reads J)."""
-    l = np.asarray(l, dtype=np.float64)
-    k = matmul(l, l.T) if k is None else k
-    signature = np.ones(l.shape[0]) if signature is None else signature
-    return NormwiseEvaluator(l, k, signature).report(dk_fro)
+    f = as_factor(l, m)
+    k = matmul(f.L, f.L.T) if k is None else k
+    return NormwiseEvaluator(f, k).report(dk_fro)
 
 
 def kappa(x):
@@ -104,7 +117,7 @@ class TestScalingCandidates:
         # the evaluators invert L; scaling_candidates only reads it
         l = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(SingularMatrixError):
-            NormwiseEvaluator(l, np.eye(2), np.ones(2))
+            NormwiseEvaluator(as_factor(l), np.eye(2))
         with pytest.raises(SingularMatrixError):
             build_componentwise_report(l, 1e-8)
 
@@ -176,7 +189,7 @@ class TestBound34:
 class TestReportOrderings:
     """Orderings that hold by construction of the formulas: 3.4 and 3.14 are
     3.3 with a larger coefficient, 3.12 is 3.13 at x_F >= x, 4.4 is 4.3 as 3.4
-    is 3.3, and 3.3 is at least its first-order term."""
+    is 3.3, and 3.3 and 4.3 are at least their first-order terms."""
 
     @staticmethod
     def assert_ordered(*values):
@@ -189,14 +202,24 @@ class TestReportOrderings:
     def test_orderings(self, p, seed, x):
         rng = np.random.default_rng(seed)
         l = random_lower(p, rng) * 10.0 ** rng.uniform(-8.0, 8.0, p)[None, :]
-        ev = NormwiseEvaluator(l, matmul(l, l.T), np.ones(p))
+        ev = NormwiseEvaluator(as_factor(l), matmul(l, l.T))
         rep = ev.report(x / (ev.linv2 * ev.linv2))
         self.assert_ordered(rep.b_3_11_coeff, rep.b_3_3, rep.b_3_4)
         self.assert_ordered(rep.b_3_3, rep.b_3_14)
         self.assert_ordered(rep.b_3_13, rep.b_3_12)
         cbs = fro_norm(bauer_product(l))
         comp = build_componentwise_report(l, x / (cbs * cbs))
-        self.assert_ordered(comp.b_4_3, comp.b_4_4)
+        self.assert_ordered(comp.b_4_9_coeff, comp.b_4_3, comp.b_4_4)
+
+    def test_subnormal_perturbation(self):
+        # rounding below 2.2e-308 is absolute: on these inputs the (3.3)-shape
+        # formula gives one subnormal where its first-order term gives two
+        rep = normwise([[2.0]], 1.5e-323)
+        assert rep.b_3_11_coeff == 1e-323
+        self.assert_ordered(rep.b_3_11_coeff, rep.b_3_3, rep.b_3_14)
+        comp = build_componentwise_report([[0.5]], 1.5e-323)
+        assert comp.b_4_9_coeff == 1e-323
+        self.assert_ordered(comp.b_4_9_coeff, comp.b_4_3, comp.b_4_4)
 
 
 class TestBound311:
@@ -280,13 +303,13 @@ class TestBound314:
 
 class TestBound315:
     def test_zero(self):
-        assert normwise(np.eye(2), 0.0, signature=[1.0, -1.0]).b_3_15 == 0.0
+        assert normwise(np.eye(2), 0.0, m=1).b_3_15 == 0.0
 
     def test_scalar_case(self):
         # order 1 with entry l: the operator matrix is [2l]
         l_val = 2.0
         dk = 0.1
-        assert normwise([[l_val]], dk, signature=[1.0]).b_3_15 == pytest.approx(
+        assert normwise([[l_val]], dk).b_3_15 == pytest.approx(
             dk / l_val, rel=1e-15
         )
 
@@ -301,7 +324,7 @@ class TestBound315:
         assert 0.5 / linv2**2 == pytest.approx(thresh_31, rel=1e-10)
         assert 0.25 / w_norm**2 == pytest.approx(thresh_316, rel=1e-10)
         dk = 1e-6  # inside 3.1, outside 3.16
-        rep = normwise(l, dk, k=reconstruct(f), signature=f.spec.signature())
+        rep = NormwiseEvaluator(f, reconstruct(f)).report(dk)
         assert rep.cond_3_1_ok is True
         assert rep.cond_3_16_ok is False
         assert rep.b_3_15 is None
@@ -309,7 +332,7 @@ class TestBound315:
 
 def _w_norms(f):
     """(closed-form fast path, by-definition oracle) for one factor."""
-    fast = NormwiseEvaluator(f.L, reconstruct(f), f.spec.signature()).w_inv_norm
+    fast = NormwiseEvaluator(f, reconstruct(f)).w_inv_norm
     return fast, w_inverse_norm(build_w(f))
 
 
@@ -330,8 +353,14 @@ class TestOperatorInverseNorm:
     @pytest.mark.parametrize("l_val", [0.5, 2.0, 3.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_order_one(self, l_val, sign):
-        # W(x) = 2 j l x, so ||W^-1||_2 = 1 / (2 l) for either sign j
-        ev = NormwiseEvaluator([[l_val]], [[sign * l_val * l_val]], [sign])
+        # W(x) = 2 j l x, so ||W^-1||_2 = 1 / (2 l) for either sign j.  A
+        # j = -1 block needs a leading +1 block: with L = diag(1e3, l) the
+        # other two diagonal entries of W, 2e3 and 1e3, leave 1 / (2 l) largest
+        if sign > 0:
+            f = GenCholFactor.from_dense([[l_val]], 1, 0)
+        else:
+            f = GenCholFactor.from_dense(np.diag([1e3, l_val]), 1, 1)
+        ev = NormwiseEvaluator(f, reconstruct(f))
         assert ev.w_inv_norm == pytest.approx(
             1.0 / (2.0 * l_val), rel=1e-15
         )
@@ -352,10 +381,8 @@ class TestOperatorInverseNorm:
             assert fast == pytest.approx(oracle, rel=1e-12)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ShapeError):
-            NormwiseEvaluator(np.eye(3), np.eye(3), [1.0, -1.0])
         with pytest.raises(SingularMatrixError):
-            NormwiseEvaluator(np.diag([1.0, 0.0]), np.eye(2), [1.0, -1.0])
+            NormwiseEvaluator(as_factor(np.diag([1.0, 0.0]), m=1), np.eye(2))
 
 
 class TestBound317:
@@ -374,8 +401,7 @@ class TestBound317:
         for _ in range(20):
             s, _, _ = make_saddle(3, 2, 1e4, rng)
             f = factorize(s)
-            l = f.L
-            ev = NormwiseEvaluator(l, reconstruct(f), f.spec.signature())
+            ev = NormwiseEvaluator(f, reconstruct(f))
             for level in (1e-8, 1e-4, 0.1, 0.4):
                 dk_fro = level / ev.linv2**2
                 assert ev.report(dk_fro).cond_3_18_strength_ok
@@ -470,9 +496,7 @@ class TestReports:
     def test_bound_presence_follows_flags(self, rng):
         s, _, _ = make_saddle(3, 2, 1e4, rng)
         f = factorize(s)
-        l = f.L
-        k = reconstruct(f)
-        ev = NormwiseEvaluator(l, k, f.spec.signature())
+        ev = NormwiseEvaluator(f, reconstruct(f))
         # large level: Frobenius-based test typically fails while 3.1 holds
         dk = 0.45 / ev.linv2**2
         rep = ev.report(dk)
@@ -488,7 +512,7 @@ class TestReports:
         f = factorize(s)
         l = f.L
         linv = lower_tri_inverse(l)
-        ev = NormwiseEvaluator(l, s.K, f.spec.signature())
+        ev = NormwiseEvaluator(f, s.K)
         assert ev.l2 == spectral_norm(l)
         assert ev.linv2 == spectral_norm(linv)
         assert ev.kappa_l == ev.l2 * ev.linv2
@@ -508,7 +532,7 @@ class TestReports:
         for trial in range(cfg.trials):
             _, f, _, _ = _draw(cfg, _trial_rng(cfg.seed, trial), trial)
             l = f.L
-            ev = NormwiseEvaluator(l, reconstruct(f), f.spec.signature())
+            ev = NormwiseEvaluator(f, reconstruct(f))
             for label, d in scaling_candidates(l):
                 with mpmath.workdps(50):  # L D^-1 from the exact float64 entries
                     ld = mpmath.matrix(l.tolist()) * mpmath.diag([1 / mpmath.mpf(v) for v in d])
@@ -520,7 +544,7 @@ class TestReports:
     def test_per_level_diagnostics(self, rng):
         s, _, _ = make_saddle(3, 2, 1e4, rng)
         f = factorize(s)
-        ev = NormwiseEvaluator(f.L, s.K, f.spec.signature())
+        ev = NormwiseEvaluator(f, s.K)
         dk = gen_sym_perturbation(5, 0.1 / ev.linv2**2, rng)
         dk_fro = fro_norm(dk)
         dl = factorize_dense(s.K + dk, 3, 2).L - f.L
@@ -541,7 +565,7 @@ class TestReports:
 
         s, _, _ = make_saddle(2, 1, 10.0, rng)
         f = factorize(s)
-        rep = NormwiseEvaluator(f.L, reconstruct(f), f.spec.signature()).report(1e-3)
+        rep = NormwiseEvaluator(f, reconstruct(f)).report(1e-3)
         parsed = json.loads(report_to_json(rep))
         assert parsed["dk_fro"] == 1e-3
         assert parsed["cond_3_1_ok"] is True
@@ -587,8 +611,8 @@ class TestReports:
         # scaled condition numbers and the winning label ignore L -> cL
         l = random_lower(4, rng)
         k = matmul(l, l.T)
-        ev1 = NormwiseEvaluator(l, k, np.ones(4))
-        ev2 = NormwiseEvaluator(3.5 * l, k, np.ones(4))
+        ev1 = NormwiseEvaluator(as_factor(l), k)
+        ev2 = NormwiseEvaluator(as_factor(3.5 * l), k)
         assert ev1.kappa_label == ev2.kappa_label
         for label in ev1.kappas:
             assert ev1.kappas[label] == pytest.approx(ev2.kappas[label], rel=1e-12)

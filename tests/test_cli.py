@@ -347,6 +347,24 @@ class TestBackward:
         assert "violations=0" in res.stderr
 
 
+class TestCampaignSummary:
+    """Each campaign prints exactly one stderr line, pinned here literally."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["verify", "--trials", "4", "--seed", "11"],
+             "verify: records=16 violations=0 worst_ratio=0.143514"),
+            (["backward", "--trials", "6", "--seed", "11", "--eps", "1e-3"],
+             "backward: records=6 violations=0 skipped=2 worst_ratio=0.107122"),
+        ],
+        ids=["verify", "backward"],
+    )
+    def test_summary_line(self, capsys, tmp_path, argv, line):
+        assert cli.main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr().err == line + "\n"
+
+
 class TestSweep:
     def test_remark33_summary_slope(self, tmp_path):
         res = run_cli(
