@@ -15,7 +15,10 @@ product of largest singular values that keeps the digits sigma_max/sigma_min
 loses (the identity candidate gives L's own norms); the componentwise report
 inverts L~ once and has one Bauer-Skeel number for L~ and L~^-T, since
 |L~^T||L~^-T| is the transpose of |L~^-1||L~|; and the normwise report
-carries inequality (3.8) and the 3.18 strength test.
+carries inequality (3.8) and the 3.18 strength test.  A measured dL's
+||dL||_2 rides in a stack: ``NormwiseEvaluator.reports`` takes all of a
+trial's levels in one call, and the componentwise report appends the dL to
+its candidate stack.
 """
 
 from __future__ import annotations
@@ -92,13 +95,6 @@ def _present_bounds(report, names) -> dict[str, float]:
     """The report's bounds among ``names`` that are not None, by name."""
     values = ((name, getattr(report, name)) for name in names)
     return {name: v for name, v in values if v is not None}
-
-
-def _measure_dl(actual_dl) -> tuple[float | None, float | None]:
-    """(||dL||_F, ||dL||_2) of a measured factor change; (None, None) without one."""
-    if actual_dl is None:
-        return None, None
-    return fro_norm(actual_dl), spectral_norm(actual_dl)
 
 
 def eps_componentwise(m: int, n: int, convention: str = "max-safe") -> float:
@@ -197,7 +193,6 @@ class NormwiseEvaluator:
     def __init__(self, factor, k):
         self.l = l = factor.L
         self.linv = linv = lower_tri_inverse(l)
-        self.linv_f = fro_norm(linv)
         p = l.shape[0]
         jvec = factor.spec.signature()
         self.w_inv_norm = self._w_inverse_norm(jvec) if p <= W_BOUND_MAX_ORDER else None
@@ -206,6 +201,9 @@ class NormwiseEvaluator:
         mats = [k] + [m for _, d in cands for m in (l * (1.0 / d)[None, :], d[:, None] * linv)]
         self.k2, *sig = spectral_norm(np.stack(mats))
         self.l2, self.linv2 = sig[:2]  # the identity candidate comes first: L's own norms
+        # ||L^-1||_F >= ||L^-1||_2 holds exactly, but near rank one the two
+        # computed norms can invert by an ulp, and then b_3_12 falls below b_3_13
+        self.linv_f = max(fro_norm(linv), self.linv2)
         self.kappa_l = self.l2 * self.linv2
         self.kappas = {c: ld2 * dlinv2 for (c, _), ld2, dlinv2 in zip(cands, sig[::2], sig[1::2])}
         # times ||dK||_F / ||K||_2, this is bound 3.17's test quantity
@@ -247,7 +245,21 @@ class NormwiseEvaluator:
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"SVD of W^-1 failed: {exc}") from exc
 
+    def reports(self, dk_fros, actual_dls) -> list[NormwiseBoundReport]:
+        """One report per level: ||dK||_F ``dk_fros[i]`` with the measured dL
+        ``actual_dls[i]``, or None for none.  A campaign factors K + dK at all
+        its levels first; then every measured ||dL||_2 comes from one stacked
+        Jacobi call, whose members are the single-matrix norms bit for bit."""
+        measured = [dl for dl in actual_dls if dl is not None]
+        dl2 = iter(spectral_norm(np.stack(measured)) if measured else ())
+        return [self._report(dk_fro, dl, None if dl is None else next(dl2))
+                for dk_fro, dl in zip(dk_fros, actual_dls, strict=True)]
+
     def report(self, dk_fro: float, actual_dl=None) -> NormwiseBoundReport:
+        """The report at one level: ``reports`` of that level alone."""
+        return self.reports([dk_fro], [actual_dl])[0]
+
+    def _report(self, dk_fro: float, actual_dl, actual_2: float | None) -> NormwiseBoundReport:
         near = []
         x = self.linv2 * self.linv2 * dk_fro
         cond31 = x < 0.5
@@ -302,9 +314,9 @@ class NormwiseEvaluator:
                 best317 = value
                 best317_label = label
         cond318 = best317 is not None
-        actual_f, actual_2 = _measure_dl(actual_dl)
-        diag38 = None
+        actual_f = diag38 = None
         if actual_dl is not None:
+            actual_f = fro_norm(actual_dl)
             rhs38 = (1.0 - math.sqrt(max(1.0 - 2.0 * x, 0.0))) / SQRT2
             diag38 = fro_norm(matmul(self.linv, actual_dl)) <= rhs38 + VIOLATION_SLACK
 
@@ -348,10 +360,14 @@ def build_componentwise_report(
     near = []
     b43 = b44 = None
     b43_label = None
-    # min over D of ||L~ D^-1||_2 ||D |L~^-1||L~| ||_2, one stack; the first minimum wins
+    # min over D of ||L~ D^-1||_2 ||D |L~^-1||L~| ||_2 in one stack, whose last
+    # member is the measured dL if there is one; the first minimum wins
     cands = scaling_candidates(lt, babs)
     mats = [m for _, d in cands for m in (lt * (1.0 / d)[None, :], babs * d[:, None])]
-    sig = spectral_norm(np.stack(mats))
+    sig = spectral_norm(np.stack(mats if actual_dl is None else mats + [actual_dl]))
+    actual_f = actual_2 = None
+    if actual_dl is not None:
+        actual_f, actual_2 = fro_norm(actual_dl), sig.pop()
     vals = [ld2 * dbabs2 for ld2, dbabs2 in zip(sig[::2], sig[1::2])]
     best = min(range(len(vals)), key=vals.__getitem__)
     factor, label = vals[best], cands[best][0]
@@ -362,7 +378,6 @@ def build_componentwise_report(
         b43 = max(b49, _b33_value(factor, cbs_l, eps, t, SQRT2 - 1.0))  # as 3.3 in the report
         b43_label = label
         b44 = (2.0 + SQRT2) * b49
-    actual_f, actual_2 = _measure_dl(actual_dl)
 
     return ComponentwiseBoundReport(
         eps=eps,

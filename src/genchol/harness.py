@@ -8,6 +8,7 @@ repeated runs byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +19,8 @@ from .densela import (
     format_json_object,
     format_json_scalar,
     matmul,
+    open_atomic,
     spectral_norm,
-    write_text_atomic,
 )
 from .factorization import (
     FactorizationError,
@@ -354,18 +355,20 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
 
     Every level meets condition 3.1, under which K + dK has a factor, so a
     breakdown of K + dK propagates as FactorizationError and is not redrawn.
+    A trial factors K + dK at all its levels first, and then its reports
+    take every level's ||dL||_2 from one stacked norm call.
     """
     records: list[NormwiseTrialRecord] = []
-    # the levels' ||dL||_2 are not stacked: that waits on ROADMAP item 1 (benchmark memory)
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         s, factor, kappa_a, kappa_s = _draw(cfg, rng, trial)
         ev = NormwiseEvaluator(factor, s.K)
         direction = gen_sym_perturbation(cfg.p, 1.0, rng)
-        for level in cfg.dk_levels:
-            dk = direction * (level / (ev.linv2 * ev.linv2))
-            dk_fro = fro_norm(dk)
-            records.append(NormwiseTrialRecord(
+        dks = [direction * (level / (ev.linv2 * ev.linv2)) for level in cfg.dk_levels]
+        dls = [actual_delta_l(factor, s.K, dk) for dk in dks]
+        reports = ev.reports([fro_norm(dk) for dk in dks], dls)
+        records += [
+            NormwiseTrialRecord(
                 trial=trial,
                 m=cfg.m,
                 n=cfg.n,
@@ -373,8 +376,10 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
                 dk_level=level,
                 kappa_a=kappa_a,
                 kappa_s=kappa_s,
-                report=ev.report(dk_fro, actual_dl=actual_delta_l(factor, s.K, dk)),
-            ))
+                report=report,
+            )
+            for level, report in zip(cfg.dk_levels, reports)
+        ]
     return records
 
 
@@ -523,33 +528,37 @@ def _cell(v) -> str:
 
 
 def emit_rows(rows, fmt: str, path) -> None:
-    """Write a table of dict rows atomically.  CSV takes its columns from the
-    first row's keys, in order; each JSON object keeps its own row's keys.
-    Every cell is formatted before the write, so a non-finite one leaves no
-    file."""
+    """Write a table of dict rows (any iterable) atomically, each row as soon
+    as it is formatted.  CSV takes its columns from the first row's keys, in
+    order; each JSON object keeps its own row's keys.  A non-finite cell
+    raises before the rename, so it leaves no file."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    if not rows:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("nothing to emit: no rows")
-    if fmt == "csv":
-        columns = tuple(rows[0])
-        lines = [",".join(columns)]
-        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        objs = [format_json_object(row.items()) for row in rows]
-        text = "[\n" + ",\n".join(objs) + "\n]\n"
-    write_text_atomic(path, text)
+    rows = itertools.chain([first], rows)
+    with open_atomic(path) as fh:
+        if fmt == "csv":
+            columns = tuple(first)
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_cell(row[c]) for c in columns) + "\n")
+        else:
+            sep = "[\n"
+            for row in rows:
+                fh.write(sep + format_json_object(row.items()))
+                sep = ",\n"
+            fh.write("\n]\n")
 
 
 def emit_report(records, fmt: str, path) -> None:
     """Serialize trial records (CSV with the fixed schema, or JSON array),
-    ordered by trial index (a stable sort)."""
+    ordered by trial index (a stable sort); each row is built as it is
+    written."""
     records = sorted(records, key=lambda r: r.trial)
-    if fmt == "csv":
-        rows = [dict(r.csv_items()) for r in records]
-    else:
-        rows = [dict(r.json_items()) for r in records]
+    rows = (dict(r.csv_items() if fmt == "csv" else r.json_items()) for r in records)
     emit_rows(rows, fmt, path)
 
 

@@ -221,6 +221,17 @@ class TestReportOrderings:
         assert comp.b_4_9_coeff == 1e-323
         self.assert_ordered(comp.b_4_9_coeff, comp.b_4_3, comp.b_4_4)
 
+    def test_near_rank_one_inverse(self):
+        # test_orderings' factor at this draw has a nearly rank-one L^-1 whose
+        # fro_norm rounds an ulp below its Jacobi ||L^-1||_2; near x = 1/2 that
+        # ulp once put b_3_12 (1248637.9431826954) under b_3_13 (...975)
+        rng = np.random.default_rng(302200)
+        l = random_lower(2, rng) * 10.0 ** rng.uniform(-8.0, 8.0, 2)[None, :]
+        ev = NormwiseEvaluator(as_factor(l), matmul(l, l.T))
+        assert ev.linv_f >= ev.linv2
+        rep = ev.report(0.49609375 / (ev.linv2 * ev.linv2))
+        assert rep.b_3_13 <= rep.b_3_12
+
 
 class TestBound311:
     def test_identity(self):
@@ -559,6 +570,46 @@ class TestReports:
         # a candidate whose 3.18 left side is below x makes the test weaker
         ev.coeff_317["identity"] = 0.5 * x * ev.k2 / dk_fro
         assert ev.report(dk_fro).cond_3_18_strength_ok is False
+
+    def test_levels_together_equal_levels_alone(self, rng):
+        # one call for a trial's levels, one of them without a measured dL,
+        # gives the one-level reports field for field
+        s, _, _ = make_saddle(4, 3, 1e4, rng)
+        f = factorize(s)
+        ev = NormwiseEvaluator(f, s.K)
+        direction = gen_sym_perturbation(7, 1.0, rng)
+        dks = [direction * (level / ev.linv2**2) for level in (1e-8, 1e-4, 0.1, 0.4)]
+        dls = [factorize_dense(s.K + dk, 4, 3).L - f.L for dk in dks]
+        dls[1] = None
+        dk_fros = [fro_norm(dk) for dk in dks]
+        together = ev.reports(dk_fros, dls)
+        assert together == [ev.report(d, actual_dl=dl) for d, dl in zip(dk_fros, dls)]
+        for rep, dl in zip(together, dls):
+            assert rep.actual_dl_2 == (None if dl is None else spectral_norm(dl))
+        assert ev.reports([], []) == []
+
+    def test_componentwise_measured_dl_rides_in_the_stack(self, rng, monkeypatch):
+        # the measured dL is the last member of the candidate stack and moves
+        # no other field; without one the stack keeps its six candidates
+        from genchol import bounds
+
+        s, _, _ = make_saddle(4, 3, 1e4, rng)
+        f = factorize(s)
+        dk = gen_sym_perturbation(7, 1e-6, rng)
+        dl = factorize_dense(reconstruct(f) + dk, 4, 3).L - f.L
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return spectral_norm(x)
+
+        monkeypatch.setattr(bounds, "spectral_norm", counting)
+        without = build_componentwise_report(f.L, 1e-6)
+        measured = build_componentwise_report(f.L, 1e-6, actual_dl=dl)
+        assert calls == [(6, 7, 7), (7, 7, 7)]
+        assert dataclasses.replace(measured, actual_dl_fro=None, actual_dl_2=None) == without
+        assert measured.actual_dl_2 == spectral_norm(dl)
+        assert measured.actual_dl_fro == fro_norm(dl)
 
     def test_json_round_trip(self, rng):
         import json

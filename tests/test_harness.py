@@ -30,6 +30,26 @@ from genchol.harness import (
     summarize,
 )
 
+
+@pytest.fixture
+def sv_calls(monkeypatch):
+    """The shapes passed to ``singular_values``, in call order, from every
+    module that binds it."""
+    from genchol import bounds, densela, factorization, harness, oracle
+
+    original = densela.singular_values
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return original(x)
+
+    for module in (densela, bounds, factorization, harness, oracle):
+        if getattr(module, "singular_values", None) is original:
+            monkeypatch.setattr(module, "singular_values", counting)
+    return calls
+
+
 SMALL_CFG = EnsembleConfig(m=3, n=2, trials=5, cond_target=1e3, seed=99)
 
 # the fixed CSV schema, one literal per campaign kind
@@ -242,30 +262,18 @@ class TestNormwiseCampaign:
         assert rec.report.b_3_15 is not None
         assert calls == [(5, 5)]
 
-    def test_singular_value_calls_per_trial(self, monkeypatch):
+    def test_singular_value_calls_per_trial(self, sv_calls):
         # one-trial campaigns at the default four levels; the rank check of B
         # goes to LAPACK, so only SVDs whose values are reported remain.  A
         # normwise trial takes ||L21||_2 of the draw, ||K||_2 and both norms of
-        # each of its two candidates in one stack, and ||dL||_2 per level; a
-        # componentwise trial takes ||L21||_2, both norms of its three
-        # candidates in one stack, and ||dL||_2
-        from genchol import bounds, densela, factorization, harness, oracle
-
-        original = densela.singular_values
-        calls = []
-
-        def counting(x):
-            calls.append(np.shape(x))
-            return original(x)
-
-        for module in (densela, bounds, factorization, harness, oracle):
-            if getattr(module, "singular_values", None) is original:
-                monkeypatch.setattr(module, "singular_values", counting)
+        # each of its two candidates in one stack, and the four levels'
+        # ||dL||_2 in one more; a componentwise trial takes ||L21||_2, and both
+        # norms of its three candidates with ||dL||_2 last in one stack
         run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
-        assert calls == [(3, 4), (5, 7, 7)] + [(7, 7)] * 4
-        calls.clear()
+        assert sv_calls == [(3, 4), (5, 7, 7), (4, 7, 7)]
+        sv_calls.clear()
         run_componentwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
-        assert calls == [(3, 4), (6, 7, 7), (7, 7)]
+        assert sv_calls == [(3, 4), (7, 7, 7)]
 
     def test_perturbed_breakdown_is_not_redrawn(self, monkeypatch):
         # condition 3.1 says K + dK factors; a breakdown there is an error,
@@ -342,6 +350,15 @@ class TestComponentwiseCampaign:
         emit_report(records, "json", tmp_path / "c.json")
         for obj in json.loads((tmp_path / "c.json").read_text()):
             assert not any(key.startswith("ratio_") for key in obj)
+
+    def test_breakdown_keeps_the_candidate_stack(self, sv_calls):
+        # a measured dL is the seventh member of the report's stack; a record
+        # whose refactorization broke down has none, and its stack keeps six
+        records = run_componentwise_campaign(
+            EnsembleConfig(m=2, n=2, trials=3, seed=3, eps_synth=0.3))
+        assert 0 < sum(r.breakdown for r in records) < len(records)
+        stacks = [shape[0] for shape in sv_calls if len(shape) == 3]
+        assert stacks == [6 if r.breakdown else 7 for r in records]
 
 
 class TestTrialRecords:
@@ -553,6 +570,27 @@ class TestEmission:
             with pytest.raises(ValueError):
                 emit_report([rec, bad], fmt, tmp_path / f"r.{fmt}")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emission_memory_does_not_grow_with_rows(self, tmp_path, fmt):
+        # each row is written as soon as it is formatted, so the traced peak
+        # holds one row, not the table
+        import tracemalloc
+
+        (rec,) = run_normwise_campaign(
+            EnsembleConfig(m=2, n=1, trials=1, dk_levels=(1e-4,), seed=2))
+
+        def peak(count):
+            records = [dataclasses.replace(rec, trial=t) for t in range(count)]
+            tracemalloc.start()
+            try:
+                emit_report(records, fmt, tmp_path / f"r.{fmt}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations out of the way
+        assert peak(1000) < 2 * peak(100)
 
     def test_emit_rows_table(self, tmp_path):
         out = tmp_path / "t.csv"
