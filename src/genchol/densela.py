@@ -13,7 +13,6 @@ triangular one, by forward substitution.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -45,7 +44,6 @@ __all__ = [
     "parse_matrix",
     "read_matrix",
     "write_matrix",
-    "open_atomic",
     "write_text_atomic",
 ]
 
@@ -379,27 +377,18 @@ def read_matrix(path) -> np.ndarray:
         return parse_matrix(fh.read())
 
 
-@contextlib.contextmanager
-def open_atomic(path):
-    """A text handle whose writes reach ``path`` only if the block completes:
-    they go to a temporary file in the same directory, renamed over ``path``
-    on exit and removed if the block raises."""
+def write_text_atomic(path, text: str) -> None:
+    """Write via a temporary file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            yield fh
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through ``open_atomic``."""
-    with open_atomic(path) as fh:
-        fh.write(text)
 
 
 def write_matrix(x, path) -> None:

@@ -8,7 +8,6 @@ repeated runs byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +18,8 @@ from .densela import (
     format_json_object,
     format_json_scalar,
     matmul,
-    open_atomic,
     spectral_norm,
+    write_text_atomic,
 )
 from .factorization import (
     FactorizationError,
@@ -528,37 +527,33 @@ def _cell(v) -> str:
 
 
 def emit_rows(rows, fmt: str, path) -> None:
-    """Write a table of dict rows (any iterable) atomically, each row as soon
-    as it is formatted.  CSV takes its columns from the first row's keys, in
-    order; each JSON object keeps its own row's keys.  A non-finite cell
-    raises before the rename, so it leaves no file."""
+    """Write a table of dict rows atomically.  CSV takes its columns from the
+    first row's keys, in order; each JSON object keeps its own row's keys.
+    Every cell is formatted before the write, so a non-finite one leaves no
+    file."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
+    if not rows:
         raise ValueError("nothing to emit: no rows")
-    rows = itertools.chain([first], rows)
-    with open_atomic(path) as fh:
-        if fmt == "csv":
-            columns = tuple(first)
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_cell(row[c]) for c in columns) + "\n")
-        else:
-            sep = "[\n"
-            for row in rows:
-                fh.write(sep + format_json_object(row.items()))
-                sep = ",\n"
-            fh.write("\n]\n")
+    if fmt == "csv":
+        columns = tuple(rows[0])
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        objs = [format_json_object(row.items()) for row in rows]
+        text = "[\n" + ",\n".join(objs) + "\n]\n"
+    write_text_atomic(path, text)
 
 
 def emit_report(records, fmt: str, path) -> None:
     """Serialize trial records (CSV with the fixed schema, or JSON array),
-    ordered by trial index (a stable sort); each row is built as it is
-    written."""
+    ordered by trial index (a stable sort)."""
     records = sorted(records, key=lambda r: r.trial)
-    rows = (dict(r.csv_items() if fmt == "csv" else r.json_items()) for r in records)
+    if fmt == "csv":
+        rows = [dict(r.csv_items()) for r in records]
+    else:
+        rows = [dict(r.json_items()) for r in records]
     emit_rows(rows, fmt, path)
 
 

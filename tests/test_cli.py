@@ -424,7 +424,7 @@ class TestSweep:
         ("json", "JSON has no representation"), ("csv", "non-finite CSV cell"),
     ])
     def test_non_finite_cell_is_refused(self, monkeypatch, capsys, tmp_path, fmt, message):
-        # a non-finite cell raises before the atomic write's rename, so it
+        # the text is built before the atomic write, so a non-finite cell
         # leaves neither file nor temp file, and no slope is printed
         rows = [{"gamma": 10.0, "winv2": 1.0}, {"gamma": 100.0, "winv2": math.inf}]
         monkeypatch.setattr(cli, "run_gamma_sweep", lambda kind, gammas, dk_fro: rows)

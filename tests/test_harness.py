@@ -571,27 +571,6 @@ class TestEmission:
                 emit_report([rec, bad], fmt, tmp_path / f"r.{fmt}")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_emission_memory_does_not_grow_with_rows(self, tmp_path, fmt):
-        # each row is written as soon as it is formatted, so the traced peak
-        # holds one row, not the table
-        import tracemalloc
-
-        (rec,) = run_normwise_campaign(
-            EnsembleConfig(m=2, n=1, trials=1, dk_levels=(1e-4,), seed=2))
-
-        def peak(count):
-            records = [dataclasses.replace(rec, trial=t) for t in range(count)]
-            tracemalloc.start()
-            try:
-                emit_report(records, fmt, tmp_path / f"r.{fmt}")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(10)  # first-call allocations out of the way
-        assert peak(1000) < 2 * peak(100)
-
     def test_emit_rows_table(self, tmp_path):
         out = tmp_path / "t.csv"
         emit_rows([{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}], "csv", out)

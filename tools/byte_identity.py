@@ -8,8 +8,10 @@ touched) and runs a fixed list of CLI commands twice: once on REV's
 directory that holds the same input files, with BLAS on one thread.  For
 each command it compares the exit code, stdout, stderr (with the tree's
 path replaced by ``<tree>``) and every file left in the directory, and
-prints one line.  The exit status is 1 if anything differs.  There is no
-allow-list: a change that means to alter some output says which.
+prints one line.  A change that means to alter some output names each such
+command with ``--expect-diff "COMMAND"`` (as listed below, without the
+leading ``genchol``).  The exit status is 1 if a command not named differs,
+or if a named one does not: the list states exactly what moved.
 """
 
 from __future__ import annotations
@@ -112,16 +114,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV",
                         help="git revision whose output the working tree must match")
+    parser.add_argument("--expect-diff", action="append", default=[], metavar="COMMAND",
+                        help="a command whose output is meant to differ (repeatable)")
     args = parser.parse_args(argv)
-    failed = 0
+    unknown = sorted(set(args.expect_diff) - set(COMMANDS))
+    if unknown:
+        parser.error(f"--expect-diff names no listed command: {unknown}")
+    same = failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         parent = export_src(args.parent, Path(tmp))
         for command in COMMANDS:
             diffs = differences(run(parent, command), run(ROOT, command))
-            failed += bool(diffs)
-            verdict = "DIFF" if diffs else "same"
-            print(f"{verdict}  genchol {command}" + (f"  ({', '.join(diffs)})" if diffs else ""))
-    print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands identical to {args.parent}")
+            expected = command in args.expect_diff
+            same += not diffs
+            failed += bool(diffs) != expected
+            verdict = ("diff" if expected else "DIFF") if diffs else ("SAME" if expected else "same")
+            note = f"  ({', '.join(diffs)})" if diffs else "  (expected to differ)" if expected else ""
+            print(f"{verdict}  genchol {command}{note}")
+    print(f"{same} of {len(COMMANDS)} commands identical to {args.parent}"
+          + (f"; {len(args.expect_diff)} expected to differ" if args.expect_diff else ""))
     return 1 if failed else 0
 
 
