@@ -15,10 +15,10 @@ product of largest singular values that keeps the digits sigma_max/sigma_min
 loses (the identity candidate gives L's own norms); the componentwise report
 inverts L~ once and has one Bauer-Skeel number for L~ and L~^-T, since
 |L~^T||L~^-T| is the transpose of |L~^-1||L~|; and the normwise report
-carries inequality (3.8) and the 3.18 strength test.  A measured dL's
-||dL||_2 rides in a stack: ``NormwiseEvaluator.reports`` takes all of a
-trial's levels in one call, and the componentwise report appends the dL to
-its candidate stack.
+carries inequality (3.8) and the 3.18 strength test.  Spectral norms come
+from stacked Jacobi calls, with the bits of separate calls: one for an
+evaluator, one for a componentwise report and its measured dL, and one for
+the measured dLs of all the levels ``NormwiseEvaluator.reports`` is given.
 """
 
 from __future__ import annotations
@@ -30,29 +30,15 @@ import numpy as np
 
 from .densela import (
     ConvergenceError,
-    _column_norms,
-    _require_lower_triangular,
+    column_norms,
     fro_norm,
     gamma_k,
     lower_tri_inverse,
     matmul,
+    require_lower_triangular,
     spectral_norm,
     format_json_object,
 )
-
-__all__ = [
-    "SQRT2",
-    "NormwiseBoundReport",
-    "ComponentwiseBoundReport",
-    "NormwiseEvaluator",
-    "scaling_candidates",
-    "eps_componentwise",
-    "build_componentwise_report",
-    "report_to_json",
-    "NEAR_BOUNDARY_EPS",
-    "W_BOUND_MAX_ORDER",
-    "VIOLATION_SLACK",
-]
 
 SQRT2 = math.sqrt(2.0)
 NEAR_BOUNDARY_EPS = 1e-15  # discriminant closer to zero than this gets flagged
@@ -72,9 +58,9 @@ def scaling_candidates(l_dense, bauer=None) -> tuple[tuple[str, np.ndarray], ...
     equilibration (D_jj = 1 / max of row j).  All entries are clamped positive.
     """
     l = np.asarray(l_dense, dtype=np.float64)
-    _require_lower_triangular(l)
+    require_lower_triangular(l)
     p = l.shape[0]
-    col_eq = np.maximum(_column_norms(l), _POSITIVE_FLOOR)
+    col_eq = np.maximum(column_norms(l), _POSITIVE_FLOOR)
     candidates = [("identity", np.ones(p)), ("col-equilibrate-L", col_eq)]
     if bauer is not None:
         row_max = np.maximum(bauer.max(axis=1), _POSITIVE_FLOOR)
@@ -87,7 +73,9 @@ def scaling_candidates(l_dense, bauer=None) -> tuple[tuple[str, np.ndarray], ...
 
 def _b33_value(linv2: float, kappa: float, dk_fro: float, x: float, offset: float) -> float:
     """The shape of bound 3.3.  Bounds 3.3, 3.14 and the componentwise 4.3
-    take ``offset`` sqrt(2) - 1; bounds 3.12 and 3.13 take 1."""
+    take ``offset`` sqrt(2) - 1; bounds 3.12 and 3.13 take 1.  A subnormal
+    ``dk_fro`` can round it below what it dominates, so the reports take 3.3
+    and 4.3 no smaller than 3.11 and 4.9, and 3.14 no smaller than 3.3."""
     return SQRT2 * linv2 * kappa * dk_fro / (offset + math.sqrt(1.0 - 2.0 * x))
 
 
@@ -187,7 +175,9 @@ class NormwiseEvaluator:
     matrix whose ||K||_2 bound 3.17 reads.  Up to order ``W_BOUND_MAX_ORDER``
     the evaluator also computes ``w_inv_norm`` = ||W^-1||_2 for bound 3.15
     from its own L^-1; above it ``w_inv_norm`` is None and so are ``b_3_15``
-    and ``cond_3_16_ok``.
+    and ``cond_3_16_ok``.  ``linv_f`` = ||L^-1||_F is taken no smaller than
+    ``linv2`` = ||L^-1||_2, as holds exactly: near rank one the two computed
+    norms can invert by an ulp, and b_3_12 would fall below b_3_13.
     """
 
     def __init__(self, factor, k):
@@ -201,9 +191,7 @@ class NormwiseEvaluator:
         mats = [k] + [m for _, d in cands for m in (l * (1.0 / d)[None, :], d[:, None] * linv)]
         self.k2, *sig = spectral_norm(np.stack(mats))
         self.l2, self.linv2 = sig[:2]  # the identity candidate comes first: L's own norms
-        # ||L^-1||_F >= ||L^-1||_2 holds exactly, but near rank one the two
-        # computed norms can invert by an ulp, and then b_3_12 falls below b_3_13
-        self.linv_f = max(fro_norm(linv), self.linv2)
+        self.linv_f = max(fro_norm(linv), self.linv2)  # see the class docstring
         self.kappa_l = self.l2 * self.linv2
         self.kappas = {c: ld2 * dlinv2 for (c, _), ld2, dlinv2 in zip(cands, sig[::2], sig[1::2])}
         # times ||dK||_F / ||K||_2, this is bound 3.17's test quantity
@@ -223,9 +211,12 @@ class NormwiseEvaluator:
         G = E_ij + E_ji, so L^-1 G L^-T = u_i u_j^T + u_j u_i^T with u_i
         column i of L^-1, and half that when i == j, where G = E_ii.
         ``oracle.build_w`` followed by ``oracle.w_inverse_norm`` computes the
-        same norm by definition.
+        same norm by definition.  W^-1 is quadratic in L^-1, so L^-1 is scaled
+        by an exact power of two to entries below 1, and the norm back by its
+        square: a tiny or huge factor neither overflows nor underflows them.
         """
-        l, linv = self.l, self.linv
+        e = math.frexp(float(np.abs(self.linv).max()))[1]
+        l, linv = self.l, np.ldexp(self.linv, -e)
         p = l.shape[0]
         jj, ii = np.triu_indices(p)  # lower positions (ii, jj) in column-stacked order
         q = ii.size
@@ -241,7 +232,7 @@ class NormwiseEvaluator:
         x = x.reshape(p, q, p).transpose(1, 0, 2) * jvec[None, None, :]
         winv = x[:, ii, jj].T
         try:
-            return float(np.linalg.svd(winv, compute_uv=False)[0])
+            return float(np.ldexp(np.linalg.svd(winv, compute_uv=False)[0], 2 * e))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"SVD of W^-1 failed: {exc}") from exc
 
@@ -272,8 +263,6 @@ class NormwiseEvaluator:
         if cond31:
             if 0.0 < 1.0 - 2.0 * x < NEAR_BOUNDARY_EPS:
                 near.append("b_3_3")
-            # 3.3 is at least its first-order term and 3.14 at least 3.3; a
-            # subnormal dk_fro can round either below, so each takes the max
             b33 = max(b311, _b33_value(self.linv2, self.kappa_min, dk_fro, x, SQRT2 - 1.0))
             b33_label = self.kappa_label
             b34 = (2.0 + SQRT2) * b311

@@ -26,11 +26,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .densela import (
     ConvergenceError,
-    ParseError,
     fro_norm,
     read_matrix,
     write_matrix,
@@ -49,6 +46,7 @@ from .bounds import (
     report_to_json,
 )
 from .harness import (
+    SWEEP_DK_FRO,
     CampaignError,
     EnsembleConfig,
     emit_report,
@@ -59,7 +57,7 @@ from .harness import (
     run_normwise_campaign,
     summarize,
 )
-from .oracle import actual_delta_l, build_w
+from .oracle import actual_delta_l, build_w, check_perturbation
 
 DEFAULT_TRIALS = 100
 DEFAULT_GAMMAS = "10,100,1000"
@@ -172,7 +170,7 @@ def _build_parser() -> _Parser:
         "--gammas", type=_float_list, default=DEFAULT_GAMMAS, help="comma list of gamma values"
     )
     p_sweep.add_argument(
-        "--dk-fro", type=float, default=1e-8, help="perturbation norm used for the bounds"
+        "--dk-fro", type=float, default=SWEEP_DK_FRO, help="perturbation norm used for the bounds"
     )
     p_sweep.add_argument("--format", **fmt)
     p_sweep.add_argument("--out", default="sweep.csv", help="table path")
@@ -189,15 +187,10 @@ def _cmd_factor(args) -> int:
 
 def _cmd_bounds(args) -> int:
     s = read_saddle(args.input)
-    dk = read_matrix(args.perturbation)
-    p = s.p
-    if dk.shape != (p, p):
-        raise ParseError(f"perturbation must be {p} x {p}, got {dk.shape}")
-    if not np.array_equal(dk, dk.T):
-        raise ParseError("perturbation is not exactly symmetric")
+    dk = check_perturbation(read_matrix(args.perturbation), s.p)  # before K is factored
     factor = factorize(s)
-    if args.dump_w and p > W_BOUND_MAX_ORDER:
-        raise _UsageError(f"--dump-w supports order at most {W_BOUND_MAX_ORDER}, got {p}")
+    if args.dump_w and s.p > W_BOUND_MAX_ORDER:
+        raise _UsageError(f"--dump-w supports order at most {W_BOUND_MAX_ORDER}, got {s.p}")
     evaluator = NormwiseEvaluator(factor, s.K)
     try:
         actual_dl = actual_delta_l(factor, s.K, dk)

@@ -1,14 +1,13 @@
 """Dense matrix kernels shared by the factorization, bound, and harness layers.
 
-Everything operates on plain 2-D float64 numpy arrays.  Reductions with a
-bit-level contract (matmul, the Frobenius/Euclidean norm) accumulate strictly
-left to right so repeated runs produce identical bits; the Jacobi SVD is
-deterministic for a fixed build.  Its one sweep loop rotates a whole stack,
-columns stored as contiguous rows, with the bits of each matrix alone: each
-inner product is the same contiguous reduction, every other step is
-elementwise, and a matrix a sweep leaves unrotated stays unrotated.  Symmetric
-eigenvalues come from LAPACK through numpy.linalg; the only inverse is the
-triangular one, by forward substitution.
+The hand-written kernels stay because output bytes depend on them: matmul and
+the Euclidean norm accumulate strictly left to right, so repeated runs give
+identical bits, and the one-sided Jacobi SVD's one sweep loop rotates a whole
+stack, each round in one set of numpy calls, columns stored as contiguous
+rows, with the bits of each matrix alone: each inner product is the same
+contiguous reduction, every other step is elementwise, and a matrix a sweep
+leaves unrotated stays unrotated.  Symmetric eigenvalues, for the yes/no PSD
+test only, come from LAPACK; the only inverse is the triangular one.
 """
 
 from __future__ import annotations
@@ -19,33 +18,6 @@ import os
 import tempfile
 
 import numpy as np
-
-__all__ = [
-    "UNIT_ROUNDOFF",
-    "ShapeError",
-    "SingularMatrixError",
-    "ConvergenceError",
-    "ParseError",
-    "as_matrix",
-    "matmul",
-    "fro_norm",
-    "singular_values",
-    "spectral_norm",
-    "lower_tri_solve",
-    "lower_tri_inverse",
-    "up_operator",
-    "gamma_k",
-    "sym_eigenvalues",
-    "is_psd",
-    "format_float",
-    "format_json_scalar",
-    "format_json_object",
-    "format_matrix",
-    "parse_matrix",
-    "read_matrix",
-    "write_matrix",
-    "write_text_atomic",
-]
 
 UNIT_ROUNDOFF = 2.0 ** -53
 _JACOBI_TOL = 1e-14  # a column pair is rotated while |cos angle| exceeds this
@@ -97,10 +69,11 @@ def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_norms(x: np.ndarray) -> np.ndarray:
+def column_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column of a 2-D array (or of a stack of them),
-    overflow-safe: a column is scaled by its largest magnitude and its squares
-    are accumulated top to bottom, bit-identical to the scalar loop ``total += t*t``."""
+    overflow-safe: each column scaled by its largest magnitude, its squares
+    added top to bottom by ``np.add.accumulate`` (never numpy's pairwise sum),
+    bit-identical to the loop ``total += t*t``; Jacobi, ``fro_norm`` and ``bounds`` use it."""
     if x.shape[-2] == 0:
         return np.zeros(x.shape[:-2] + x.shape[-1:])
     amax = np.abs(x).max(axis=-2)
@@ -111,7 +84,7 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 def fro_norm(x) -> float:
     """Frobenius norm (the Euclidean norm of a vector), overflow-safe; the
     column kernel above applied to the entries, in row order, as one column."""
-    return float(_column_norms(np.asarray(x, dtype=np.float64).reshape(-1, 1))[0])
+    return float(column_norms(np.asarray(x, dtype=np.float64).reshape(-1, 1))[0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -181,7 +154,9 @@ def singular_values(x) -> np.ndarray:
     Column pairs are swept in a round-robin order; pairs within one round are
     disjoint and rotated together.  A pair is skipped once its normalized
     inner product is below ``_JACOBI_TOL``; convergence is a full sweep without
-    rotations.  Raises ConvergenceError after ``_JACOBI_MAX_SWEEPS`` sweeps.
+    rotations.  If a matrix of a stack needs more than ``_JACOBI_MAX_SWEEPS``
+    sweeps, the call raises ConvergenceError.  A singular-value ratio below
+    1e-154, where a rotation's tau^2 overflows, still converges.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -195,7 +170,7 @@ def singular_values(x) -> np.ndarray:
         raise ConvergenceError(
             f"one-sided Jacobi did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
         )
-    sig = amax[:, None] * np.sort(_column_norms(a.transpose(0, 2, 1)), axis=1)[:, ::-1]
+    sig = amax[:, None] * np.sort(column_norms(a.transpose(0, 2, 1)), axis=1)[:, ::-1]
     return sig.reshape(x.shape[:-2] + sig.shape[1:])
 
 
@@ -224,7 +199,8 @@ def lower_tri_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _require_lower_triangular(l: np.ndarray) -> None:
+def require_lower_triangular(l: np.ndarray) -> None:
+    """ShapeError unless ``l`` is square with no nonzero entry above the diagonal."""
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise ShapeError("expected a square matrix")
     if l.shape[0] and np.any(np.triu(l, 1) != 0.0):
@@ -234,7 +210,7 @@ def _require_lower_triangular(l: np.ndarray) -> None:
 def lower_tri_inverse(l) -> np.ndarray:
     """Exact forward-substitution inverse of a lower-triangular matrix."""
     l = np.asarray(l, dtype=np.float64)
-    _require_lower_triangular(l)
+    require_lower_triangular(l)
     return lower_tri_solve(l, np.eye(l.shape[0]))
 
 
@@ -314,7 +290,7 @@ def format_json_scalar(v) -> str:
 
 
 def format_json_object(items) -> str:
-    """One-line JSON object of (key, value) pairs, in the given order."""
+    """One-line JSON object of (key, value) pairs in order; all JSON output goes through it."""
     return "{" + ", ".join(f'"{k}": {format_json_scalar(v)}' for k, v in items) + "}"
 
 

@@ -26,20 +26,6 @@ from .densela import (
     ParseError,
 )
 
-__all__ = [
-    "BlockSpec",
-    "SaddleMatrix",
-    "GenCholFactor",
-    "FactorizationError",
-    "SaddleValidationError",
-    "factorize",
-    "factorize_dense",
-    "reconstruct",
-    "read_saddle",
-    "write_saddle",
-    "format_saddle",
-]
-
 _B_RANK_RTOL = 1e-12  # full-row-rank proxy: sigma_min > rtol * sigma_max
 
 

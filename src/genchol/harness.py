@@ -40,25 +40,8 @@ from .bounds import (
 )
 from .oracle import actual_delta_l, compensated_residual
 
-__all__ = [
-    "EnsembleConfig",
-    "NormwiseTrialRecord",
-    "ComponentwiseTrialRecord",
-    "CampaignError",
-    "VIOLATION_SLACK",
-    "gen_spd",
-    "gen_sym_perturbation",
-    "make_saddle",
-    "run_normwise_campaign",
-    "run_componentwise_campaign",
-    "run_gamma_sweep",
-    "emit_report",
-    "emit_rows",
-    "summarize",
-    "loglog_slope",
-]
-
 _RETRY_CAP = 100
+SWEEP_DK_FRO = 1e-8  # the sweeps' default ||dK||_F
 
 
 class CampaignError(RuntimeError):
@@ -280,7 +263,8 @@ class ComponentwiseTrialRecord:
         return {} if self.skipped else _domination(self.report)[2]
 
     def csv_items(self) -> list[tuple[str, object]]:
-        """The CSV row: (column, value) pairs, in the fixed schema order."""
+        """The CSV row: (column, value) pairs, in the fixed schema order;
+        cond_bs_linvt repeats cond_bs_l, the one Bauer-Skeel number of L~ and L~^-T."""
         r = self.report
         return [
             ("trial", self.trial), ("m", self.m), ("n", self.n), ("seed", self.seed),
@@ -472,7 +456,7 @@ def _sweep_row(kind: str, gamma: float, dk_fro: float) -> dict:
     }
 
 
-def run_gamma_sweep(kind: str, gammas, dk_fro: float = 1e-8) -> list[dict]:
+def run_gamma_sweep(kind: str, gammas, dk_fro: float = SWEEP_DK_FRO) -> list[dict]:
     """Tables for the two adversarial scaling families.
 
     "remark32" uses L = [[1/g, 0], [1, 1]] (bad column scaling: the scaled

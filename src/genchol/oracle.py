@@ -21,16 +21,6 @@ from .densela import (
 )
 from .factorization import GenCholFactor, SaddleMatrix, factorize_dense
 
-__all__ = [
-    "duvec",
-    "uvec_lower",
-    "unuvec",
-    "build_w",
-    "w_inverse_norm",
-    "actual_delta_l",
-    "compensated_residual",
-]
-
 
 def _stack_lower(x: np.ndarray) -> np.ndarray:
     """The lower triangle of a square matrix, stacked column by column."""
@@ -106,18 +96,23 @@ def w_inverse_norm(w) -> float:
     return spectral_norm(lower_tri_inverse(w))
 
 
+def check_perturbation(dk, p: int) -> np.ndarray:
+    """A float copy of ``dk``; ShapeError unless it is p x p and exactly symmetric."""
+    dk = as_matrix(dk)
+    if dk.shape != (p, p):
+        raise ShapeError(f"perturbation must be {p} x {p}, got {dk.shape}")
+    if not np.array_equal(dk, dk.T):
+        raise ShapeError("perturbation is not exactly symmetric")
+    return dk
+
+
 def actual_delta_l(factor: GenCholFactor, k, dk) -> np.ndarray:
     """Ground-truth factor perturbation L(K + dK) - L by refactorization.
 
     ``factor`` is the factor L of K; K + dK is factored with its block split.
     A breakdown raises FactorizationError labelled "K+dK".
     """
-    dk = as_matrix(dk)
-    p = factor.p
-    if dk.shape != (p, p):
-        raise ShapeError(f"perturbation must be {p} x {p}")
-    if not np.array_equal(dk, dk.T):
-        raise ShapeError("perturbation must be exactly symmetric")
+    dk = check_perturbation(dk, factor.p)
     perturbed = factorize_dense(k + dk, factor.spec.m, factor.spec.n, "K+dK")
     return perturbed.L - factor.L
 

@@ -376,6 +376,14 @@ class TestOperatorInverseNorm:
             1.0 / (2.0 * l_val), rel=1e-15
         )
 
+    @pytest.mark.parametrize("l_val", [1e-155, 3e-200, 1e155])
+    def test_order_one_at_extreme_scale(self, l_val):
+        # W^-1 is quadratic in L^-1: unscaled, its products overflow to nan
+        # for the two tiny factors and go subnormal for the huge one
+        f = GenCholFactor.from_dense([[l_val]], 1, 0)
+        ev = NormwiseEvaluator(f, np.array([[1.0]]))
+        assert ev.w_inv_norm == 1.0 / (2.0 * l_val) == w_inverse_norm(build_w(f))
+
     def test_identity_with_signature(self):
         f = GenCholFactor.from_dense(np.eye(2), 1, 1)
         fast, oracle = _w_norms(f)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import subprocess
@@ -24,7 +25,14 @@ from genchol.factorization import (
     read_saddle,
     write_saddle,
 )
-from genchol.harness import CampaignError, EnsembleConfig, emit_rows, make_saddle
+from genchol.harness import (
+    SWEEP_DK_FRO,
+    CampaignError,
+    EnsembleConfig,
+    emit_rows,
+    make_saddle,
+    run_gamma_sweep,
+)
 from genchol.oracle import build_w, w_inverse_norm
 
 SADDLE_42 = "1 1\n4 2\n2 -1\n"
@@ -297,6 +305,11 @@ class TestCampaignFlags:
                 eps_synth=1e-6, eps_convention="max-safe",
             ),
         }
+
+    def test_sweep_dk_fro_default_is_the_harness_constant(self):
+        args = cli._build_parser().parse_args(["sweep", "--kind", "remark33"])
+        default = inspect.signature(run_gamma_sweep).parameters["dk_fro"].default
+        assert args.dk_fro == SWEEP_DK_FRO == default == 1e-8
 
     @pytest.mark.parametrize("argv, text", [
         (["verify", "--dk-levels", "1e-4,x"], "1e-4,x"),

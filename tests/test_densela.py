@@ -127,18 +127,18 @@ class TestNormByteContract:
             x = extreme_matrix(rng, rows, cols)
             x[:, rng.integers(cols)] = 0.0
             want = [scalar_loop_norm(x[:, j]) for j in range(cols)]
-            assert densela._column_norms(x).tolist() == want
-            assert densela._column_norms(np.asfortranarray(x)).tolist() == want
-            assert densela._column_norms(np.stack([x, -x])).tolist() == [want, want]
+            assert densela.column_norms(x).tolist() == want
+            assert densela.column_norms(np.asfortranarray(x)).tolist() == want
+            assert densela.column_norms(np.stack([x, -x])).tolist() == [want, want]
 
     def test_zero_columns(self):
-        assert densela._column_norms(np.zeros((4, 3))).tolist() == [0.0, 0.0, 0.0]
-        assert densela._column_norms(np.zeros((0, 2))).tolist() == [0.0, 0.0]
+        assert densela.column_norms(np.zeros((4, 3))).tolist() == [0.0, 0.0, 0.0]
+        assert densela.column_norms(np.zeros((0, 2))).tolist() == [0.0, 0.0]
 
     def test_length_one(self, rng):
         for v in extreme_matrix(rng, 1, 50).ravel():
             assert fro_norm([v]) == scalar_loop_norm([v]) == abs(v)
-            assert densela._column_norms(np.array([[v]])).tolist() == [abs(v)]
+            assert densela.column_norms(np.array([[v]])).tolist() == [abs(v)]
 
     def test_singular_values_are_sorted_column_norms(self, rng):
         # rerun the rotations of singular_values on a stack, each matrix

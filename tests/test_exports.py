@@ -1,15 +1,14 @@
 """Every ``genchol`` module imports in a fresh interpreter, every name it
-exports resolves, and every name it imports is used.
+imports is used, and no module imports another's private name.
 
-A deleted or renamed function that stays in an ``__all__`` list would
-otherwise only fail for the first caller of ``from genchol.<module> import
-*``.  An import that a deletion leaves behind fails nothing at all, so it is
-checked on the source.  The package top level exports nothing: callers
-import the modules.
+A public name is a top-level definition without a leading underscore; there
+are no ``__all__`` lists.  So a name that one module takes from another must
+be public, and an import that a deletion leaves behind, which fails nothing
+at all, is checked on the source.  The package top level exports nothing:
+callers import the modules.
 """
 
 import ast
-import importlib
 import importlib.util
 import pkgutil
 import subprocess
@@ -31,13 +30,6 @@ def test_package_imports_in_a_fresh_interpreter():
     assert res.returncode == 0, res.stderr
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_all_names_resolve(name):
-    module = importlib.import_module(f"genchol.{name}")
-    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
-    assert not missing, f"genchol.{name}.__all__ names missing attributes: {missing}"
-
-
 def _imported_names(tree) -> set[str]:
     """Names bound by the module's top-level imports, ``__future__`` aside."""
     names = set()
@@ -49,18 +41,20 @@ def _imported_names(tree) -> set[str]:
     return names
 
 
-def _all_list(tree) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = _imported_names(tree) - used - _all_list(tree)
+    unused = _imported_names(tree) - used
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_names_from_other_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = sorted(
+        f"{node.module}.{a.name}" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "genchol")
+        for a in node.names if a.name.startswith("_")
+    )
+    assert not private, f"{path.name} imports private names: {private}"

@@ -35,6 +35,7 @@ _C = [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]
 _K = [a + [b[i] for b in _B] for i, a in enumerate(_A)]
 _K += [b + [-c for c in crow] for b, crow in zip(_B, _C)]
 _DK = [[1e-3 * ((i * j) % 3 - 1) for j in range(7)] for i in range(7)]
+_DK_ASYM = [[float((i, j) == (0, 1)) for j in range(7)] for i in range(7)]  # not symmetric
 
 
 def _rows(matrix) -> str:
@@ -47,6 +48,7 @@ INPUTS = {
     # valid, but L21 = 1e200 / 1e-150 overflows
     "k_overflow.txt": "1 1\n1e-300 1e200\n1e200 0\n",
     "dk2.txt": "2 2\n0 0\n0 0\n",
+    "dk_asym43.txt": "7 7\n" + _rows(_DK_ASYM),
 }
 
 COMMANDS = [
@@ -69,6 +71,12 @@ COMMANDS = [
     "bounds k43.txt dk43.txt --dump-w w43.txt --out bounds.json",
     "factor k_overflow.txt l_overflow.txt",
     "bounds k_overflow.txt dk2.txt",
+    # refused inputs: dK of the wrong shape, not symmetric, or checked before
+    # an overflowing K is factored; a sweep row that overflows
+    "bounds k43.txt dk2.txt",
+    "bounds k43.txt dk_asym43.txt",
+    "bounds k_overflow.txt dk43.txt",
+    "sweep --kind remark33 --gammas 1e200,1 --out sweep.csv",
 ]
 
 
