@@ -79,6 +79,19 @@ def _b33_value(linv2: float, kappa: float, dk_fro: float, x: float, offset: floa
     return SQRT2 * linv2 * kappa * dk_fro / (offset + math.sqrt(1.0 - 2.0 * x))
 
 
+def _square_times(a: float, b: float) -> float:
+    """a * a * b, left to right, on the ``frexp`` mantissas, scaled back by
+    ``math.ldexp``: the bits of the plain product wherever that neither
+    overflows nor underflows, the true product where a * a alone would (a
+    huge ||L^-1||_2 against a tiny ||dK||_F), and inf where the true product
+    overflows.  Conditions 3.1, 3.12 and 3.16 read their products from it."""
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    try:
+        return math.ldexp(ma * ma * mb, 2 * ea + eb)
+    except OverflowError:
+        return math.inf
+
+
 def _present_bounds(report, names) -> dict[str, float]:
     """The report's bounds among ``names`` that are not None, by name."""
     values = ((name, getattr(report, name)) for name in names)
@@ -211,12 +224,15 @@ class NormwiseEvaluator:
         G = E_ij + E_ji, so L^-1 G L^-T = u_i u_j^T + u_j u_i^T with u_i
         column i of L^-1, and half that when i == j, where G = E_ii.
         ``oracle.build_w`` followed by ``oracle.w_inverse_norm`` computes the
-        same norm by definition.  W^-1 is quadratic in L^-1, so L^-1 is scaled
-        by an exact power of two to entries below 1, and the norm back by its
-        square: a tiny or huge factor neither overflows nor underflows them.
+        same norm by definition.  W^-1 is quadratic in L^-1 and linear in L,
+        so each is scaled by an exact power of two to entries below 1, and
+        the norm back by 2^(2e + el): a tiny or huge factor neither overflows
+        nor underflows them, and a factor scaled by a power of two gives the
+        same W^-1 to the SVD, so the norm scales exactly.
         """
         e = math.frexp(float(np.abs(self.linv).max()))[1]
-        l, linv = self.l, np.ldexp(self.linv, -e)
+        el = math.frexp(float(np.abs(self.l).max()))[1]
+        l, linv = np.ldexp(self.l, -el), np.ldexp(self.linv, -e)
         p = l.shape[0]
         jj, ii = np.triu_indices(p)  # lower positions (ii, jj) in column-stacked order
         q = ii.size
@@ -232,7 +248,7 @@ class NormwiseEvaluator:
         x = x.reshape(p, q, p).transpose(1, 0, 2) * jvec[None, None, :]
         winv = x[:, ii, jj].T
         try:
-            return float(np.ldexp(np.linalg.svd(winv, compute_uv=False)[0], 2 * e))
+            return float(np.ldexp(np.linalg.svd(winv, compute_uv=False)[0], 2 * e + el))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"SVD of W^-1 failed: {exc}") from exc
 
@@ -252,9 +268,9 @@ class NormwiseEvaluator:
 
     def _report(self, dk_fro: float, actual_dl, actual_2: float | None) -> NormwiseBoundReport:
         near = []
-        x = self.linv2 * self.linv2 * dk_fro
+        x = _square_times(self.linv2, dk_fro)
         cond31 = x < 0.5
-        x_f = self.linv_f * self.linv_f * dk_fro
+        x_f = _square_times(self.linv_f, dk_fro)
         cond312 = x_f < 0.5
 
         b311 = self.linv2 * self.kappa_min * dk_fro
@@ -278,7 +294,7 @@ class NormwiseEvaluator:
         cond316: bool | None = None
         b315 = None
         if self.w_inv_norm is not None:
-            cond316 = self.w_inv_norm * self.w_inv_norm * dk_fro < 0.25
+            cond316 = _square_times(self.w_inv_norm, dk_fro) < 0.25
             if cond316:
                 b315 = 2.0 * self.w_inv_norm * dk_fro
 

@@ -3,11 +3,15 @@
 The hand-written kernels stay because output bytes depend on them: matmul and
 the Euclidean norm accumulate strictly left to right, so repeated runs give
 identical bits, and the one-sided Jacobi SVD's one sweep loop rotates a whole
-stack, each round in one set of numpy calls, columns stored as contiguous
-rows, with the bits of each matrix alone: each inner product is the same
+stack with the bits of each matrix alone: each inner product is the same
 contiguous reduction, every other step is elementwise, and a matrix a sweep
-leaves unrotated stays unrotated.  Symmetric eigenvalues, for the yes/no PSD
-test only, come from LAPACK; the only inverse is the triangular one.
+leaves unrotated stays unrotated.  Its columns are stored as contiguous rows,
+kept in each round's slot order (the round's first columns, then their
+partners, then the bye of an odd order), so a round reads its pairs as two
+slices, takes all their squared norms in one reduction, writes a full round
+back by slice assignment, and moves to the next round's order by one gather.
+Symmetric eigenvalues, for the yes/no PSD test only, come from LAPACK; the
+only inverse is the triangular one.
 """
 
 from __future__ import annotations
@@ -102,19 +106,44 @@ def _pair_schedule(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(schedule)
 
 
+@functools.lru_cache(maxsize=32)
+def _slot_schedule(n: int) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """``_pair_schedule(n)`` in slot order, built once per order: round r
+    keeps its first columns in slots [0, h), its second ones in [h, 2h) and
+    the bye of an odd order last.  Returns the last round's column order,
+    then per round h and the gather that takes the stack into that round's
+    slot order from the one before (round 0's from the last round's)."""
+    schedule = _pair_schedule(n)
+    orders = [np.concatenate([ii, jj, np.setdiff1d(np.arange(n), np.union1d(ii, jj))])
+              for ii, jj in schedule]
+    steps = [np.argsort(prev)[cur] for prev, cur in zip(orders[-1:] + orders[:-1], orders)]
+    for arr in orders[-1:] + steps:
+        arr.setflags(write=False)
+    return orders[-1], tuple((ii.size, step) for (ii, _), step in zip(schedule, steps))
+
+
 @np.errstate(over="raise")  # only tau * tau can overflow; caught there
 def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> bool:
     """Rotate column pairs of each matrix of a stack in place; row j of member
-    k of the contiguous (b, c, r) ``a`` is column j of matrix k.  True after
-    the first sweep that rotates nothing, False if ``max_sweeps`` were not
-    enough.  A matrix that one sweep leaves unrotated is left so by all later
-    ones: they see the same inner products."""
+    k of the contiguous (b, c, r) ``a`` is column j of matrix k, and
+    ``index_pairs`` is ``_pair_schedule(c)``.  Each round first gathers a
+    working copy into its slot order (``_slot_schedule``), so its pairs are
+    the views ``ai`` and ``aj`` and a full round writes back by slices; ``a``
+    gets the columns back in their own order.  True after the first sweep
+    that rotates nothing, False if ``max_sweeps`` were not enough.  A matrix
+    that one sweep leaves unrotated is left so by all later ones: they see
+    the same inner products."""
+    if not index_pairs:
+        return True
+    last, rounds = _slot_schedule(a.shape[1])
+    s, rotated = a[:, last], True
     for _ in range(max_sweeps):
         rotated = False
-        for ii0, jj0 in index_pairs:
-            ai, aj = a[:, ii0], a[:, jj0]
-            app = np.einsum("kpr,kpr->kp", ai, ai)
-            aqq = np.einsum("kpr,kpr->kp", aj, aj)
+        for h, step in rounds:
+            s = s.take(step, axis=1)
+            ai, aj = s[:, :h], s[:, h : 2 * h]
+            norms = np.einsum("kpr,kpr->kp", s[:, : 2 * h], s[:, : 2 * h])
+            app, aqq = norms[:, :h], norms[:, h:]
             apq = np.einsum("kpr,kpr->kp", ai, aj)
             need = apq * apq > tol2 * app * aqq
             count = np.count_nonzero(need)
@@ -122,12 +151,12 @@ def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> 
                 continue
             rotated = True
             if count == need.size:
-                kk, ii, jj = slice(None), ii0, jj0
+                kk, pi, pj = slice(None), slice(0, h), slice(h, 2 * h)
             else:
-                kk, pp = np.nonzero(need)
-                ii, jj = ii0[pp], jj0[pp]
-                ai, aj = ai[kk, pp], aj[kk, pp]
-                app, aqq, apq = app[kk, pp], aqq[kk, pp], apq[kk, pp]
+                kk, pi = np.nonzero(need)
+                pj = pi + h
+                ai, aj = ai[kk, pi], aj[kk, pi]
+                app, aqq, apq = app[kk, pi], aqq[kk, pi], apq[kk, pi]
             tau = (aqq - app) / (2.0 * apq)
             try:
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
@@ -139,12 +168,13 @@ def _jacobi_sweeps(a: np.ndarray, index_pairs, tol2: float, max_sweeps: int) -> 
                 np.copyto(root, np.abs(tau), where=np.isinf(root))
                 t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
             c = 1.0 / np.sqrt(1.0 + t * t)
-            c, s = c[..., None], (t * c)[..., None]
-            a[kk, ii] = c * ai - s * aj
-            a[kk, jj] = s * ai + c * aj
+            c, sn = c[..., None], (t * c)[..., None]
+            # both blocks before either is written: ai and aj may be views of s
+            s[kk, pi], s[kk, pj] = c * ai - sn * aj, sn * ai + c * aj
         if not rotated:
-            return True
-    return False
+            break
+    a[:, last] = s
+    return not rotated
 
 
 def singular_values(x) -> np.ndarray:

@@ -146,6 +146,9 @@ def compensated_residual(factor: GenCholFactor, s: SaddleMatrix) -> np.ndarray:
 
     The result is the backward error of the factor, accurate to second order
     in the unit roundoff, and exactly zero when all products are representable.
+    The p column outer products are split into (product, error) pairs in one
+    call on a (p, p, p) stack; their sums run in column order, which sets the
+    bits.
     """
     if factor.spec != s.spec:
         raise ShapeError("factor and matrix have different block specs")
@@ -154,10 +157,9 @@ def compensated_residual(factor: GenCholFactor, s: SaddleMatrix) -> np.ndarray:
     p = factor.p
     acc = np.zeros((p, p))
     comp = np.zeros((p, p))
-    for idx in range(p):
-        u = l[:, idx] * jvec[idx]  # exact: signs only
-        v = l[:, idx]
-        prod, perr = _two_prod(u[:, None], v[None, :])
+    # member idx is column idx's outer product: L e_idx times its sign (exact), by L e_idx
+    prods, perrs = _two_prod((l * jvec).T[:, :, None], l.T[:, None, :])
+    for prod, perr in zip(prods, perrs):
         acc, serr = _two_sum(acc, prod)
         comp += perr + serr
     acc, serr = _two_sum(acc, -s.K)

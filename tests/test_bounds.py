@@ -18,6 +18,7 @@ from genchol.densela import (
 from genchol.bounds import (
     NormwiseEvaluator,
     SQRT2,
+    _square_times,
     build_componentwise_report,
     eps_componentwise,
     report_to_json,
@@ -138,6 +139,29 @@ class TestCondition31:
         threshold = 0.5 / linv2**2
         assert normwise(l, threshold * 0.999).cond_3_1_ok is True
         assert normwise(l, threshold * 1.001).cond_3_1_ok is False
+
+
+class TestSquareTimes:
+    def test_plain_product_bits_in_range(self, rng):
+        for a, b in zip(10.0 ** rng.uniform(-100, 100, 500), 10.0 ** rng.uniform(-100, 100, 500)):
+            assert _square_times(float(a), float(b)) == float(a) * float(a) * float(b)
+
+    def test_true_product_where_the_square_overflows(self):
+        assert _square_times(1e155, 1e-320) == pytest.approx(1e-10, rel=1e-12)
+        assert _square_times(1e-170, 1e300) == pytest.approx(1e-40, rel=1e-15)
+
+    def test_inf_where_the_true_product_overflows(self):
+        assert _square_times(1e200, 1e10) == math.inf
+        assert _square_times(0.0, 1e300) == 0.0
+
+    def test_conditions_hold_at_a_tiny_factor(self):
+        # L = [[1e-155]]: ||L^-1||_2^2 = 1e310 overflows, and every condition
+        # read it as false, though ||L^-1||_2^2 ||dK||_F is 1e-10
+        rep = normwise([[1e-155]], 1e-320)
+        assert rep.cond_3_1_ok and rep.cond_3_12_ok and rep.cond_3_16_ok
+        assert rep.cond_3_18_strength_ok
+        assert set(rep.rigorous_bounds()) == {
+            "b_3_3", "b_3_4", "b_3_12", "b_3_13", "b_3_14", "b_3_15", "b_3_17"}
 
 
 class TestBound33:

@@ -489,3 +489,91 @@ class TestMatrixText:
 
         with pytest.raises(ParseError):
             parse_matrix("1 2\n1.0\n")
+
+
+def pinned_stacks():
+    """Fixed stacks whose singular values are pinned bit for bit below: a wide
+    matrix, a graded stack of condition about 1e8, a (7, 12, 12) stack,
+    columns of equal norm (tau = 0 in every first rotation) and a
+    singular-value ratio of 1e-145, where tau * tau overflows."""
+    rng = np.random.default_rng(20261019)
+    wide = rng.standard_normal((1, 3, 4))
+    graded = rng.standard_normal((5, 7, 7)) * np.ldexp(1.0, [0, -4, -9, -13, -18, -22, -27])
+    big = rng.standard_normal((7, 12, 12))
+    circulant = np.array([np.roll(np.arange(1.0, 6.0), j) for j in range(5)]).T
+    tau = np.array([[[1.0, 1e-156], [0.0, 1e-145]], [[2.0, 1.0], [1.0, 3.0]]])
+    return {"wide": wide, "graded": graded, "big": big,
+            "equal": np.stack([circulant, circulant[::-1]]), "tau": tau}
+
+
+# float.hex of each member's singular values, as the Jacobi gave them before
+# its rounds moved to slot order; a kernel meant to move bits regenerates them
+PINNED_SINGULAR_VALUES = {
+    "wide": [
+        ["0x1.0a43cea2b52d3p+1", "0x1.8bb34026a61d0p+0", "0x1.36536ecf50f07p-2"],
+    ],
+    "graded": [
+        ["0x1.bb187d123355ap+0", "0x1.a4253058174d2p-3", "0x1.9fb70a0bb9d3ap-9",
+         "0x1.6181b87c0200dp-12", "0x1.da28cef6926ffp-20", "0x1.8c12300cab81bp-22",
+         "0x1.7ba07a9940cf3p-27"],
+        ["0x1.4a59388b66556p+1", "0x1.3dbfe5470ceeap-3", "0x1.3a38ad0ffb6ebp-8",
+         "0x1.a7ae554532cb8p-13", "0x1.07b16b81a8139p-18", "0x1.42eb12cc000d3p-23",
+         "0x1.afae2aaa91a3cp-27"],
+        ["0x1.70bb4371af827p+1", "0x1.5178e12988e60p-3", "0x1.300148c1c8a0dp-8",
+         "0x1.0e0115e0475bfp-13", "0x1.1628d507ccd9dp-17", "0x1.a802edbedb334p-22",
+         "0x1.38d3c0355cdc9p-27"],
+        ["0x1.22dcc0a03e2a0p+1", "0x1.d1d0400d4e783p-4", "0x1.1ae1e3f84c698p-9",
+         "0x1.49e896af42f22p-12", "0x1.2df8a276b5b0dp-18", "0x1.c793aca3b595ep-23",
+         "0x1.00d9109c28ea6p-27"],
+        ["0x1.9c854fe46baddp+0", "0x1.6f31798449d0bp-4", "0x1.b5af879d112b6p-8",
+         "0x1.58321fbe56484p-13", "0x1.54b891e14153ep-19", "0x1.209e2737ae034p-21",
+         "0x1.65f1f5c7b9282p-27"],
+    ],
+    "big": [
+        ["0x1.72bfab4e08436p+2", "0x1.6f1efeb77629ap+2", "0x1.2b5ad5d3fd74dp+2",
+         "0x1.0a05f07b569fdp+2", "0x1.ed0eb4349233ep+1", "0x1.bc3985a072913p+1",
+         "0x1.64b3a3d0e24ddp+1", "0x1.35b535df0d70bp+1", "0x1.4c6509a66a66bp+0",
+         "0x1.5f999a18d61f4p-1", "0x1.31e701821c8b3p-1", "0x1.4efca49137d25p-5"],
+        ["0x1.ad3649497da9cp+2", "0x1.6d29bde0dad0dp+2", "0x1.551ce1786642fp+2",
+         "0x1.fb957e4ce9f20p+1", "0x1.e62af13e08cc0p+1", "0x1.ccf92cd154269p+1",
+         "0x1.6a31ce942a24dp+1", "0x1.d9a93d8378945p+0", "0x1.8d9a2019c05f5p+0",
+         "0x1.18ad590600c0bp+0", "0x1.a52c0530acd17p-2", "0x1.438bb158e2a6dp-3"],
+        ["0x1.8148da15e371cp+2", "0x1.58b1fe786b32dp+2", "0x1.370d75a8d92d9p+2",
+         "0x1.1cf46c3ffa7f8p+2", "0x1.b4db81961a0ebp+1", "0x1.58031116e2bf8p+1",
+         "0x1.0832d5c4f37f6p+1", "0x1.f00bf51a79ad4p+0", "0x1.2119ee992648fp+0",
+         "0x1.9876be7c69b16p-1", "0x1.c660281f68b9bp-2", "0x1.48ac163ea5e0dp-2"],
+        ["0x1.78bf2d9997de0p+2", "0x1.5adc4937ace78p+2", "0x1.557d02cb999ecp+2",
+         "0x1.1089319a0b4d3p+2", "0x1.a7b8288c2c48ap+1", "0x1.798534f759459p+1",
+         "0x1.5a6de270c80f3p+1", "0x1.0f943df0d920cp+1", "0x1.deb904ef432dep+0",
+         "0x1.a3f7e11a18ec8p+0", "0x1.862dc045cf820p-1", "0x1.91ee43ad2f48ep-2"],
+        ["0x1.7dec3ac7eb758p+2", "0x1.4ddddc7ecd649p+2", "0x1.0debf4abd112ap+2",
+         "0x1.0bbcd26d9cc68p+2", "0x1.dc841d5049f13p+1", "0x1.693efea998f10p+1",
+         "0x1.2e113ed31cc06p+1", "0x1.2144bddc2df73p+1", "0x1.949dc05024d91p+0",
+         "0x1.f959ee47a8380p-1", "0x1.89d11530d02a1p-1", "0x1.0daf508133ee4p-6"],
+        ["0x1.78ce9c2eeaa8ep+2", "0x1.69a8bad2faa30p+2", "0x1.35a06f9b5854cp+2",
+         "0x1.0259e6c640707p+2", "0x1.de1ec5f9b9b92p+1", "0x1.bf1bffbb990a1p+1",
+         "0x1.6981a51b3773fp+1", "0x1.0cae48f504961p+1", "0x1.d072be73b7468p+0",
+         "0x1.32160653c5195p+0", "0x1.0cbbdba8e8086p-1", "0x1.6dfb6b7d6d626p-5"],
+        ["0x1.842ee73a89fddp+2", "0x1.3cde30e9f0e70p+2", "0x1.14ecd88b11b2dp+2",
+         "0x1.0099a19ec989dp+2", "0x1.eb2a9454e084cp+1", "0x1.7d5b619c6d04fp+1",
+         "0x1.fafde3fe1a362p+0", "0x1.cfd3e77325c68p+0", "0x1.2d7e340198e63p+0",
+         "0x1.b3282d6a3b9dap-1", "0x1.ccb2d2f797ddap-2", "0x1.5b7d83622bc8cp-7"],
+    ],
+    "equal": [
+        ["0x1.dffffffffffffp+3", "0x1.10355070bc26ep+2", "0x1.10355070bc26ep+2",
+         "0x1.5077c9109a7d0p+1", "0x1.5077c9109a7cfp+1"],
+        ["0x1.dffffffffffffp+3", "0x1.10355070bc26fp+2", "0x1.10355070bc26ep+2",
+         "0x1.5077c9109a7d0p+1", "0x1.5077c9109a7d0p+1"],
+    ],
+    "tau": [
+        ["0x1.0000000000000p+0", "0x1.3faac3e3fa1f3p-482"],
+        ["0x1.cf1bbcdcbfa53p+1", "0x1.61c8864680b58p+0"],
+    ],
+}
+
+
+class TestJacobiBitPins:
+    @pytest.mark.parametrize("name", sorted(PINNED_SINGULAR_VALUES))
+    def test_singular_values_keep_their_bits(self, name):
+        got = singular_values(pinned_stacks()[name])
+        assert [[float(v).hex() for v in row] for row in got] == PINNED_SINGULAR_VALUES[name]

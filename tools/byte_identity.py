@@ -49,6 +49,9 @@ INPUTS = {
     "k_overflow.txt": "1 1\n1e-300 1e200\n1e200 0\n",
     "dk2.txt": "2 2\n0 0\n0 0\n",
     "dk_asym43.txt": "7 7\n" + _rows(_DK_ASYM),
+    # L = [[1e-155]]: ||L^-1||_2^2 overflows, but its product with ||dK||_F is 1e-10
+    "k_tiny.txt": "1 0\n1e-310\n",
+    "dk_tiny.txt": "1 1\n1e-320\n",
 }
 
 COMMANDS = [
@@ -71,6 +74,7 @@ COMMANDS = [
     "bounds k43.txt dk43.txt --dump-w w43.txt --out bounds.json",
     "factor k_overflow.txt l_overflow.txt",
     "bounds k_overflow.txt dk2.txt",
+    "bounds k_tiny.txt dk_tiny.txt",
     # refused inputs: dK of the wrong shape, not symmetric, or checked before
     # an overflowing K is factored; a sweep row that overflows
     "bounds k43.txt dk2.txt",
@@ -80,10 +84,11 @@ COMMANDS = [
 ]
 
 
-def export_src(rev: str, dest: Path) -> Path:
-    """``src/`` as of ``rev``, unpacked under ``dest``."""
+def export_src(rev: str, dest: Path, paths=("src",)) -> Path:
+    """``src/`` (or the given paths, all files if none) as of ``rev``,
+    unpacked under ``dest``."""
     tar = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, *paths],
         check=True, capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
