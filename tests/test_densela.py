@@ -506,8 +506,9 @@ def pinned_stacks():
             "equal": np.stack([circulant, circulant[::-1]]), "tau": tau}
 
 
-# float.hex of each member's singular values, as the Jacobi gave them before
-# its rounds moved to slot order; a kernel meant to move bits regenerates them
+# float.hex of each member's singular values: the Jacobi's bits, which a
+# kernel change that keeps them must reproduce (one meant to move them
+# regenerates these)
 PINNED_SINGULAR_VALUES = {
     "wide": [
         ["0x1.0a43cea2b52d3p+1", "0x1.8bb34026a61d0p+0", "0x1.36536ecf50f07p-2"],

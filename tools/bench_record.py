@@ -1,8 +1,8 @@
 """Record one point of the BENCH trajectory as ``BENCH_<pr>.json``.
 
-    python tools/bench_record.py --pr 21                  # the working tree
-    python tools/bench_record.py --pr 20 --rev 993dc8f    # a git revision
-    python tools/bench_record.py --quick --pr 0 --out /tmp/bench.json
+    python tools/bench_record.py --pr N                # the working tree
+    python tools/bench_record.py --pr N --rev REV      # a git revision
+    python tools/bench_record.py --quick --pr 0 --out bench.json
 
 Measures one source tree on this machine: the working tree, or the files of
 REV exported with ``git archive`` (no worktree, so ``.git`` is not touched).
