@@ -16,9 +16,10 @@ loses (the identity candidate gives L's own norms); the componentwise report
 inverts L~ once and has one Bauer-Skeel number for L~ and L~^-T, since
 |L~^T||L~^-T| is the transpose of |L~^-1||L~|; and the normwise report
 carries inequality (3.8) and the 3.18 strength test.  Spectral norms come
-from stacked Jacobi calls, with the bits of separate calls: one for an
-evaluator, one for a componentwise report and its measured dL, and one for
-the measured dLs of all the levels ``NormwiseEvaluator.reports`` is given.
+from stacked calls, with the bits of separate calls: two Jacobi calls
+(``spectral_norm``), one for an evaluator and one for the measured dLs of
+all the levels ``NormwiseEvaluator.reports`` is given, and one LAPACK call
+(``lapack_spectral_norm``) for a componentwise report and its measured dL.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .densela import (
     column_norms,
     fro_norm,
     gamma_k,
+    lapack_spectral_norm,
     lower_tri_inverse,
     matmul,
     require_lower_triangular,
@@ -369,7 +371,7 @@ def build_componentwise_report(
     # member is the measured dL if there is one; the first minimum wins
     cands = scaling_candidates(lt, babs)
     mats = [m for _, d in cands for m in (lt * (1.0 / d)[None, :], babs * d[:, None])]
-    sig = spectral_norm(np.stack(mats if actual_dl is None else mats + [actual_dl]))
+    sig = lapack_spectral_norm(np.stack(mats if actual_dl is None else mats + [actual_dl]))
     actual_f = actual_2 = None
     if actual_dl is not None:
         actual_f, actual_2 = fro_norm(actual_dl), sig.pop()

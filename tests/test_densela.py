@@ -15,6 +15,7 @@ from genchol.densela import (
     fro_norm,
     gamma_k,
     is_psd,
+    lapack_spectral_norm,
     lower_tri_inverse,
     matmul,
     parse_matrix,
@@ -225,15 +226,16 @@ class TestSingularValues:
 
 
 def assert_stack_is_its_members(stack):
-    """A stack's singular values and spectral norms are, bit for bit, those
-    of its members taken one at a time."""
+    """A stack's singular values and spectral norms, from the Jacobi and from
+    LAPACK, are bit for bit those of its members taken one at a time."""
     stack = np.asarray(stack, dtype=np.float64)
     got = singular_values(stack)
     assert got.shape == (stack.shape[0], min(stack.shape[1:]))
     assert got.tolist() == [singular_values(x).tolist() for x in stack]
-    norms = spectral_norm(stack)
-    assert norms == [spectral_norm(x) for x in stack]
-    assert all(type(v) is float for v in norms)
+    for norm in (spectral_norm, lapack_spectral_norm):
+        norms = norm(stack)
+        assert norms == [norm(x) for x in stack]
+        assert all(type(v) is float for v in norms)
 
 
 class TestStackedSingularValues:
@@ -241,7 +243,7 @@ class TestStackedSingularValues:
         stack = rng.standard_normal((3, 4, 4))
         stack[1] = 0.0
         assert_stack_is_its_members(stack)
-        assert spectral_norm(stack)[1] == 0.0
+        assert spectral_norm(stack)[1] == lapack_spectral_norm(stack)[1] == 0.0
 
     def test_tau_overflow_member_among_ordinary_ones(self, rng):
         tiny = np.array([[1.0, 1e-156], [0.0, 1e-145]])
@@ -264,6 +266,8 @@ class TestStackedSingularValues:
     def test_empty(self, shape, values):
         assert singular_values(np.zeros(shape)).shape == values
         assert spectral_norm(np.zeros(shape)) == [0.0] * shape[0]
+        assert lapack_spectral_norm(np.zeros(shape)) == [0.0] * shape[0]
+        assert lapack_spectral_norm(np.zeros(shape[1:])) == 0.0
 
     def test_column_scales_property(self, rng):
         # members of one stack converge after different numbers of sweeps
@@ -293,10 +297,48 @@ class TestStackedSingularValues:
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 3)])
     def test_other_ranks_are_shape_errors(self, shape):
-        with pytest.raises(ShapeError):
-            singular_values(np.ones(shape))
-        with pytest.raises(ShapeError):
-            spectral_norm(np.ones(shape))
+        for kernel in (singular_values, spectral_norm, lapack_spectral_norm):
+            with pytest.raises(ShapeError):
+                kernel(np.ones(shape))
+
+
+class TestLapackSpectralNorm:
+    """The LAPACK kernel: ``spectral_norm``'s contract, its value to rounding."""
+
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 5), (3, 8)])
+    def test_agrees_with_the_jacobi(self, rng, shape):
+        for _ in range(10):
+            x = rng.standard_normal(shape)
+            assert lapack_spectral_norm(x) == pytest.approx(spectral_norm(x), rel=1e-13)
+
+    def test_members_near_overflow_and_underflow(self, rng):
+        # each member is scaled by its largest magnitude before LAPACK sees it
+        x = rng.standard_normal((3, 5, 5))
+        scales = np.array([1e300, 1e-300, 1.0])[:, None, None]
+        stack = x * scales
+        assert_stack_is_its_members(stack)
+        assert lapack_spectral_norm(stack) == pytest.approx(
+            [s * v for s, v in zip(scales.ravel(), lapack_spectral_norm(x))], rel=1e-13)
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        x = rng.standard_normal((3, 6, 4))
+        for k in (-1000, -3, 5, 1000):
+            assert lapack_spectral_norm(np.ldexp(x, k)) == [
+                math.ldexp(v, k) for v in lapack_spectral_norm(x)]
+
+    def test_lapack_failure_exits_5_without_output(self, monkeypatch, capsys, tmp_path):
+        # the draw's ||L21||_2 is a componentwise trial's first SVD
+        from genchol import cli
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        out = tmp_path / "b.csv"
+        assert cli.main(["backward", "--trials", "1", "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            "genchol: numerical kernel failure: LAPACK SVD failed: SVD did not converge\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLowerTriInverse:

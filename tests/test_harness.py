@@ -33,20 +33,22 @@ from genchol.harness import (
 
 @pytest.fixture
 def sv_calls(monkeypatch):
-    """The shapes passed to ``singular_values``, in call order, from every
-    module that binds it."""
+    """The SVD kernel and shape of each call of the Jacobi
+    (``singular_values``) or of ``lapack_spectral_norm``, in call order, from
+    every module that binds either."""
     from genchol import bounds, densela, factorization, harness, oracle
 
-    original = densela.singular_values
     calls = []
+    for name, kernel in (("singular_values", "jacobi"), ("lapack_spectral_norm", "lapack")):
+        original = getattr(densela, name)
 
-    def counting(x):
-        calls.append(np.shape(x))
-        return original(x)
+        def counting(x, original=original, kernel=kernel):
+            calls.append((kernel, np.shape(x)))
+            return original(x)
 
-    for module in (densela, bounds, factorization, harness, oracle):
-        if getattr(module, "singular_values", None) is original:
-            monkeypatch.setattr(module, "singular_values", counting)
+        for module in (densela, bounds, factorization, harness, oracle):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -265,15 +267,16 @@ class TestNormwiseCampaign:
     def test_singular_value_calls_per_trial(self, sv_calls):
         # one-trial campaigns at the default four levels; the rank check of B
         # goes to LAPACK, so only SVDs whose values are reported remain.  A
-        # normwise trial takes ||L21||_2 of the draw, ||K||_2 and both norms of
-        # each of its two candidates in one stack, and the four levels'
-        # ||dL||_2 in one more; a componentwise trial takes ||L21||_2, and both
-        # norms of its three candidates with ||dL||_2 last in one stack
+        # normwise trial takes ||L21||_2 of the draw from LAPACK, then from the
+        # Jacobi ||K||_2 and both norms of each of its two candidates in one
+        # stack, and the four levels' ||dL||_2 in one more; a componentwise
+        # trial takes ||L21||_2, and both norms of its three candidates with
+        # ||dL||_2 last in one stack, all from LAPACK
         run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
-        assert sv_calls == [(3, 4), (5, 7, 7), (4, 7, 7)]
+        assert sv_calls == [("lapack", (3, 4)), ("jacobi", (5, 7, 7)), ("jacobi", (4, 7, 7))]
         sv_calls.clear()
         run_componentwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
-        assert sv_calls == [(3, 4), (7, 7, 7)]
+        assert sv_calls == [("lapack", (3, 4)), ("lapack", (7, 7, 7))]
 
     def test_perturbed_breakdown_is_not_redrawn(self, monkeypatch):
         # condition 3.1 says K + dK factors; a breakdown there is an error,
@@ -357,8 +360,9 @@ class TestComponentwiseCampaign:
         records = run_componentwise_campaign(
             EnsembleConfig(m=2, n=2, trials=3, seed=3, eps_synth=0.3))
         assert 0 < sum(r.breakdown for r in records) < len(records)
-        stacks = [shape[0] for shape in sv_calls if len(shape) == 3]
+        stacks = [shape[0] for kernel, shape in sv_calls if len(shape) == 3]
         assert stacks == [6 if r.breakdown else 7 for r in records]
+        assert {kernel for kernel, _ in sv_calls} == {"lapack"}
 
 
 class TestTrialRecords:

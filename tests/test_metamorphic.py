@@ -9,8 +9,14 @@ coefficient of the normwise report scales by exactly ``2^k``, ``dk_fro`` by
 The componentwise report obeys the same relation under ``L~ -> 2^k L~``, its
 ``eps`` and Bauer-Skeel number unchanged.  A zero ``dK`` gives a measured dL
 of exactly zero (not in the componentwise protocol: it refactors the rounded
-``L~ J L~^T``, whose rounding is a perturbation of its own).  These relations need neither a reference nor a tolerance,
-so they hold whatever the numpy or LAPACK build.
+``L~ J L~^T``, whose rounding is a perturbation of its own).  A sign
+similarity ``S = diag(+-1)`` takes L~ to ``S L~ S`` and dL to ``S dL S``, and
+leaves the componentwise report equal field for field: LAPACK's SVD and every
+other step are blind to the signs.  (The normwise report's spectral norms
+still come from the Jacobi, which breaks ties between columns of equal norm
+by sign, so its sign relation waits for LAPACK there too.)  These relations
+need neither a reference nor a tolerance, so they hold whatever the numpy or
+LAPACK build.
 """
 
 import math
@@ -84,7 +90,7 @@ def normwise_report(k_mat, dk, m: int, n: int):
 def componentwise_report(l, m: int, n: int, eps: float, sym):
     """The componentwise campaign's report on factor ``l`` (without a measured
     dL if the perturbed matrix breaks down), its dK, ``sym`` times
-    eps |L~||L~^T|, and |L~||L~^T|; dL refactors L~ J L~^T - dK."""
+    eps |L~||L~^T|, |L~||L~^T|, and dL, which refactors L~ J L~^T - dK."""
     lt = GenCholFactor.from_dense(l, m, n)
     env = matmul(np.abs(l), np.abs(l).T)
     dk = sym * (eps * env)
@@ -92,7 +98,20 @@ def componentwise_report(l, m: int, n: int, eps: float, sym):
         dl = actual_delta_l(lt, reconstruct(lt), -dk)
     except FactorizationError:
         dl = None
-    return build_componentwise_report(l, eps, actual_dl=dl), dk, env
+    return build_componentwise_report(l, eps, actual_dl=dl), dk, env, dl
+
+
+def componentwise_draw(saddle, eps: float):
+    """A drawn factor and the componentwise report on it, with its dK, its
+    |L~||L~^T| and its measured dL."""
+    m, n, cond, rng = saddle
+    l = factorize(make_saddle(m, n, cond, rng)[0]).L
+    u = rng.uniform(-1.0, 1.0, (m + n, m + n))
+    sym = np.tril(u) + np.tril(u, -1).T
+    return l, sym, *componentwise_report(l, m, n, eps, sym)
+
+
+epsilons = st.sampled_from([1e-12, 1e-8, 1e-6, 1e-3])
 
 
 class TestScaleRelation:
@@ -108,16 +127,28 @@ class TestScaleRelation:
         assert_scaled(report, scaled, k, {"dk_fro": 2, "linv_2": -1})
 
     @settings(max_examples=60, derandomize=True)
-    @given(saddle=saddles, eps=st.sampled_from([1e-12, 1e-8, 1e-6, 1e-3]), data=st.data())
+    @given(saddle=saddles, eps=epsilons, data=st.data())
     def test_componentwise_report_scales_by_powers_of_two(self, saddle, eps, data):
-        m, n, cond, rng = saddle
-        l = factorize(make_saddle(m, n, cond, rng)[0]).L
-        u = rng.uniform(-1.0, 1.0, (m + n, m + n))
-        sym = np.tril(u) + np.tril(u, -1).T
-        report, dk, env = componentwise_report(l, m, n, eps, sym)
+        m, n = saddle[:2]
+        l, sym, report, dk, env, _ = componentwise_draw(saddle, eps)
         k = scales(data, [l, env, dk], [1, 2, 2])
         scaled = componentwise_report(np.ldexp(l, k), m, n, eps, sym)[0]
         assert_scaled(report, scaled, k, {"eps": 0, "cond_bs_L": 0})
+
+
+class TestSignRelation:
+    @settings(max_examples=150, derandomize=True)
+    @given(saddle=saddles, eps=epsilons, data=st.data())
+    def test_componentwise_report_ignores_sign_similarity(self, saddle, eps, data):
+        l, _, report, _, _, dl = componentwise_draw(saddle, eps)
+        p = l.shape[0]
+        signs = np.array(data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=p,
+                                            max_size=p), label="signs"))
+        flip = signs[:, None] * signs[None, :]
+        flipped = build_componentwise_report(
+            flip * l, eps, actual_dl=None if dl is None else flip * dl)
+        for f in fields(report):
+            assert getattr(flipped, f.name) == getattr(report, f.name), f.name
 
 
 class TestZeroRelation:

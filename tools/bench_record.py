@@ -21,8 +21,10 @@ BLAS runs on one thread.  The JSON object holds:
   layer on fixed draws: ``factorize``, the ``NormwiseEvaluator`` set-up,
   ``reports`` per level, ``build_w`` + ``w_inverse_norm``, the componentwise
   report and ``compensated_residual``;
-- ``kernels``: the median ms of ``singular_values`` (one matrix and a stack
-  of 7), ``sym_eigenvalues`` and ``lower_tri_solve`` at p = 7 and p = 28.
+- ``kernels``: the median ms of ``singular_values`` and of
+  ``lapack_spectral_norm`` (one matrix and a stack of 7 each; the second
+  only in trees that have it), ``sym_eigenvalues`` and ``lower_tri_solve``
+  at p = 7 and p = 28.
 
 Each layer and kernel entry also holds ``ref_ms``, the median time of a fixed
 numpy loop timed in turn with it: ``ms / ref_ms`` compares across a slow
@@ -57,7 +59,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider"]
 LAYER_SHAPES = ((4, 3, 1e8), (6, 6, 1e3))  # (m, n, cond): the benchmark's verify-small, backward-mid
 KERNEL_ORDERS = (7, 28)
-STACK = 7  # members of the stacked singular_values call
+STACK = 7  # members of the stacked SVD calls
 SCHEMA = {
     "pr": int, "quick": bool, "machine": dict, "git": dict, "tier1": (dict, type(None)),
     "perfbench": (dict, type(None)), "experiments": (list, type(None)),
@@ -159,6 +161,12 @@ def kernels(quick: bool) -> list[dict]:
         calls = {
             "singular_values": lambda: densela.singular_values(x[0]),
             f"singular_values_stack{STACK}": lambda: densela.singular_values(x),
+        }
+        lapack = getattr(densela, "lapack_spectral_norm", None)  # not in older trees
+        if lapack is not None:
+            calls["lapack_spectral_norm"] = lambda: lapack(x[0])
+            calls[f"lapack_spectral_norm_stack{STACK}"] = lambda: lapack(x)
+        calls |= {
             "sym_eigenvalues": lambda: densela.sym_eigenvalues(sym),
             "lower_tri_solve": lambda: densela.lower_tri_solve(l, x[2]),
         }
