@@ -16,10 +16,9 @@ loses (the identity candidate gives L's own norms); the componentwise report
 inverts L~ once and has one Bauer-Skeel number for L~ and L~^-T, since
 |L~^T||L~^-T| is the transpose of |L~^-1||L~|; and the normwise report
 carries inequality (3.8) and the 3.18 strength test.  Spectral norms come
-from stacked calls, with the bits of separate calls: two Jacobi calls
-(``spectral_norm``), one for an evaluator and one for the measured dLs of
-all the levels ``NormwiseEvaluator.reports`` is given, and one LAPACK call
-(``lapack_spectral_norm``) for a componentwise report and its measured dL.
+from stacked calls, with the bits of separate calls: one for an evaluator,
+one for the measured dLs of all the levels ``NormwiseEvaluator.reports`` is
+given, and one for a componentwise report and its measured dL.
 """
 
 from __future__ import annotations
@@ -34,10 +33,10 @@ from .densela import (
     column_norms,
     fro_norm,
     gamma_k,
-    lapack_spectral_norm,
     lower_tri_inverse,
     matmul,
     require_lower_triangular,
+    singular_values,
     spectral_norm,
     format_json_object,
 )
@@ -204,7 +203,7 @@ class NormwiseEvaluator:
         # one stack: ||K||_2, then per candidate D ||L D^-1||_2 and ||D L^-1||_2
         cands = scaling_candidates(l)
         mats = [k] + [m for _, d in cands for m in (l * (1.0 / d)[None, :], d[:, None] * linv)]
-        self.k2, *sig = spectral_norm(np.stack(mats))
+        self.k2, *sig = singular_values(np.stack(mats))[:, 0].tolist()
         self.l2, self.linv2 = sig[:2]  # the identity candidate comes first: L's own norms
         self.linv_f = max(fro_norm(linv), self.linv2)  # see the class docstring
         self.kappa_l = self.l2 * self.linv2
@@ -258,9 +257,9 @@ class NormwiseEvaluator:
         """One report per level: ||dK||_F ``dk_fros[i]`` with the measured dL
         ``actual_dls[i]``, or None for none.  A campaign factors K + dK at all
         its levels first; then every measured ||dL||_2 comes from one stacked
-        Jacobi call, whose members are the single-matrix norms bit for bit."""
+        call, whose members are the single-matrix norms bit for bit."""
         measured = [dl for dl in actual_dls if dl is not None]
-        dl2 = iter(spectral_norm(np.stack(measured)) if measured else ())
+        dl2 = iter(singular_values(np.stack(measured))[:, 0].tolist() if measured else ())
         return [self._report(dk_fro, dl, None if dl is None else next(dl2))
                 for dk_fro, dl in zip(dk_fros, actual_dls, strict=True)]
 
@@ -371,7 +370,7 @@ def build_componentwise_report(
     # member is the measured dL if there is one; the first minimum wins
     cands = scaling_candidates(lt, babs)
     mats = [m for _, d in cands for m in (lt * (1.0 / d)[None, :], babs * d[:, None])]
-    sig = lapack_spectral_norm(np.stack(mats if actual_dl is None else mats + [actual_dl]))
+    sig = spectral_norm(np.stack(mats if actual_dl is None else mats + [actual_dl]))
     actual_f = actual_2 = None
     if actual_dl is not None:
         actual_f, actual_2 = fro_norm(actual_dl), sig.pop()

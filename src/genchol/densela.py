@@ -10,16 +10,15 @@ kept in each round's slot order (the round's first columns, then their
 partners, then the bye of an odd order), so a round reads its pairs as two
 slices, takes all their squared norms in one reduction, writes a full round
 back by slice assignment, and moves to the next round's order by one gather.
-The Jacobi (``spectral_norm``) serves the normwise path only: the
-``NormwiseEvaluator``'s stacks, the remark 3.2 sweep rows and
-``oracle.w_inverse_norm``.  The componentwise report and the draw's
-``||L21||_2`` take ``lapack_spectral_norm``, the same contract from LAPACK's
-SVD, which makes a componentwise trial about four times faster.  The
-normwise sites stay on the Jacobi for now: the repository's benchmark keeps
-every pass in memory, so its peak memory would grow with their speed past
-its bound.  Once it does not, they move too and the Jacobi goes.  Symmetric
-eigenvalues, for the yes/no PSD test only, come from LAPACK; the only
-inverse is the triangular one.
+``spectral_norm`` takes the largest singular value from LAPACK's SVD, for
+the draw's ``||L21||_2``, the componentwise report, the remark 3.2 sweep
+rows and ``oracle.w_inverse_norm``.  The Jacobi (``singular_values``)
+serves only the ``NormwiseEvaluator``'s two stacks, of its set-up and of
+its measured dLs: the repository's benchmark times those and keeps every
+pass in memory, so its peak memory would grow with their speed past its
+bound.  Once it does not, those two calls take ``spectral_norm`` and the
+Jacobi goes.  Symmetric eigenvalues, for the yes/no PSD test only, come
+from LAPACK; the only inverse is the triangular one.
 """
 
 from __future__ import annotations
@@ -220,17 +219,11 @@ def singular_values(x) -> np.ndarray:
 
 
 def spectral_norm(x) -> float | list[float]:
-    """Largest singular value; of a (b, r, c) stack, a list of them."""
-    s = singular_values(x)
-    return (s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])).tolist()
-
-
-def lapack_spectral_norm(x) -> float | list[float]:
-    """``spectral_norm`` from LAPACK's SVD (``np.linalg.svd``) of the same
-    normalized stack: a float, or a list for a (b, r, c) stack.  LAPACK
-    treats each member alone, so a stack's norms are its members' bit for
-    bit.  A LinAlgError is a ConvergenceError."""
-    a, amax = _normalized_stack(x, "lapack_spectral_norm")
+    """Largest singular value from LAPACK's SVD (``np.linalg.svd``) of the
+    matrix divided by its largest magnitude: a float, or a list for a
+    (b, r, c) stack.  LAPACK treats each member alone, so a stack's norms
+    are its members' bit for bit.  A LinAlgError is a ConvergenceError."""
+    a, amax = _normalized_stack(x, "spectral_norm")
     try:
         sig = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

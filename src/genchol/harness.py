@@ -17,7 +17,6 @@ from .densela import (
     fro_norm,
     format_json_object,
     format_json_scalar,
-    lapack_spectral_norm,
     matmul,
     spectral_norm,
     write_text_atomic,
@@ -151,7 +150,7 @@ def make_saddle(
     schur_target = gen_spd(n, kappa_s, rng)
     lam_min = 1.0 / kappa_s  # spectrum is known by construction
     l21_raw = rng.standard_normal((n, m))  # full row rank almost surely
-    smax = lapack_spectral_norm(l21_raw)
+    smax = spectral_norm(l21_raw)
     zeta = rng.uniform(0.1, 0.9)
     l21 = l21_raw * (math.sqrt(zeta * lam_min) / smax)
     gram = matmul(l21, l21.T)

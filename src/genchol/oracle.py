@@ -92,7 +92,8 @@ def build_w(factor: GenCholFactor) -> np.ndarray:
 
 
 def w_inverse_norm(w) -> float:
-    """Spectral norm of W^-1 by forward substitution on ``build_w``'s triangular W."""
+    """||W^-1||_2: W^-1 by forward substitution on ``build_w``'s triangular W,
+    then its ``spectral_norm``."""
     return spectral_norm(lower_tri_inverse(w))
 
 

@@ -32,8 +32,8 @@ def test_quick_record_has_the_schema(tool, tmp_path):
         "factorize", "normwise_init", "reports_per_level", "build_w+w_inverse_norm",
         "componentwise_report", "compensated_residual"]
     assert [e["name"] for e in rec["kernels"]] == [
-        "singular_values", "singular_values_stack7", "lapack_spectral_norm",
-        "lapack_spectral_norm_stack7", "sym_eigenvalues", "lower_tri_solve"]
+        "singular_values", "singular_values_stack7", "spectral_norm",
+        "spectral_norm_stack7", "sym_eigenvalues", "lower_tri_solve"]
 
 
 def test_check_refuses_a_short_or_untimed_record(tool):

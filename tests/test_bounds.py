@@ -10,7 +10,6 @@ from genchol.densela import (
     SingularMatrixError,
     UNIT_ROUNDOFF,
     fro_norm,
-    lapack_spectral_norm,
     lower_tri_inverse,
     matmul,
     singular_values,
@@ -60,6 +59,12 @@ def normwise(l, dk_fro, k=None, m=None):
     f = as_factor(l, m)
     k = matmul(f.L, f.L.T) if k is None else k
     return NormwiseEvaluator(f, k).report(dk_fro)
+
+
+def jacobi_norm(x) -> float:
+    """||x||_2 as the normwise evaluator takes it: the Jacobi's largest
+    singular value."""
+    return float(singular_values(x)[0])
 
 
 def kappa(x):
@@ -264,7 +269,7 @@ class TestBound311:
 
     def test_below_bound_33(self, rng):
         l = random_lower(3, rng)
-        linv2 = spectral_norm(lower_tri_inverse(l))
+        linv2 = jacobi_norm(lower_tri_inverse(l))
         for frac in (0.1, 0.5, 0.9):
             rep = normwise(l, frac * 0.5 / linv2**2)
             assert rep.b_3_11_coeff <= rep.b_3_3 * (1 + 1e-15)
@@ -312,10 +317,10 @@ class TestBound314:
         # bound 3.3's formula with kappa of the unscaled factor, taken as the
         # evaluator takes it: ||L||_2 ||L^-1||_2
         l = random_lower(4, rng)
-        linv2 = spectral_norm(lower_tri_inverse(l))
+        linv2 = jacobi_norm(lower_tri_inverse(l))
         dk = 0.2 / linv2**2
         x = linv2 * linv2 * dk
-        v33 = SQRT2 * linv2 * (spectral_norm(l) * linv2) * dk / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
+        v33 = SQRT2 * linv2 * (jacobi_norm(l) * linv2) * dk / (SQRT2 - 1.0 + math.sqrt(1.0 - 2.0 * x))
         assert normwise(l, dk).b_3_14 == v33
 
     def test_gap_to_best_candidate(self):
@@ -325,7 +330,7 @@ class TestBound314:
     def test_ratio_cap_to_313(self, rng):
         for _ in range(20):
             l = random_lower(3, rng)
-            linv2 = spectral_norm(lower_tri_inverse(l))
+            linv2 = jacobi_norm(lower_tri_inverse(l))
             for frac in (0.2, 0.8, 0.98):
                 dk = frac * 0.5 / linv2**2
                 rep = normwise(l, dk)
@@ -356,7 +361,7 @@ class TestBound315:
         w_norm = w_inverse_norm(build_w(f))
         thresh_31 = 4.999000249930024e-05  # frozen SVD oracle
         thresh_316 = 9.995001899400144e-09  # frozen SVD oracle
-        linv2 = spectral_norm(lower_tri_inverse(l))
+        linv2 = jacobi_norm(lower_tri_inverse(l))
         assert 0.5 / linv2**2 == pytest.approx(thresh_31, rel=1e-10)
         assert 0.25 / w_norm**2 == pytest.approx(thresh_316, rel=1e-10)
         dk = 1e-6  # inside 3.1, outside 3.16
@@ -453,7 +458,7 @@ class TestBound317:
     def test_exclusion_reporting(self):
         l = np.array([[1.0, 0.0], [30.0, 1.0]])
         k = matmul(l * np.array([1.0, -1.0])[None, :], l.T)
-        linv2 = spectral_norm(lower_tri_inverse(l))
+        linv2 = jacobi_norm(lower_tri_inverse(l))
         dk = 0.4 / linv2**2  # inside 3.1 but outside the refined test
         rep = normwise(l, dk, k=k)
         assert rep.cond_3_1_ok is True
@@ -557,12 +562,12 @@ class TestReports:
         l = f.L
         linv = lower_tri_inverse(l)
         ev = NormwiseEvaluator(f, s.K)
-        assert ev.l2 == spectral_norm(l)
-        assert ev.linv2 == spectral_norm(linv)
+        assert ev.l2 == jacobi_norm(l)
+        assert ev.linv2 == jacobi_norm(linv)
         assert ev.kappa_l == ev.l2 * ev.linv2
         for label, d in scaling_candidates(l):
-            dlinv2 = spectral_norm(d[:, None] * linv)
-            assert ev.kappas[label] == spectral_norm(l * (1.0 / d)[None, :]) * dlinv2
+            dlinv2 = jacobi_norm(d[:, None] * linv)
+            assert ev.kappas[label] == jacobi_norm(l * (1.0 / d)[None, :]) * dlinv2
             assert ev.coeff_317[label] == ev.kappa_l * ev.l2 * dlinv2 * float(np.max(1.0 / d))
 
     @pytest.mark.parametrize("m, n", [(4, 3), (6, 6)])
@@ -618,7 +623,7 @@ class TestReports:
         together = ev.reports(dk_fros, dls)
         assert together == [ev.report(d, actual_dl=dl) for d, dl in zip(dk_fros, dls)]
         for rep, dl in zip(together, dls):
-            assert rep.actual_dl_2 == (None if dl is None else spectral_norm(dl))
+            assert rep.actual_dl_2 == (None if dl is None else jacobi_norm(dl))
         assert ev.reports([], []) == []
 
     def test_componentwise_measured_dl_rides_in_the_stack(self, rng, monkeypatch):
@@ -634,14 +639,14 @@ class TestReports:
 
         def counting(x):
             calls.append(np.shape(x))
-            return lapack_spectral_norm(x)
+            return spectral_norm(x)
 
-        monkeypatch.setattr(bounds, "lapack_spectral_norm", counting)
+        monkeypatch.setattr(bounds, "spectral_norm", counting)
         without = build_componentwise_report(f.L, 1e-6)
         measured = build_componentwise_report(f.L, 1e-6, actual_dl=dl)
         assert calls == [(6, 7, 7), (7, 7, 7)]
         assert dataclasses.replace(measured, actual_dl_fro=None, actual_dl_2=None) == without
-        assert measured.actual_dl_2 == lapack_spectral_norm(dl)
+        assert measured.actual_dl_2 == spectral_norm(dl)
         assert measured.actual_dl_fro == fro_norm(dl)
 
     def test_json_round_trip(self, rng):

@@ -199,7 +199,7 @@ class TestBounds:
         def failing_norm(x):
             raise ConvergenceError("one-sided Jacobi did not converge")
 
-        monkeypatch.setattr(bounds, "spectral_norm", failing_norm)
+        monkeypatch.setattr(bounds, "singular_values", failing_norm)
         dk = tmp_path / "dk.txt"
         dk.write_text("2 2\n1e-3 0\n0 1e-3\n")
         wpath, out = tmp_path / "w.txt", tmp_path / "rep.json"

@@ -15,7 +15,6 @@ from genchol.densela import (
     fro_norm,
     gamma_k,
     is_psd,
-    lapack_spectral_norm,
     lower_tri_inverse,
     matmul,
     parse_matrix,
@@ -193,27 +192,36 @@ class TestPairSchedule:
                     arr[0] = 0
 
 
+def jacobi_norm(x) -> float:
+    """The Jacobi's largest singular value, as the normwise evaluator takes it."""
+    return float(singular_values(x)[0])
+
+
 class TestSpectralNorm:
+    """Both kernels of a largest singular value: LAPACK's and the Jacobi's."""
+
     def test_diagonal(self):
-        assert spectral_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0, rel=1e-14)
+        for norm in (spectral_norm, jacobi_norm):
+            assert norm(np.diag([3.0, 4.0])) == pytest.approx(4.0, rel=1e-14)
 
     def test_rank_one(self):
         u = np.array([[0.6], [0.8]])
         v = np.array([[0.8, 0.6]])
-        assert spectral_norm(u @ v) == pytest.approx(1.0, rel=1e-13)
+        for norm in (spectral_norm, jacobi_norm):
+            assert norm(u @ v) == pytest.approx(1.0, rel=1e-13)
 
     def test_matches_power_iteration_oracle(self, rng):
         for _ in range(10):
             x = rng.standard_normal((6, 6))
-            assert spectral_norm(x) == pytest.approx(
-                power_iteration_sigma_max(x), rel=1e-10
-            )
+            for norm in (spectral_norm, jacobi_norm):
+                assert norm(x) == pytest.approx(power_iteration_sigma_max(x), rel=1e-10)
 
     def test_accuracy_against_fro_scale(self, rng):
         for _ in range(25):
             x = rng.standard_normal((7, 5))
             ref = float(np.linalg.svd(x, compute_uv=False)[0])
-            assert abs(spectral_norm(x) - ref) <= 1e-12 * fro_norm(x)
+            for norm in (spectral_norm, jacobi_norm):
+                assert abs(norm(x) - ref) <= 1e-12 * fro_norm(x)
 
 
 class TestSingularValues:
@@ -226,16 +234,15 @@ class TestSingularValues:
 
 
 def assert_stack_is_its_members(stack):
-    """A stack's singular values and spectral norms, from the Jacobi and from
-    LAPACK, are bit for bit those of its members taken one at a time."""
+    """A stack's singular values, from the Jacobi, and its spectral norms,
+    from LAPACK, are bit for bit those of its members taken one at a time."""
     stack = np.asarray(stack, dtype=np.float64)
     got = singular_values(stack)
     assert got.shape == (stack.shape[0], min(stack.shape[1:]))
     assert got.tolist() == [singular_values(x).tolist() for x in stack]
-    for norm in (spectral_norm, lapack_spectral_norm):
-        norms = norm(stack)
-        assert norms == [norm(x) for x in stack]
-        assert all(type(v) is float for v in norms)
+    norms = spectral_norm(stack)
+    assert norms == [spectral_norm(x) for x in stack]
+    assert all(type(v) is float for v in norms)
 
 
 class TestStackedSingularValues:
@@ -243,7 +250,7 @@ class TestStackedSingularValues:
         stack = rng.standard_normal((3, 4, 4))
         stack[1] = 0.0
         assert_stack_is_its_members(stack)
-        assert spectral_norm(stack)[1] == lapack_spectral_norm(stack)[1] == 0.0
+        assert singular_values(stack)[1, 0] == spectral_norm(stack)[1] == 0.0
 
     def test_tau_overflow_member_among_ordinary_ones(self, rng):
         tiny = np.array([[1.0, 1e-156], [0.0, 1e-145]])
@@ -266,8 +273,7 @@ class TestStackedSingularValues:
     def test_empty(self, shape, values):
         assert singular_values(np.zeros(shape)).shape == values
         assert spectral_norm(np.zeros(shape)) == [0.0] * shape[0]
-        assert lapack_spectral_norm(np.zeros(shape)) == [0.0] * shape[0]
-        assert lapack_spectral_norm(np.zeros(shape[1:])) == 0.0
+        assert spectral_norm(np.zeros(shape[1:])) == 0.0
 
     def test_column_scales_property(self, rng):
         # members of one stack converge after different numbers of sweeps
@@ -283,9 +289,9 @@ class TestStackedSingularValues:
         # already orthogonal, as for the diagonal members
         monkeypatch.setattr(densela, "_JACOBI_MAX_SWEEPS", 1)
         stack = np.stack([np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0]), rng.standard_normal((4, 4))])
-        assert spectral_norm(stack[:2]) == [1.0, 4.0]
+        assert singular_values(stack[:2])[:, 0].tolist() == [1.0, 4.0]
         with pytest.raises(ConvergenceError, match="did not converge within 1 sweeps"):
-            spectral_norm(stack)
+            singular_values(stack)
 
     def test_unconverged_member_exits_5(self, monkeypatch, tmp_path):
         from genchol import cli
@@ -297,19 +303,19 @@ class TestStackedSingularValues:
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 3)])
     def test_other_ranks_are_shape_errors(self, shape):
-        for kernel in (singular_values, spectral_norm, lapack_spectral_norm):
+        for kernel in (singular_values, spectral_norm):
             with pytest.raises(ShapeError):
                 kernel(np.ones(shape))
 
 
 class TestLapackSpectralNorm:
-    """The LAPACK kernel: ``spectral_norm``'s contract, its value to rounding."""
+    """``spectral_norm``, from LAPACK: the Jacobi's value to rounding."""
 
     @pytest.mark.parametrize("shape", [(6, 6), (7, 5), (3, 8)])
     def test_agrees_with_the_jacobi(self, rng, shape):
         for _ in range(10):
             x = rng.standard_normal(shape)
-            assert lapack_spectral_norm(x) == pytest.approx(spectral_norm(x), rel=1e-13)
+            assert spectral_norm(x) == pytest.approx(jacobi_norm(x), rel=1e-13)
 
     def test_members_near_overflow_and_underflow(self, rng):
         # each member is scaled by its largest magnitude before LAPACK sees it
@@ -317,14 +323,14 @@ class TestLapackSpectralNorm:
         scales = np.array([1e300, 1e-300, 1.0])[:, None, None]
         stack = x * scales
         assert_stack_is_its_members(stack)
-        assert lapack_spectral_norm(stack) == pytest.approx(
-            [s * v for s, v in zip(scales.ravel(), lapack_spectral_norm(x))], rel=1e-13)
+        assert spectral_norm(stack) == pytest.approx(
+            [s * v for s, v in zip(scales.ravel(), spectral_norm(x))], rel=1e-13)
 
     def test_power_of_two_scaling_is_exact(self, rng):
         x = rng.standard_normal((3, 6, 4))
         for k in (-1000, -3, 5, 1000):
-            assert lapack_spectral_norm(np.ldexp(x, k)) == [
-                math.ldexp(v, k) for v in lapack_spectral_norm(x)]
+            assert spectral_norm(np.ldexp(x, k)) == [
+                math.ldexp(v, k) for v in spectral_norm(x)]
 
     def test_lapack_failure_exits_5_without_output(self, monkeypatch, capsys, tmp_path):
         # the draw's ||L21||_2 is a componentwise trial's first SVD
@@ -450,17 +456,18 @@ class TestNormInequalities:
             y = rng.standard_normal((b, c))
             z = rng.standard_normal((c, d))
             lhs = fro_norm(matmul(matmul(x, y), z))
-            rhs = spectral_norm(x) * fro_norm(y) * spectral_norm(z)
-            assert lhs <= rhs * (1 + 1e-12)
+            for norm in (spectral_norm, jacobi_norm):
+                assert lhs <= norm(x) * fro_norm(y) * norm(z) * (1 + 1e-12)
 
     def test_spectral_fro_rank_sandwich(self, rng):
         for _ in range(25):
             x = rng.standard_normal((int(rng.integers(1, 8)), int(rng.integers(1, 8))))
             sig = singular_values(x)
             rank = int(np.sum(sig > sig[0] * 50 * max(x.shape) * U)) if sig.size else 0
-            sn, fn = spectral_norm(x), fro_norm(x)
-            assert sn <= fn * (1 + 1e-12)
-            assert fn <= math.sqrt(max(rank, 1)) * sn * (1 + 1e-12)
+            fn = fro_norm(x)
+            for sn in (spectral_norm(x), jacobi_norm(x)):
+                assert sn <= fn * (1 + 1e-12)
+                assert fn <= math.sqrt(max(rank, 1)) * sn * (1 + 1e-12)
 
 
 class TestSymEigenvalues:

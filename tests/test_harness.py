@@ -34,12 +34,12 @@ from genchol.harness import (
 @pytest.fixture
 def sv_calls(monkeypatch):
     """The SVD kernel and shape of each call of the Jacobi
-    (``singular_values``) or of ``lapack_spectral_norm``, in call order, from
-    every module that binds either."""
+    (``singular_values``) or of LAPACK (``spectral_norm``), in call order,
+    from every module that binds either."""
     from genchol import bounds, densela, factorization, harness, oracle
 
     calls = []
-    for name, kernel in (("singular_values", "jacobi"), ("lapack_spectral_norm", "lapack")):
+    for name, kernel in (("singular_values", "jacobi"), ("spectral_norm", "lapack")):
         original = getattr(densela, name)
 
         def counting(x, original=original, kernel=kernel):
@@ -277,6 +277,26 @@ class TestNormwiseCampaign:
         sv_calls.clear()
         run_componentwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
         assert sv_calls == [("lapack", (3, 4)), ("lapack", (7, 7, 7))]
+
+    def test_the_jacobi_serves_only_the_evaluator(self, sv_calls):
+        # the Jacobi's only calls are the evaluator's two stacks, of its set-up
+        # and of a trial's measured dLs; every other spectral norm is LAPACK's
+        from genchol.bounds import build_componentwise_report
+        from genchol.factorization import factorize
+        from genchol.oracle import build_w, w_inverse_norm
+
+        run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=3, seed=0))
+        assert [c for c in sv_calls if c[0] == "jacobi"] == [
+            ("jacobi", (5, 7, 7)), ("jacobi", (4, 7, 7))] * 3
+        sv_calls.clear()
+        f = factorize(make_saddle(4, 3, 1e8, np.random.default_rng(5))[0])
+        w_inverse_norm(build_w(f))
+        build_componentwise_report(f.L, 1e-6)
+        assert sv_calls == [("lapack", (3, 4)), ("lapack", (28, 28)), ("lapack", (6, 7, 7))]
+        sv_calls.clear()
+        # a remark 3.2 row: the evaluator's stack, then kappa(L D^-1)'s two norms
+        run_gamma_sweep("remark32", [1e-4])
+        assert sv_calls == [("jacobi", (5, 2, 2)), ("lapack", (2, 2, 2))]
 
     def test_perturbed_breakdown_is_not_redrawn(self, monkeypatch):
         # condition 3.1 says K + dK factors; a breakdown there is an error,
@@ -548,17 +568,20 @@ class TestEmission:
     ], ids=["normwise", "componentwise", "remark32"])
     def test_stacked_norms_match_one_at_a_time(self, monkeypatch, tmp_path, write):
         # the same build, once with stacked spectral norms and once with each
-        # stack's members passed to the kernel one at a time
-        from genchol import densela
+        # stack's members passed to either kernel one at a time
+        from genchol import bounds, densela, harness, oracle
 
         write(tmp_path / "stacked.csv")
-        original = densela.singular_values
+        for name, join in (("singular_values", np.stack), ("spectral_norm", list)):
+            original = getattr(densela, name)
 
-        def one_at_a_time(x):
-            x = np.asarray(x, dtype=np.float64)
-            return original(x) if x.ndim == 2 else np.stack([original(m) for m in x])
+            def one_at_a_time(x, original=original, join=join):
+                x = np.asarray(x, dtype=np.float64)
+                return original(x) if x.ndim == 2 else join([original(m) for m in x])
 
-        monkeypatch.setattr(densela, "singular_values", one_at_a_time)
+            for module in (bounds, harness, oracle):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, one_at_a_time)
         write(tmp_path / "single.csv")
         stacked = (tmp_path / "stacked.csv").read_bytes()
         assert stacked == (tmp_path / "single.csv").read_bytes()

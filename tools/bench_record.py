@@ -22,9 +22,9 @@ BLAS runs on one thread.  The JSON object holds:
   ``reports`` per level, ``build_w`` + ``w_inverse_norm``, the componentwise
   report and ``compensated_residual``;
 - ``kernels``: the median ms of ``singular_values`` and of
-  ``lapack_spectral_norm`` (one matrix and a stack of 7 each; the second
-  only in trees that have it), ``sym_eigenvalues`` and ``lower_tri_solve``
-  at p = 7 and p = 28.
+  ``spectral_norm`` (one matrix and a stack of 7 each; in trees before the
+  LAPACK ``spectral_norm``, it is the Jacobi's), ``sym_eigenvalues`` and
+  ``lower_tri_solve`` at p = 7 and p = 28.
 
 Each layer and kernel entry also holds ``ref_ms``, the median time of a fixed
 numpy loop timed in turn with it: ``ms / ref_ms`` compares across a slow
@@ -161,12 +161,8 @@ def kernels(quick: bool) -> list[dict]:
         calls = {
             "singular_values": lambda: densela.singular_values(x[0]),
             f"singular_values_stack{STACK}": lambda: densela.singular_values(x),
-        }
-        lapack = getattr(densela, "lapack_spectral_norm", None)  # not in older trees
-        if lapack is not None:
-            calls["lapack_spectral_norm"] = lambda: lapack(x[0])
-            calls[f"lapack_spectral_norm_stack{STACK}"] = lambda: lapack(x)
-        calls |= {
+            "spectral_norm": lambda: densela.spectral_norm(x[0]),
+            f"spectral_norm_stack{STACK}": lambda: densela.spectral_norm(x),
             "sym_eigenvalues": lambda: densela.sym_eigenvalues(sym),
             "lower_tri_solve": lambda: densela.lower_tri_solve(l, x[2]),
         }
