@@ -47,7 +47,7 @@ W_BOUND_MAX_ORDER = 24  # operator-matrix bound is skipped for larger orders
 VIOLATION_SLACK = 1e-12  # absolute slack on every domination comparison
 _POSITIVE_FLOOR = 1e-300
 
-EPS_CONVENTIONS = ("min-paper", "max-safe")
+EPS_CONVENTIONS = ("min-paper", "max-safe")  # labels of a componentwise record's eps column
 
 
 def scaling_candidates(l_dense, bauer=None) -> tuple[tuple[str, np.ndarray], ...]:
@@ -99,17 +99,11 @@ def _present_bounds(report, names) -> dict[str, float]:
     return {name: v for name, v in values if v is not None}
 
 
-def eps_componentwise(m: int, n: int, convention: str = "max-safe") -> float:
-    """Componentwise envelope size from the blockwise rounding-error constants.
-
-    "min-paper" takes the smaller of the two block constants as printed;
-    "max-safe" takes the larger, which dominates both blocks.
-    """
-    if convention not in EPS_CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    ga = gamma_k(3 * m + 1)
-    gc = gamma_k(3 * n + 1)
-    return min(ga, gc) if convention == "min-paper" else max(ga, gc)
+def eps_componentwise(m: int, n: int) -> tuple[float, float]:
+    """The blockwise rounding-error constants (gamma_{3m+1}, gamma_{3n+1}) of
+    the leading and the Schur block.  The paper prints the smaller ("min-paper");
+    the larger dominates both blocks ("max-safe")."""
+    return gamma_k(3 * m + 1), gamma_k(3 * n + 1)
 
 
 # --- reports ------------------------------------------------------------------

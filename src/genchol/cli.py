@@ -46,7 +46,8 @@ from .bounds import (
     report_to_json,
 )
 from .harness import (
-    SWEEP_DK_FRO,
+    FORMATS,
+    SWEEP_KINDS,
     CampaignError,
     EnsembleConfig,
     emit_report,
@@ -91,7 +92,7 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = dict(choices=("csv", "json"), default="csv", help="output format")
+    fmt = dict(choices=FORMATS, default="csv", help="output format")
 
     p_factor = sub.add_parser(
         "factor",
@@ -163,14 +164,9 @@ def _build_parser() -> _Parser:
         help="adversarial scaling sweeps over a list of gamma values",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    p_sweep.add_argument(
-        "--kind", choices=("remark32", "remark33"), required=True, help="sweep family"
-    )
+    p_sweep.add_argument("--kind", choices=SWEEP_KINDS, required=True, help="sweep family")
     p_sweep.add_argument(
         "--gammas", type=_float_list, default=DEFAULT_GAMMAS, help="comma list of gamma values"
-    )
-    p_sweep.add_argument(
-        "--dk-fro", type=float, default=SWEEP_DK_FRO, help="perturbation norm used for the bounds"
     )
     p_sweep.add_argument("--format", **fmt)
     p_sweep.add_argument("--out", default="sweep.csv", help="table path")
@@ -245,7 +241,7 @@ def _cmd_backward(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = run_gamma_sweep(args.kind, args.gammas, args.dk_fro)
+    rows = run_gamma_sweep(args.kind, args.gammas)
     emit_rows(rows, args.format, args.out)
     if args.kind == "remark33":
         if len({r["gamma"] for r in rows}) > 1:  # a slope needs two distinct gammas

@@ -10,15 +10,12 @@ kept in each round's slot order (the round's first columns, then their
 partners, then the bye of an odd order), so a round reads its pairs as two
 slices, takes all their squared norms in one reduction, writes a full round
 back by slice assignment, and moves to the next round's order by one gather.
-``spectral_norm`` takes the largest singular value from LAPACK's SVD, for
-the draw's ``||L21||_2``, the componentwise report, the remark 3.2 sweep
-rows and ``oracle.w_inverse_norm``.  The Jacobi (``singular_values``)
-serves only the ``NormwiseEvaluator``'s two stacks, of its set-up and of
-its measured dLs: the repository's benchmark times those and keeps every
-pass in memory, so its peak memory would grow with their speed past its
-bound.  Once it does not, those two calls take ``spectral_norm`` and the
-Jacobi goes.  Symmetric eigenvalues, for the yes/no PSD test only, come
-from LAPACK; the only inverse is the triangular one.
+``spectral_norm`` takes the largest singular value from LAPACK's SVD.  The
+Jacobi (``singular_values``) stays for the ``NormwiseEvaluator`` alone: the
+repository's benchmark keeps every pass of the evaluator in memory, so
+LAPACK's faster calls there raise its peak memory past its bound.
+Symmetric eigenvalues, for the yes/no PSD test only, come from LAPACK; the
+only inverse is the triangular one.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .densela import (
     lower_tri_solve,
     matmul,
     parse_matrix,
+    require_lower_triangular,
     format_matrix,
     write_text_atomic,
     ParseError,
@@ -167,8 +168,7 @@ class GenCholFactor:
         if l.shape != (p, p):
             raise ShapeError(f"dense factor must be {p} x {p}, got {l.shape}")
         spec = BlockSpec(m, n)
-        if np.any(np.triu(l, 1) != 0.0):
-            raise ShapeError("factor is not lower triangular")
+        require_lower_triangular(l)
         if np.any(np.diagonal(l) <= 0.0):
             raise ValueError("factor must have strictly positive diagonal")
         l.setflags(write=False)

@@ -41,7 +41,9 @@ from .bounds import (
 from .oracle import actual_delta_l, compensated_residual
 
 _RETRY_CAP = 100
-SWEEP_DK_FRO = 1e-8  # the sweeps' default ||dK||_F
+SWEEP_DK_FRO = 1e-8  # the ||dK||_F of every sweep row
+SWEEP_KINDS = ("remark32", "remark33")
+FORMATS = ("csv", "json")  # of reports and tables
 
 
 class CampaignError(RuntimeError):
@@ -106,7 +108,7 @@ def gen_spd(order: int, cond: float, rng: np.random.Generator) -> np.ndarray:
     if order == 1:
         return np.array([[1.0]])
     q, _ = np.linalg.qr(rng.standard_normal((order, order)))
-    sig = 10.0 ** np.linspace(0.0, -math.log10(cond), order) if cond > 1.0 else np.ones(order)
+    sig = 10.0 ** np.linspace(0.0, -math.log10(cond), order)
     raw = matmul(q * sig, q.T)
     return np.tril(raw) + np.tril(raw, -1).T  # exact symmetry
 
@@ -279,11 +281,12 @@ class ComponentwiseTrialRecord:
         ]
 
     def json_items(self) -> list[tuple[str, object]]:
+        gammas = eps_componentwise(self.m, self.n)
         return _json_items(self, [
             ("near_boundary", self.report.near_boundary),
             ("breakdown", self.breakdown),
-            ("eps_gamma_min_paper", eps_componentwise(self.m, self.n, convention="min-paper")),
-            ("eps_gamma_max_safe", eps_componentwise(self.m, self.n, convention="max-safe")),
+            ("eps_gamma_min_paper", min(gammas)),
+            ("eps_gamma_max_safe", max(gammas)),
         ])
 
 
@@ -375,7 +378,7 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
     degenerates to dK = 0.
     """
     records: list[ComponentwiseTrialRecord] = []
-    eps_max_safe = eps_componentwise(cfg.m, cfg.n, convention="max-safe")
+    eps_max_safe = max(eps_componentwise(cfg.m, cfg.n))
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         s, lt, _, _ = _draw(cfg, rng, trial)
@@ -426,16 +429,16 @@ def _sweep_factor(kind: str, gamma: float) -> GenCholFactor:
     return GenCholFactor.from_dense([[1.0, 0.0], [gamma, 1.0]], 1, 1)
 
 
-def _sweep_row(kind: str, gamma: float, dk_fro: float) -> dict:
+def _sweep_row(kind: str, gamma: float) -> dict:
     factor = _sweep_factor(kind, gamma)
     ev = NormwiseEvaluator(factor, reconstruct(factor))
-    report = ev.report(dk_fro)
+    report = ev.report(SWEEP_DK_FRO)
     if kind == "remark32":
         d = np.array([[1.0 / gamma, 1.0]])  # the scaling that makes L D^-1 O(1)
         ld2, dlinv2 = spectral_norm(np.stack([factor.L / d, d.T * ev.linv]))
         return {
             "gamma": gamma,
-            "dk_fro": dk_fro,
+            "dk_fro": SWEEP_DK_FRO,
             "kappa_l": ev.kappa_l,
             "kappa_ld_analytic": ld2 * dlinv2,
             "b33": report.b_3_3,
@@ -445,7 +448,7 @@ def _sweep_row(kind: str, gamma: float, dk_fro: float) -> dict:
     w_norm = ev.w_inv_norm  # p = 2, so the evaluator always computes it
     return {
         "gamma": gamma,
-        "dk_fro": dk_fro,
+        "dk_fro": SWEEP_DK_FRO,
         "linv2_sq": ev.linv2 * ev.linv2,
         "winv2": w_norm,
         "winv2_sq": w_norm * w_norm,
@@ -456,8 +459,9 @@ def _sweep_row(kind: str, gamma: float, dk_fro: float) -> dict:
     }
 
 
-def run_gamma_sweep(kind: str, gammas, dk_fro: float = SWEEP_DK_FRO) -> list[dict]:
-    """Tables for the two adversarial scaling families.
+def run_gamma_sweep(kind: str, gammas) -> list[dict]:
+    """Tables for the two adversarial scaling families, evaluated at
+    ||dK||_F = ``SWEEP_DK_FRO``.
 
     "remark32" uses L = [[1/g, 0], [1, 1]] (bad column scaling: the scaled
     condition number collapses under D = diag(1/g, 1)).  "remark33" uses
@@ -466,10 +470,8 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = SWEEP_DK_FRO) -> list[dic
     and finite, or at which any quantity of its row overflows, is refused
     with a ValueError that names it, before any row is returned.
     """
-    if kind not in ("remark32", "remark33"):
+    if kind not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    if not 0.0 <= dk_fro < math.inf:
-        raise ValueError("dk_fro must be finite and nonnegative")
     rows = []
     for gamma in gammas:
         gamma = float(gamma)
@@ -477,7 +479,7 @@ def run_gamma_sweep(kind: str, gammas, dk_fro: float = SWEEP_DK_FRO) -> list[dic
             raise ValueError(f"gamma {gamma:g} is out of range: it must be positive and finite")
         try:
             with np.errstate(over="raise", invalid="raise"):
-                row = _sweep_row(kind, gamma, dk_fro)
+                row = _sweep_row(kind, gamma)
         except FloatingPointError as exc:
             raise ValueError(f"gamma {gamma:g} is out of range: {exc}") from exc
         if not all(math.isfinite(v) for v in row.values() if isinstance(v, float)):
@@ -515,7 +517,7 @@ def emit_rows(rows, fmt: str, path) -> None:
     first row's keys, in order; each JSON object keeps its own row's keys.
     Every cell is formatted before the write, so a non-finite one leaves no
     file."""
-    if fmt not in ("csv", "json"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     if not rows:
         raise ValueError("nothing to emit: no rows")

@@ -17,6 +17,7 @@ from .densela import (
     as_matrix,
     lower_tri_inverse,
     matmul,
+    require_lower_triangular,
     spectral_norm,
 )
 from .factorization import GenCholFactor, SaddleMatrix, factorize_dense
@@ -41,10 +42,7 @@ def duvec(s) -> np.ndarray:
 def uvec_lower(x) -> np.ndarray:
     """Column-stacked lower triangle of a lower-triangular matrix."""
     x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ShapeError("uvec_lower expects a square matrix")
-    if x.shape[0] and np.any(np.triu(x, 1) != 0.0):
-        raise ShapeError("uvec_lower expects a lower-triangular matrix")
+    require_lower_triangular(x)
     return _stack_lower(x)
 
 

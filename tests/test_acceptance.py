@@ -159,7 +159,7 @@ def test_04_ratio_cap(default_campaign):
 
 
 def test_05_scaling_gap_reproduction():
-    rows = run_gamma_sweep("remark32", [1e-2, 1e-3, 1e-4], 1e-8)
+    rows = run_gamma_sweep("remark32", [1e-2, 1e-3, 1e-4])
     ratio_ok = True
     details = []
     for row in rows:
@@ -178,7 +178,7 @@ def test_05_scaling_gap_reproduction():
 
 
 def test_06_w_conditioning_reproduction():
-    rows = run_gamma_sweep("remark33", [10.0, 100.0, 1000.0], 1e-8)
+    rows = run_gamma_sweep("remark33", [10.0, 100.0, 1000.0])
     gammas = [r["gamma"] for r in rows]
     slope = loglog_slope(gammas, [r["winv2"] for r in rows])
     slope_sq = loglog_slope(gammas, [r["winv2_sq"] for r in rows])

@@ -1,4 +1,5 @@
-"""``tools/bench_record.py``: the ``--quick`` record has the full schema.
+"""``tools/bench_record.py``: the ``--quick`` record has the full schema, and
+every committed ``BENCH_*.json`` is a full record.
 
 No assertion reads a time: the tool measures, tier 1 only checks its shape.
 """
@@ -46,6 +47,16 @@ def test_check_refuses_a_short_or_untimed_record(tool):
         tool.check({**rec, "layers": [{"name": "factorize", "ms": 0.0}]})
     with pytest.raises(ValueError, match="full record"):
         tool.check({**rec, "quick": False})
+
+
+def test_committed_records_are_full(tool):
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        rec = json.loads(path.read_text())
+        tool.check(rec)
+        assert rec["quick"] is False, path.name
+        assert None not in (rec["tier1"], rec["perfbench"], rec["experiments"]), path.name
 
 
 def test_experiments_are_the_readme_commands(tool):

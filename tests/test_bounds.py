@@ -10,6 +10,7 @@ from genchol.densela import (
     SingularMatrixError,
     UNIT_ROUNDOFF,
     fro_norm,
+    gamma_k,
     lower_tri_inverse,
     matmul,
     singular_values,
@@ -469,23 +470,17 @@ class TestBound317:
 
 class TestEpsComponentwise:
     def test_equal_blocks_agree(self):
-        assert eps_componentwise(4, 4, convention="min-paper") == eps_componentwise(
-            4, 4, convention="max-safe"
-        )
+        gammas = eps_componentwise(4, 4)
+        assert min(gammas) == max(gammas)
 
     def test_min_paper(self):
-        assert eps_componentwise(5, 2, convention="min-paper") == pytest.approx(
-            7.771561172376102e-16, rel=0
-        )
+        assert min(eps_componentwise(5, 2)) == 7.771561172376102e-16
 
     def test_max_safe(self):
-        assert eps_componentwise(5, 2, convention="max-safe") == pytest.approx(
-            1.7763568394002536e-15, rel=0
-        )
+        assert max(eps_componentwise(5, 2)) == 1.7763568394002536e-15
 
-    def test_bad_convention(self):
-        with pytest.raises(ValueError):
-            eps_componentwise(2, 2, convention="median")
+    def test_leading_block_first(self):
+        assert eps_componentwise(5, 2) == (gamma_k(16), gamma_k(7))
 
 
 class TestCondition42:

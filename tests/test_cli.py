@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import subprocess
@@ -31,7 +30,6 @@ from genchol.harness import (
     EnsembleConfig,
     emit_rows,
     make_saddle,
-    run_gamma_sweep,
 )
 from genchol.oracle import build_w, w_inverse_norm
 
@@ -306,10 +304,11 @@ class TestCampaignFlags:
             ),
         }
 
-    def test_sweep_dk_fro_default_is_the_harness_constant(self):
-        args = cli._build_parser().parse_args(["sweep", "--kind", "remark33"])
-        default = inspect.signature(run_gamma_sweep).parameters["dk_fro"].default
-        assert args.dk_fro == SWEEP_DK_FRO == default == 1e-8
+    def test_sweep_rows_take_the_harness_dk_fro(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert cli.main(["sweep", "--kind", "remark33", "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert [row["dk_fro"] for row in rows] == [SWEEP_DK_FRO] * 3 == [1e-8] * 3
 
     @pytest.mark.parametrize("argv, text", [
         (["verify", "--dk-levels", "1e-4,x"], "1e-4,x"),
@@ -414,11 +413,11 @@ class TestSweep:
         assert len(out.read_text().splitlines()) == 3
         assert res.stderr == ""
 
-    def test_negative_dk_fro_is_usage_error(self, tmp_path):
+    def test_dk_fro_is_an_unrecognized_argument(self, tmp_path):
         out = tmp_path / "s.csv"
-        res = run_cli("sweep", "--kind", "remark33", "--dk-fro", "-1", "--out", str(out))
+        res = run_cli("sweep", "--kind", "remark33", "--dk-fro", "1e-6", "--out", str(out))
         assert res.returncode == 1
-        assert "dk_fro must be finite and nonnegative" in res.stderr
+        assert "unrecognized arguments: --dk-fro 1e-6" in res.stderr
         assert not out.exists()
 
     def test_svd_failure_is_kernel_failure(self, monkeypatch, capsys, tmp_path):
@@ -440,7 +439,7 @@ class TestSweep:
         # the text is built before the atomic write, so a non-finite cell
         # leaves neither file nor temp file, and no slope is printed
         rows = [{"gamma": 10.0, "winv2": 1.0}, {"gamma": 100.0, "winv2": math.inf}]
-        monkeypatch.setattr(cli, "run_gamma_sweep", lambda kind, gammas, dk_fro: rows)
+        monkeypatch.setattr(cli, "run_gamma_sweep", lambda kind, gammas: rows)
         argv = ["sweep", "--kind", "remark33", "--format", fmt,
                 "--out", str(tmp_path / f"s.{fmt}")]
         assert cli.main(argv) == 1

@@ -413,9 +413,9 @@ class TestTrialRecords:
                 assert r.breakdown == (r.report.actual_dl_fro is None)
                 assert r.skipped == (r.breakdown or not r.report.cond_4_2_ok)
                 items = dict(r.json_items())
+                gammas = eps_componentwise(2, 2)
                 assert (items["eps_gamma_min_paper"], items["eps_gamma_max_safe"]) == (
-                    eps_componentwise(2, 2, convention="min-paper"),
-                    eps_componentwise(2, 2, convention="max-safe"),
+                    min(gammas), max(gammas),
                 )
         # a breakdown inside condition 4.2 is skipped too: there is no dL to compare
         rec = run_componentwise_campaign(EnsembleConfig(m=2, n=2, trials=1, seed=3))[0]
@@ -455,17 +455,17 @@ class TestTrialRecords:
 
 class TestGammaSweep:
     def test_remark32_ratio(self):
-        rows = run_gamma_sweep("remark32", [1e-3], 1e-8)
+        rows = run_gamma_sweep("remark32", [1e-3])
         (row,) = rows
         assert row["kappa_l"] / row["kappa_ld_analytic"] >= 100.0
 
     def test_remark33_slope(self):
-        rows = run_gamma_sweep("remark33", [10.0, 100.0, 1000.0], 1e-8)
+        rows = run_gamma_sweep("remark33", [10.0, 100.0, 1000.0])
         slope = loglog_slope([r["gamma"] for r in rows], [r["winv2"] for r in rows])
         assert 1.8 <= slope <= 2.2
 
     def test_neutral_gamma(self):
-        rows = run_gamma_sweep("remark32", [1.0], 1e-8)
+        rows = run_gamma_sweep("remark32", [1.0])
         (row,) = rows
         assert row["kappa_l"] <= 5.0
         assert row["kappa_ld_analytic"] <= 5.0
@@ -473,11 +473,6 @@ class TestGammaSweep:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             run_gamma_sweep("remark99", [1.0])
-
-    @pytest.mark.parametrize("dk_fro", [-1.0, math.inf, math.nan])
-    def test_dk_fro_must_be_finite_and_nonnegative(self, dk_fro):
-        with pytest.raises(ValueError, match="dk_fro must be finite and nonnegative"):
-            run_gamma_sweep("remark33", [10.0], dk_fro)
 
     @pytest.mark.parametrize("kind, gamma", [
         ("remark32", 1e-160), ("remark32", 1e200), ("remark33", 1e200), ("remark33", 1e100),
