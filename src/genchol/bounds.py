@@ -16,9 +16,11 @@ loses (the identity candidate gives L's own norms); the componentwise report
 inverts L~ once and has one Bauer-Skeel number for L~ and L~^-T, since
 |L~^T||L~^-T| is the transpose of |L~^-1||L~|; and the normwise report
 carries inequality (3.8) and the 3.18 strength test.  Spectral norms come
-from stacked calls, with the bits of separate calls: one for an evaluator,
-one for the measured dLs of all the levels ``NormwiseEvaluator.reports`` is
-given, and one for a componentwise report and its measured dL.
+from stacked calls, with the bits of separate calls: one for an evaluator's
+set-up, the one call of the Jacobi (see ``densela``); one for the measured
+dLs of all the levels ``NormwiseEvaluator.reports`` is given; and one for a
+componentwise report and its measured dL.  The last two are LAPACK's, so a
+measured ||dL||_2 has the same bits in either report.
 """
 
 from __future__ import annotations
@@ -251,9 +253,9 @@ class NormwiseEvaluator:
         """One report per level: ||dK||_F ``dk_fros[i]`` with the measured dL
         ``actual_dls[i]``, or None for none.  A campaign factors K + dK at all
         its levels first; then every measured ||dL||_2 comes from one stacked
-        call, whose members are the single-matrix norms bit for bit."""
+        LAPACK call, whose members are the single-matrix norms bit for bit."""
         measured = [dl for dl in actual_dls if dl is not None]
-        dl2 = iter(singular_values(np.stack(measured))[:, 0].tolist() if measured else ())
+        dl2 = iter(spectral_norm(np.stack(measured)) if measured else ())
         return [self._report(dk_fro, dl, None if dl is None else next(dl2))
                 for dk_fro, dl in zip(dk_fros, actual_dls, strict=True)]
 

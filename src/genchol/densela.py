@@ -10,10 +10,11 @@ kept in each round's slot order (the round's first columns, then their
 partners, then the bye of an odd order), so a round reads its pairs as two
 slices, takes all their squared norms in one reduction, writes a full round
 back by slice assignment, and moves to the next round's order by one gather.
-``spectral_norm`` takes the largest singular value from LAPACK's SVD.  The
-Jacobi (``singular_values``) stays for the ``NormwiseEvaluator`` alone: the
-repository's benchmark keeps every pass of the evaluator in memory, so
-LAPACK's faster calls there raise its peak memory past its bound.
+``spectral_norm`` takes the largest singular value from LAPACK's SVD, and
+every measured ||dL||_2 comes from it.  The Jacobi (``singular_values``)
+stays for the ``NormwiseEvaluator``'s set-up stack alone: the repository's
+benchmark keeps every pass of the evaluator in memory, so LAPACK's faster
+calls there raise its peak memory past its bound.
 Symmetric eigenvalues, for the yes/no PSD test only, come from LAPACK; the
 only inverse is the triangular one.
 """

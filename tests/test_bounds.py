@@ -618,7 +618,7 @@ class TestReports:
         together = ev.reports(dk_fros, dls)
         assert together == [ev.report(d, actual_dl=dl) for d, dl in zip(dk_fros, dls)]
         for rep, dl in zip(together, dls):
-            assert rep.actual_dl_2 == (None if dl is None else jacobi_norm(dl))
+            assert rep.actual_dl_2 == (None if dl is None else spectral_norm(dl))
         assert ev.reports([], []) == []
 
     def test_componentwise_measured_dl_rides_in_the_stack(self, rng, monkeypatch):
@@ -643,6 +643,19 @@ class TestReports:
         assert dataclasses.replace(measured, actual_dl_fro=None, actual_dl_2=None) == without
         assert measured.actual_dl_2 == spectral_norm(dl)
         assert measured.actual_dl_fro == fro_norm(dl)
+
+    def test_one_kernel_for_every_measured_dl(self, rng):
+        # the normwise and the componentwise report take ||dL||_2 of the same
+        # factor and dL from the same kernel, bit for bit, at every level
+        s, _, _ = make_saddle(4, 3, 1e4, rng)
+        f = factorize(s)
+        ev = NormwiseEvaluator(f, s.K)
+        direction = gen_sym_perturbation(7, 1.0, rng)
+        for level in (1e-8, 1e-4, 0.1, 0.4):
+            dk = direction * (level / ev.linv2**2)
+            dl = factorize_dense(s.K + dk, 4, 3).L - f.L
+            normwise_2 = ev.reports([fro_norm(dk)], [dl])[0].actual_dl_2
+            assert normwise_2 == build_componentwise_report(f.L, 1e-6, actual_dl=dl).actual_dl_2
 
     def test_json_round_trip(self, rng):
         import json

@@ -34,8 +34,9 @@ from genchol.harness import (
 @pytest.fixture
 def sv_calls(monkeypatch):
     """The SVD kernel and shape of each call of the Jacobi
-    (``singular_values``) or of LAPACK (``spectral_norm``), in call order,
-    from every module that binds either."""
+    (``singular_values``, which only ``NormwiseEvaluator.__init__`` calls)
+    or of LAPACK (``spectral_norm``), in call order, from every module that
+    binds either."""
     from genchol import bounds, densela, factorization, harness, oracle
 
     calls = []
@@ -269,25 +270,24 @@ class TestNormwiseCampaign:
         # goes to LAPACK, so only SVDs whose values are reported remain.  A
         # normwise trial takes ||L21||_2 of the draw from LAPACK, then from the
         # Jacobi ||K||_2 and both norms of each of its two candidates in one
-        # stack, and the four levels' ||dL||_2 in one more; a componentwise
-        # trial takes ||L21||_2, and both norms of its three candidates with
-        # ||dL||_2 last in one stack, all from LAPACK
+        # stack, and from LAPACK the four levels' ||dL||_2 in one more; a
+        # componentwise trial takes ||L21||_2, and both norms of its three
+        # candidates with ||dL||_2 last in one stack, all from LAPACK
         run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
-        assert sv_calls == [("lapack", (3, 4)), ("jacobi", (5, 7, 7)), ("jacobi", (4, 7, 7))]
+        assert sv_calls == [("lapack", (3, 4)), ("jacobi", (5, 7, 7)), ("lapack", (4, 7, 7))]
         sv_calls.clear()
         run_componentwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
         assert sv_calls == [("lapack", (3, 4)), ("lapack", (7, 7, 7))]
 
     def test_the_jacobi_serves_only_the_evaluator(self, sv_calls):
-        # the Jacobi's only calls are the evaluator's two stacks, of its set-up
-        # and of a trial's measured dLs; every other spectral norm is LAPACK's
+        # the Jacobi's only call is the evaluator's set-up stack; every other
+        # spectral norm, a trial's measured dLs included, is LAPACK's
         from genchol.bounds import build_componentwise_report
         from genchol.factorization import factorize
         from genchol.oracle import build_w, w_inverse_norm
 
         run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=3, seed=0))
-        assert [c for c in sv_calls if c[0] == "jacobi"] == [
-            ("jacobi", (5, 7, 7)), ("jacobi", (4, 7, 7))] * 3
+        assert [c for c in sv_calls if c[0] == "jacobi"] == [("jacobi", (5, 7, 7))] * 3
         sv_calls.clear()
         f = factorize(make_saddle(4, 3, 1e8, np.random.default_rng(5))[0])
         w_inverse_norm(build_w(f))
