@@ -1,11 +1,14 @@
 """Dense matrix kernels shared by the factorization, bound, and harness layers.
 
-The hand-written kernels stay because output bytes depend on them: matmul and
-the Euclidean norm accumulate strictly left to right, so repeated runs give
-identical bits, and the one-sided Jacobi SVD's one sweep loop rotates a whole
-stack with the bits of each matrix alone: each inner product is the same
-contiguous reduction, every other step is elementwise, and a matrix a sweep
-leaves unrotated stays unrotated.  Its columns are stored as contiguous rows,
+The hand-written kernels stay because output bytes depend on them.  matmul
+is one product per term, summed in order from zero: each entry has the bits
+of the scalar loop over the inner index, whichever of its two forms (one
+accumulate, or a loop for large outputs) runs.  The Euclidean norm
+accumulates strictly top to bottom, so repeated runs give identical bits.
+The one-sided Jacobi SVD's one sweep loop rotates a whole stack with the
+bits of each matrix alone: each inner product is the same contiguous
+reduction, every other step is elementwise, and a matrix a sweep leaves
+unrotated stays unrotated.  Its columns are stored as contiguous rows,
 kept in each round's slot order (the round's first columns, then their
 partners, then the bye of an odd order), so a round reads its pairs as two
 slices, takes all their squared norms in one reduction, writes a full round
@@ -32,6 +35,7 @@ UNIT_ROUNDOFF = 2.0 ** -53
 _JACOBI_TOL = 1e-14  # a column pair is rotated while |cos angle| exceeds this
 _JACOBI_MAX_SWEEPS = 60
 _PSD_RTOL = 1e-10  # is_psd: lambda_min >= -rtol * ||S||_2
+_ACCUMULATE_MAX_ENTRIES = 300  # matmul's two forms take about as long near this output size
 
 
 class ShapeError(ValueError):
@@ -62,9 +66,14 @@ def as_matrix(data) -> np.ndarray:
 
 
 def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix product with fixed left-to-right accumulation over the inner index.
+    """Matrix product: one product per term, summed in order from zero.
 
-    Bit-identical to the scalar loop ``s = 0; for k: s += x[i,k]*y[k,j]``.
+    Entry (i, j) is bit-identical to the scalar loop
+    ``s = 0.0; for k: s += x[i,k]*y[k,j]``; the zero start makes an all-zero
+    sum +0.0.  An output of up to ``_ACCUMULATE_MAX_ENTRIES`` entries forms
+    its k outer-product terms in one broadcast after a zero slice and sums
+    them with one ``np.add.accumulate``; a larger one adds them to a zero
+    matrix in a loop, which is faster there and forms no (k, r, c) stack.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -72,10 +81,15 @@ def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ShapeError("matmul operands must be 2-D")
     if x.shape[1] != y.shape[0]:
         raise ShapeError(f"cannot multiply {x.shape} by {y.shape}")
-    out = np.zeros((x.shape[0], y.shape[1]))
-    for k in range(x.shape[1]):
-        out += x[:, k, None] * y[k, :]
-    return out
+    rows, inner, cols = x.shape[0], x.shape[1], y.shape[1]
+    if rows * cols > _ACCUMULATE_MAX_ENTRIES:
+        out = np.zeros((rows, cols))
+        for k in range(inner):
+            out += x[:, k, None] * y[k, :]
+        return out
+    terms = np.zeros((inner + 1, rows, cols))
+    np.multiply(x.T[:, :, None], y[:, None, :], out=terms[1:])
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def column_norms(x: np.ndarray) -> np.ndarray:
@@ -249,11 +263,20 @@ def lower_tri_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=32)
+def upper_mask(order: int) -> np.ndarray:
+    """Read-only boolean mask of the entries above the diagonal of an
+    order x order matrix, built once per order."""
+    mask = ~np.tri(order, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def require_lower_triangular(l: np.ndarray) -> None:
     """ShapeError unless ``l`` is square with no nonzero entry above the diagonal."""
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise ShapeError("expected a square matrix")
-    if l.shape[0] and np.any(np.triu(l, 1) != 0.0):
+    if np.any(l[upper_mask(l.shape[0])]):
         raise ShapeError("matrix has nonzero entries above the diagonal")
 
 

@@ -19,6 +19,7 @@ from .densela import (
     format_json_scalar,
     matmul,
     spectral_norm,
+    upper_mask,
     write_text_atomic,
 )
 from .factorization import (
@@ -91,12 +92,23 @@ class EnsembleConfig:
         return self.m + self.n
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The generator of trial ``trial`` of a campaign seeded ``seed``: the one
+    seed map, which every campaign and every replay of a trial draws through.
+    It is seeded with ``seed XOR trial`` (both taken to 64 bits), so a trial
+    is drawn alike in any order and alone."""
     derived = (int(seed) ^ int(trial)) & 0xFFFFFFFFFFFFFFFF
     return np.random.default_rng(derived)
 
 
 # --- generators ---------------------------------------------------------------
+
+
+def _symmetric_from_lower(x: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrix equal to square ``x`` on and below its
+    diagonal, bit for bit ``np.tril(x) + np.tril(x, -1).T`` (a -0.0 becomes
+    0.0), from the mask ``upper_mask`` keeps per order."""
+    return np.where(upper_mask(x.shape[0]), x.T, x) + 0.0
 
 
 def gen_spd(order: int, cond: float, rng: np.random.Generator) -> np.ndarray:
@@ -109,8 +121,7 @@ def gen_spd(order: int, cond: float, rng: np.random.Generator) -> np.ndarray:
         return np.array([[1.0]])
     q, _ = np.linalg.qr(rng.standard_normal((order, order)))
     sig = 10.0 ** np.linspace(0.0, -math.log10(cond), order)
-    raw = matmul(q * sig, q.T)
-    return np.tril(raw) + np.tril(raw, -1).T  # exact symmetry
+    return _symmetric_from_lower(matmul(q * sig, q.T))
 
 
 def gen_sym_perturbation(p: int, target_fro: float, rng: np.random.Generator) -> np.ndarray:
@@ -346,7 +357,7 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
     """
     records: list[NormwiseTrialRecord] = []
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
+        rng = trial_rng(cfg.seed, trial)
         s, factor, kappa_a, kappa_s = _draw(cfg, rng, trial)
         ev = NormwiseEvaluator(factor, s.K)
         direction = gen_sym_perturbation(cfg.p, 1.0, rng)
@@ -380,7 +391,7 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
     records: list[ComponentwiseTrialRecord] = []
     eps_max_safe = max(eps_componentwise(cfg.m, cfg.n))
     for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
+        rng = trial_rng(cfg.seed, trial)
         s, lt, _, _ = _draw(cfg, rng, trial)
         abs_lt = np.abs(lt.L)
         env_lt = matmul(abs_lt, abs_lt.T)
@@ -395,9 +406,7 @@ def run_componentwise_campaign(cfg: EnsembleConfig) -> list[ComponentwiseTrialRe
 
         # synthetic perturbation inside the componentwise envelope
         eps = cfg.eps_synth
-        draw = rng.uniform(-1.0, 1.0, (cfg.p, cfg.p))
-        low = np.tril(draw)
-        sym_draw = low + np.tril(draw, -1).T
+        sym_draw = _symmetric_from_lower(rng.uniform(-1.0, 1.0, (cfg.p, cfg.p)))
         dk = sym_draw * (eps * env_lt)
 
         try:

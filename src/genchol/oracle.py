@@ -146,21 +146,25 @@ def compensated_residual(factor: GenCholFactor, s: SaddleMatrix) -> np.ndarray:
     The result is the backward error of the factor, accurate to second order
     in the unit roundoff, and exactly zero when all products are representable.
     The p column outer products are split into (product, error) pairs in one
-    call on a (p, p, p) stack; their sums run in column order, which sets the
-    bits.
+    call on a (p, p, p) stack.  Their sum, then -K, is one product per term
+    summed in order from zero: one ``np.add.accumulate`` gives every partial
+    sum, ``_two_sum`` takes the rounding errors of all of them at once, and
+    the compensation (each product's error plus its sum's) is a second
+    accumulate from zero.  The order of the sums sets the bits.
     """
     if factor.spec != s.spec:
         raise ShapeError("factor and matrix have different block specs")
     l = factor.L
     jvec = factor.spec.signature()
     p = factor.p
-    acc = np.zeros((p, p))
-    comp = np.zeros((p, p))
-    # member idx is column idx's outer product: L e_idx times its sign (exact), by L e_idx
+    # member k is column k's outer product: L e_k times its sign (exact), by L e_k
     prods, perrs = _two_prod((l * jvec).T[:, :, None], l.T[:, None, :])
-    for prod, perr in zip(prods, perrs):
-        acc, serr = _two_sum(acc, prod)
-        comp += perr + serr
-    acc, serr = _two_sum(acc, -s.K)
-    comp += serr
-    return acc + comp
+    terms = np.zeros((p + 2, p, p))  # a zero start, the p products, -K
+    terms[1:-1] = prods
+    terms[-1] = -s.K
+    partial = np.add.accumulate(terms, axis=0)
+    _, serrs = _two_sum(partial[:-1], terms[1:])
+    comp = np.zeros((p + 2, p, p))  # a zero start, each term's errors
+    comp[1:-1] = perrs
+    comp[1:] += serrs
+    return partial[-1] + np.add.accumulate(comp, axis=0, out=comp)[-1]

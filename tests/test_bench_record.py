@@ -34,7 +34,7 @@ def test_quick_record_has_the_schema(tool, tmp_path):
         "componentwise_report", "compensated_residual"]
     assert [e["name"] for e in rec["kernels"]] == [
         "singular_values", "singular_values_stack7", "spectral_norm",
-        "spectral_norm_stack7", "sym_eigenvalues", "lower_tri_solve"]
+        "spectral_norm_stack7", "sym_eigenvalues", "lower_tri_solve", "matmul"]
 
 
 def test_check_refuses_a_short_or_untimed_record(tool):

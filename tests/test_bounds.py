@@ -35,9 +35,9 @@ from genchol.factorization import (
 from genchol.harness import (
     EnsembleConfig,
     _draw,
-    _trial_rng,
     gen_sym_perturbation,
     make_saddle,
+    trial_rng,
 )
 from genchol.oracle import build_w, w_inverse_norm
 
@@ -574,7 +574,7 @@ class TestReports:
         cfg = EnsembleConfig(m=m, n=n, trials=20, cond_target=1e12, seed=7)
         worst = 0.0
         for trial in range(cfg.trials):
-            _, f, _, _ = _draw(cfg, _trial_rng(cfg.seed, trial), trial)
+            _, f, _, _ = _draw(cfg, trial_rng(cfg.seed, trial), trial)
             l = f.L
             ev = NormwiseEvaluator(f, reconstruct(f))
             for label, d in scaling_candidates(l):

@@ -68,10 +68,24 @@ class TestMatmul:
         assert np.array_equal(matmul(x, np.eye(2)), x)
 
     def test_matches_naive_triple_loop_exactly(self, rng):
-        for _ in range(50):
-            x = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-3, 4)
-            y = rng.standard_normal((5, 5))
-            assert np.array_equal(matmul(x, y), naive_matmul(x, y))
+        # bit for bit, the sign of a zero included: both output forms (one
+        # accumulate, and the loop above 300 entries), an empty inner
+        # dimension, a long sum into one entry, and sums of signed zeros,
+        # which the zero start makes +0.0
+        shapes = [(5, 5, 5)] * 50 + [(12, 12, 936), (12, 12, 12), (3, 0, 4), (20, 0, 20),
+                                     (1, 8, 1), (1, 13, 1), (7, 7, 196)]
+        for r, k, c in shapes:
+            x = rng.standard_normal((r, k)) * 10.0 ** rng.integers(-3, 4)
+            y = rng.standard_normal((k, c))
+            got = matmul(x, y)
+            assert got.shape == (r, c) and got.tobytes() == naive_matmul(x, y).tobytes()
+        for r, k, c in [(4, 3, 5), (18, 9, 18), (1, 8, 1)]:
+            x = rng.choice([-0.0, 0.0, -1.5, 2.0], (r, k))
+            y = rng.choice([-0.0, 0.0, 3.0], (k, c))
+            x[0] = -0.0  # row 0 of the product sums only -0.0 and 0.0 terms
+            got = matmul(x, y)
+            assert got.tobytes() == naive_matmul(x, y).tobytes()
+            assert not np.any(np.signbit(got[0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):

@@ -344,16 +344,16 @@ class TestComponentwiseCampaign:
         # sampled perturbation never exceeds eps |L~||L~^T| entrywise
         from genchol.densela import matmul
         from genchol.factorization import factorize
-        from genchol.harness import _trial_rng
+        from genchol.harness import trial_rng
 
         cfg = EnsembleConfig(m=3, n=2, trials=1, seed=13, eps_synth=1e-6)
-        s, _, _ = make_saddle(3, 2, cfg.cond_target, _trial_rng(13, 0))
+        s, _, _ = make_saddle(3, 2, cfg.cond_target, trial_rng(13, 0))
         lt = factorize(s)
         labs = np.abs(lt.L)
         env = cfg.eps_synth * matmul(labs, labs.T)
         k_new_records = run_componentwise_campaign(cfg)
         assert len(k_new_records) == 1  # protocol ran; envelope checked below
-        draw_rng = _trial_rng(13, 0)
+        draw_rng = trial_rng(13, 0)
         make_saddle(3, 2, cfg.cond_target, draw_rng)  # consume the same draws
         draw = draw_rng.uniform(-1.0, 1.0, (5, 5))
         sym_draw = np.tril(draw) + np.tril(draw, -1).T

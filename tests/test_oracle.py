@@ -17,6 +17,8 @@ from genchol.factorization import (
 )
 from genchol.harness import gen_sym_perturbation, make_saddle
 from genchol.oracle import (
+    _two_prod,
+    _two_sum,
     actual_delta_l,
     build_w,
     compensated_residual,
@@ -241,6 +243,27 @@ class TestCompensatedResidual:
             mask = env > 0.0
             assert np.all(np.abs(resid)[mask] <= env[mask])
             assert np.all(np.abs(resid)[~mask] == 0.0)
+
+    def test_equals_the_column_loop_bit_for_bit(self, rng):
+        # the sums' order is the byte contract: the partial sums run over the
+        # columns in order from zero, then -K, each with its _two_sum error
+        def column_loop(f, s):
+            acc, comp = np.zeros((f.p, f.p)), np.zeros((f.p, f.p))
+            lj = f.L * f.spec.signature()
+            for j in range(f.p):
+                prod, perr = _two_prod(lj[:, j, None], f.L[:, j][None, :])
+                acc, serr = _two_sum(acc, prod)
+                comp += perr + serr
+            acc, serr = _two_sum(acc, -s.K)
+            comp += serr
+            return acc + comp
+
+        for m, n in [(1, 0), (5, 0), (12, 0), (1, 1), (3, 2), (6, 6), (9, 3), (11, 1)]:
+            for cond in (1e2, 1e8):
+                s, _, _ = make_saddle(m, n, cond, rng)
+                f = factorize(s)
+                got = compensated_residual(f, s)
+                assert got.tobytes() == column_loop(f, s).tobytes(), (m, n, cond)
 
     def test_close_to_plain_residual(self, rng):
         for _ in range(10):

@@ -15,16 +15,18 @@ BLAS runs on one thread.  The JSON object holds:
 - ``tier1``: wall time and counts of the tier-1 suite;
 - ``perfbench``: the last line of ``perfbench/run.py --workload all --seed 0
   --seconds 35``, run as it is, and its command;
-- ``experiments``: the wall time of each command of the README's
-  "Experiments" block, start-up included;
+- ``experiments``: the best of ``EXPERIMENT_RUNS`` wall times of each
+  command of the README's "Experiments" block, start-up included (one run
+  swings by half of its time with the host);
 - ``layers``: the median ms of repeated in-process calls of each campaign
   layer on fixed draws: ``factorize``, the ``NormwiseEvaluator`` set-up,
   ``reports`` per level, ``build_w`` + ``w_inverse_norm``, the componentwise
   report and ``compensated_residual``;
 - ``kernels``: the median ms of ``singular_values`` and of
   ``spectral_norm`` (one matrix and a stack of 7 each; in trees before the
-  LAPACK ``spectral_norm``, it is the Jacobi's), ``sym_eigenvalues`` and
-  ``lower_tri_solve`` at p = 7 and p = 28.
+  LAPACK ``spectral_norm``, it is the Jacobi's), ``sym_eigenvalues``,
+  ``lower_tri_solve`` and ``matmul`` at p = 7 and p = 28 (its one-accumulate
+  and its loop form).
 
 Each layer and kernel entry also holds ``ref_ms``, the median time of a fixed
 numpy loop timed in turn with it: ``ms / ref_ms`` compares across a slow
@@ -60,6 +62,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 LAYER_SHAPES = ((4, 3, 1e8), (6, 6, 1e3))  # (m, n, cond): the benchmark's verify-small, backward-mid
 KERNEL_ORDERS = (7, 28)
 STACK = 7  # members of the stacked SVD calls
+EXPERIMENT_RUNS = 3  # each Experiments command's wall time is the best of these
 SCHEMA = {
     "pr": int, "quick": bool, "machine": dict, "git": dict, "tier1": (dict, type(None)),
     "perfbench": (dict, type(None)), "experiments": (list, type(None)),
@@ -165,6 +168,7 @@ def kernels(quick: bool) -> list[dict]:
             f"spectral_norm_stack{STACK}": lambda: densela.spectral_norm(x),
             "sym_eigenvalues": lambda: densela.sym_eigenvalues(sym),
             "lower_tri_solve": lambda: densela.lower_tri_solve(l, x[2]),
+            "matmul": lambda: densela.matmul(x[3], x[4]),
         }
         out += [{"name": name, "p": p, **_timed(fn, quick)} for name, fn in calls.items()]
     return out
@@ -207,10 +211,12 @@ def experiments(tree: Path) -> list[dict]:
         Path(cwd, "results").mkdir()
         for command in readme_experiments(tree):
             argv = [sys.executable, "-m", "genchol", *shlex.split(command)[1:]]
-            start = time.perf_counter()
-            res = subprocess.run(argv, cwd=cwd, env=_env(tree), capture_output=True)
-            out.append({"name": command, "wall_s": time.perf_counter() - start,
-                        "exit": res.returncode})
+            walls = []
+            for _ in range(EXPERIMENT_RUNS):
+                start = time.perf_counter()
+                res = subprocess.run(argv, cwd=cwd, env=_env(tree), capture_output=True)
+                walls.append(time.perf_counter() - start)
+            out.append({"name": command, "wall_s": min(walls), "exit": res.returncode})
     return out
 
 
