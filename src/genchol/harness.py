@@ -9,7 +9,7 @@ repeated runs byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,31 +181,52 @@ def make_saddle(
 
 
 @dataclass(frozen=True, slots=True)
-class NormwiseTrialRecord:
-    """One (trial, dk level) of a normwise campaign: what was measured, with
-    the verdicts derived from the report."""
+class TrialRecord:
+    """What a record of either campaign shares: its trial's identity, and its
+    verdicts, derived from the subclass's ``report`` and nowhere else.
+
+    A skipped record has no ratios, and only a failed backward-error check
+    (``bw_env_ok``) makes it a violation.  A normwise record is never skipped
+    and has no such check, so it keeps the class constants below; the
+    componentwise record overrides them with its property and its field.
+    """
 
     trial: int
     m: int
     n: int
     seed: int
+
+    skipped = False  # class constants, not fields
+    bw_env_ok = True
+
+    @property
+    def worst_ratio(self) -> float:
+        return 0.0 if self.skipped else _domination(self.report)[0]
+
+    @property
+    def violation(self) -> bool:
+        return not self.bw_env_ok or (not self.skipped and _domination(self.report)[1])
+
+    @property
+    def tightness(self) -> dict[str, float | None]:
+        """bound/actual for each rigorous bound (see ``_domination``); empty
+        when skipped."""
+        return {} if self.skipped else _domination(self.report)[2]
+
+    def json_items(self) -> list[tuple[str, object]]:
+        """The CSV items, the JSON-only extras, then the ``ratio_*`` items."""
+        ratios = [(f"ratio_{name}", value) for name, value in self.tightness.items()]
+        return self.csv_items() + self._json_extras() + ratios
+
+
+@dataclass(frozen=True, slots=True)
+class NormwiseTrialRecord(TrialRecord):
+    """One (trial, dk level) of a normwise campaign: what was measured."""
+
     dk_level: float
     kappa_a: float
     kappa_s: float
     report: NormwiseBoundReport
-
-    @property
-    def worst_ratio(self) -> float:
-        return _domination(self.report)[0]
-
-    @property
-    def violation(self) -> bool:
-        return _domination(self.report)[1]
-
-    @property
-    def tightness(self) -> dict[str, float | None]:
-        """bound/actual for each rigorous bound (see ``_domination``)."""
-        return _domination(self.report)[2]
 
     def csv_items(self) -> list[tuple[str, object]]:
         """The CSV row: (column, value) pairs, in the fixed schema order."""
@@ -222,8 +243,8 @@ class NormwiseTrialRecord:
             ("violation", self.violation),
         ]
 
-    def json_items(self) -> list[tuple[str, object]]:
-        return _json_items(self, [
+    def _json_extras(self) -> list[tuple[str, object]]:
+        return [
             ("dk_level", self.dk_level),
             ("kappa_a", self.kappa_a),
             ("kappa_s", self.kappa_s),
@@ -231,28 +252,20 @@ class NormwiseTrialRecord:
             ("near_boundary", self.report.near_boundary),
             ("diag_3_8_ok", self.report.diag_3_8_ok),
             ("cond318_strength_ok", self.report.cond_3_18_strength_ok),
-        ])
+        ]
 
 
 @dataclass(frozen=True, slots=True)
-class ComponentwiseTrialRecord:
+class ComponentwiseTrialRecord(TrialRecord):
     """One trial of a componentwise campaign: what was measured, with the
-    verdicts derived from the report and the backward-error check.
+    backward-error check.  A record without a measured dL (the
+    refactorization broke down) or outside condition 4.2 is skipped."""
 
-    A record without a measured dL (the refactorization broke down) or
-    outside condition 4.2 is skipped: it has no ratios, and only a failed
-    backward-error check makes it a violation.
-    """
-
-    trial: int
-    m: int
-    n: int
-    seed: int
     eps_convention: str  # the campaign's label for its column, not a bound input
     report: ComponentwiseBoundReport
     env_lt_fro: float
     env_tl_fro: float
-    bw_env_ok: bool
+    bw_env_ok: bool = field()  # required: no default from the base's constant
 
     @property
     def breakdown(self) -> bool:
@@ -261,19 +274,6 @@ class ComponentwiseTrialRecord:
     @property
     def skipped(self) -> bool:
         return self.breakdown or not self.report.cond_4_2_ok
-
-    @property
-    def worst_ratio(self) -> float:
-        return 0.0 if self.skipped else _domination(self.report)[0]
-
-    @property
-    def violation(self) -> bool:
-        return not self.bw_env_ok or (not self.skipped and _domination(self.report)[1])
-
-    @property
-    def tightness(self) -> dict[str, float | None]:
-        """bound/actual for each rigorous bound; empty when skipped."""
-        return {} if self.skipped else _domination(self.report)[2]
 
     def csv_items(self) -> list[tuple[str, object]]:
         """The CSV row: (column, value) pairs, in the fixed schema order;
@@ -291,20 +291,14 @@ class ComponentwiseTrialRecord:
             ("skipped", self.skipped),
         ]
 
-    def json_items(self) -> list[tuple[str, object]]:
+    def _json_extras(self) -> list[tuple[str, object]]:
         gammas = eps_componentwise(self.m, self.n)
-        return _json_items(self, [
+        return [
             ("near_boundary", self.report.near_boundary),
             ("breakdown", self.breakdown),
             ("eps_gamma_min_paper", min(gammas)),
             ("eps_gamma_max_safe", max(gammas)),
-        ])
-
-
-def _json_items(record, extras) -> list[tuple[str, object]]:
-    """A record's CSV items, its JSON-only ``extras``, its ratios."""
-    ratios = [(f"ratio_{name}", value) for name, value in record.tightness.items()]
-    return record.csv_items() + extras + ratios
+        ]
 
 
 def _domination(report) -> tuple[float, bool, dict[str, float | None]]:

@@ -18,6 +18,7 @@ from genchol.harness import (
     ComponentwiseTrialRecord,
     EnsembleConfig,
     NormwiseTrialRecord,
+    TrialRecord,
     emit_report,
     emit_rows,
     gen_spd,
@@ -424,6 +425,28 @@ class TestTrialRecords:
         broken = dataclasses.replace(rec, report=report)
         assert broken.breakdown and broken.skipped
         assert (broken.worst_ratio, broken.violation, broken.tightness) == (0.0, False, {})
+        # skipped, it has no ratios, but a failed backward-error check is a violation
+        failed = dataclasses.replace(broken, bw_env_ok=False)
+        assert (failed.worst_ratio, failed.violation, failed.tightness) == (0.0, True, {})
+
+    def test_one_home_for_the_verdict_and_the_json_row(self):
+        # both records take worst_ratio, violation, tightness and json_items
+        # from the base, and neither defines its own
+        for name in ("worst_ratio", "violation", "tightness", "json_items"):
+            for cls in (NormwiseTrialRecord, ComponentwiseTrialRecord):
+                assert name not in cls.__dict__, (cls.__name__, name)
+                assert getattr(cls, name) is TrialRecord.__dict__[name], (cls.__name__, name)
+        for records in (
+            run_normwise_campaign(EnsembleConfig(m=3, n=2, trials=2, seed=5)),
+            run_componentwise_campaign(EnsembleConfig(m=3, n=2, trials=3, seed=5)),
+        ):
+            kept = [r for r in records if not r.skipped]
+            assert kept
+            for r in kept:
+                items = r.json_items()
+                ratios = [f"ratio_{name}" for name in r.report.rigorous_bounds()]
+                assert items[: len(r.csv_items())] == r.csv_items()
+                assert [key for key, _ in items[len(items) - len(ratios):]] == ratios
 
     def test_replace_trial_and_seed(self):
         # the benchmark relabels one-trial campaigns this way
@@ -451,6 +474,35 @@ class TestTrialRecords:
         assert "violations=2" in capsys.readouterr().err
         for line in out.read_text().splitlines()[1:]:  # bw_env_ok false, violation true
             assert line.split(",")[-4] == "false" and line.split(",")[-2] == "true"
+
+
+class TestReplay:
+    """A campaign record is reproduced alone: ``genchol bounds`` on its
+    trial's K and dK, written at 17 digits, gives the record's report."""
+
+    def test_bounds_reproduces_every_normwise_record(self, monkeypatch, tmp_path):
+        from genchol import cli, harness
+        from genchol.bounds import report_to_json
+        from genchol.densela import write_matrix
+        from genchol.factorization import SaddleMatrix, write_saddle
+        from genchol.oracle import actual_delta_l
+
+        inputs = []  # (K, dK) of every level of every trial, in record order
+
+        def capturing(factor, k, dk):
+            inputs.append((k, dk))
+            return actual_delta_l(factor, k, dk)
+
+        monkeypatch.setattr(harness, "actual_delta_l", capturing)
+        records = run_normwise_campaign(
+            EnsembleConfig(m=4, n=3, trials=10, cond_target=1e8, seed=11))
+        assert len(records) == len(inputs) == 40
+        k_path, dk_path, out = tmp_path / "k.txt", tmp_path / "dk.txt", tmp_path / "r.json"
+        for rec, (k, dk) in zip(records, inputs):
+            write_saddle(SaddleMatrix.from_dense(k, 4, 3), k_path)
+            write_matrix(dk, dk_path)
+            assert cli.main(["bounds", str(k_path), str(dk_path), "--out", str(out)]) == 0
+            assert out.read_text() == report_to_json(rec.report) + "\n", (rec.trial, rec.dk_level)
 
 
 class TestGammaSweep:

@@ -61,12 +61,15 @@ COMMANDS = [
     "verify --m 6 --n 6 --out verify.csv",
     "verify --cond-target 1e20 --trials 20 --out verify.csv",
     "verify --trials 1000 --seed 20250810 --out normwise.csv",
+    "verify --m 5 --n 0 --format json --out verify.json",  # no Schur block
     "backward --out backward.csv",
     "backward --format json --out backward.json",
     "backward --m 6 --n 6 --out backward.csv",
     "backward --eps 0.3 --out backward.csv",
     "backward --eps-convention min-paper --out backward.csv",
     "backward --trials 200 --seed 20250810 --out componentwise.csv",
+    # every bound is 0, and a refactored dL can still be above it
+    "backward --eps 0 --trials 200 --format json --out backward.json",
     "sweep --kind remark32 --gammas 0.01,0.001,0.0001 --out sweep_column_scaling.csv",
     "sweep --kind remark33 --gammas 10,100,1000 --out sweep_operator_conditioning.csv",
     "factor k43.txt l43.txt",
