@@ -96,7 +96,8 @@ def column_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column of a 2-D array (or of a stack of them),
     overflow-safe: each column scaled by its largest magnitude, its squares
     added top to bottom by ``np.add.accumulate`` (never numpy's pairwise sum),
-    bit-identical to the loop ``total += t*t``; Jacobi, ``fro_norm`` and ``bounds`` use it."""
+    bit-identical to the loop ``total += t*t``; Jacobi and ``bounds`` use it,
+    and ``fro_norm`` runs its steps on one column."""
     if x.shape[-2] == 0:
         return np.zeros(x.shape[:-2] + x.shape[-1:])
     amax = np.abs(x).max(axis=-2)
@@ -105,9 +106,16 @@ def column_norms(x: np.ndarray) -> np.ndarray:
 
 
 def fro_norm(x) -> float:
-    """Frobenius norm (the Euclidean norm of a vector), overflow-safe; the
-    column kernel above applied to the entries, in row order, as one column."""
-    return float(column_norms(np.asarray(x, dtype=np.float64).reshape(-1, 1))[0])
+    """Frobenius norm (the Euclidean norm of a vector), overflow-safe: the
+    column kernel's steps on the entries in row order, as one column.  Its
+    largest magnitude scales them, and their squares are added top to bottom
+    by one ``np.add.accumulate``, with no BLAS call and no pairwise sum."""
+    v = np.asarray(x, dtype=np.float64).ravel()
+    if not v.size:
+        return 0.0
+    amax = float(np.abs(v).max())
+    t = v / (amax if amax != 0.0 else 1.0)
+    return amax * math.sqrt(np.add.accumulate(t * t)[-1])
 
 
 @functools.lru_cache(maxsize=32)
@@ -245,7 +253,12 @@ def spectral_norm(x) -> float | list[float]:
 
 
 def lower_tri_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L X = RHS by forward substitution; RHS may have many columns."""
+    """Solve L X = RHS by forward substitution; RHS may have many columns.
+
+    Row i takes exactly one BLAS call, the ``dgemv`` of ``L[i, :i]`` with the
+    solved rows, then one subtraction and one division by the Python float
+    ``L[i, i]``: the bits of the scalar loop over the columns of RHS.
+    """
     l = np.asarray(l, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     n = l.shape[0]
@@ -253,13 +266,12 @@ def lower_tri_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ShapeError("triangular solve expects a square matrix")
     if rhs.shape[0] != n:
         raise ShapeError("right-hand side has incompatible row count")
-    diag = np.diagonal(l)
-    zero = np.flatnonzero(diag == 0.0)
-    if zero.size:
-        raise SingularMatrixError(f"zero diagonal entry at position {zero[0] + 1}")
+    diag = np.diagonal(l).tolist()
+    if 0.0 in diag:
+        raise SingularMatrixError(f"zero diagonal entry at position {diag.index(0.0) + 1}")
     x = np.zeros_like(rhs)
-    for i in range(n):
-        x[i, :] = (rhs[i, :] - l[i, :i] @ x[:i, :]) / diag[i]
+    for i, d in enumerate(diag):
+        x[i, :] = (rhs[i, :] - l[i, :i] @ x[:i, :]) / d
     return x
 
 

@@ -9,7 +9,7 @@ J = diag(I_m, -I_n); with positive diagonal entries the factor is unique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,25 +78,39 @@ class BlockSpec:
 def _cholesky_lower(
     mat: np.ndarray, block: str, offset: int, matrix_label: str
 ) -> np.ndarray:
-    """Lower Cholesky factor; fails on the first nonpositive pivot."""
+    """Lower Cholesky factor; fails on the first nonpositive pivot.
+
+    Column j takes exactly two BLAS calls, one ``ddot`` of row j for its pivot
+    and one ``dgemv`` for the entries below it; the diagonal is read once as
+    Python floats, and the pivot's subtraction, square root and division
+    round as numpy's scalars would.
+    """
     n = mat.shape[0]
     l = np.zeros((n, n))
-    for j in range(n):
-        d = float(mat[j, j]) - float(l[j, :j] @ l[j, :j])
+    for j, diag in enumerate(np.diagonal(mat).tolist()):
+        row = l[j, :j]
+        d = diag - float(row @ row)
         if d <= 0.0:
             raise FactorizationError(block, offset + j + 1, d, matrix_label)
-        l[j, j] = math.sqrt(d)
+        pivot = math.sqrt(d)
+        l[j, j] = pivot
         if j + 1 < n:
-            l[j + 1 :, j] = (mat[j + 1 :, j] - l[j + 1 :, :j] @ l[j, :j]) / l[j, j]
+            l[j + 1 :, j] = (mat[j + 1 :, j] - l[j + 1 :, :j] @ row) / pivot
     return l
 
 
 @dataclass(frozen=True)
 class SaddleMatrix:
-    """Validated saddle matrix K = [[A, B^T], [B, -C]], stored dense and read-only."""
+    """Validated saddle matrix K = [[A, B^T], [B, -C]], stored dense and read-only.
+
+    ``l11`` is the Cholesky factor of A that the definiteness check computed,
+    read-only; ``factorize`` continues from it.  It is derived from K, so it
+    takes no part in ``==`` or ``repr``.
+    """
 
     spec: BlockSpec
     K: np.ndarray
+    l11: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def from_blocks(cls, a, b, c) -> "SaddleMatrix":
@@ -120,7 +134,8 @@ class SaddleMatrix:
             raise SaddleValidationError("A is not exactly symmetric")
         if not np.array_equal(c, c.T):
             raise SaddleValidationError("C is not exactly symmetric")
-        _cholesky_lower(a, "A", 0, "A")  # positive definiteness
+        l11 = _cholesky_lower(a, "A", 0, "A")  # positive definiteness
+        l11.setflags(write=False)
         if not is_psd(c):
             raise SaddleValidationError("C is not positive semi-definite")
         if n > 0:
@@ -136,7 +151,7 @@ class SaddleMatrix:
         k[m:, :m] = b
         k[m:, m:] = -c
         k.setflags(write=False)
-        return cls(spec, k)
+        return cls(spec, k, l11)
 
     @classmethod
     def from_dense(cls, k, m: int, n: int) -> "SaddleMatrix":
@@ -179,11 +194,13 @@ class GenCholFactor:
         return self.spec.p
 
 
-def _factor_core(k: np.ndarray, m: int, n: int, matrix_label: str) -> GenCholFactor:
+def _factor_core(
+    k: np.ndarray, l11: np.ndarray, m: int, n: int, matrix_label: str
+) -> GenCholFactor:
+    """The factor of ``k`` given ``l11``, the Cholesky factor of its A block."""
     l = np.zeros((m + n, m + n))
+    l[:m, :m] = l11
     with np.errstate(over="ignore", invalid="ignore"):
-        l11 = _cholesky_lower(k[:m, :m], "A", 0, matrix_label)
-        l[:m, :m] = l11
         if n > 0:
             # L21 solves L21 L11^T = B, i.e. L11 L21^T = B^T by forward
             # substitution.  B^T is taken as the transpose of the lower block, not
@@ -202,7 +219,7 @@ def _factor_core(k: np.ndarray, m: int, n: int, matrix_label: str) -> GenCholFac
 
 def factorize(s: SaddleMatrix) -> GenCholFactor:
     """Factor a validated saddle matrix as K = L J L^T."""
-    return _factor_core(s.K, s.spec.m, s.spec.n, "K")
+    return _factor_core(s.K, s.l11, s.spec.m, s.spec.n, "K")
 
 
 def factorize_dense(k, m: int, n: int, matrix_label: str = "K") -> GenCholFactor:
@@ -218,7 +235,9 @@ def factorize_dense(k, m: int, n: int, matrix_label: str = "K") -> GenCholFactor
         raise ShapeError(f"expected a {p} x {p} matrix, got {k.shape}")
     if not np.array_equal(k, k.T):
         raise ShapeError("matrix is not exactly symmetric")
-    return _factor_core(k, m, n, matrix_label)
+    with np.errstate(over="ignore", invalid="ignore"):
+        l11 = _cholesky_lower(k[:m, :m], "A", 0, matrix_label)
+    return _factor_core(k, l11, m, n, matrix_label)
 
 
 def reconstruct(f: GenCholFactor) -> np.ndarray:

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from genchol.densela import UNIT_ROUNDOFF, ConvergenceError, ShapeError, fro_norm
+from genchol.densela import (
+    UNIT_ROUNDOFF,
+    ConvergenceError,
+    ShapeError,
+    fro_norm,
+    lower_tri_inverse,
+    lower_tri_solve,
+    matmul,
+)
 from genchol.factorization import (
     BlockSpec,
+    _cholesky_lower,
     FactorizationError,
     GenCholFactor,
     SaddleMatrix,
@@ -94,6 +103,17 @@ class TestFactorize:
     def test_factor_is_read_only(self):
         f = factorize(SaddleMatrix.from_blocks([[4.0]], [[2.0]], [[1.0]]))
         assert not f.L.flags.writeable
+
+    @pytest.mark.parametrize("m, n", [(1, 0), (4, 3), (6, 6), (5, 0)])
+    def test_kept_factor_of_a_is_the_factors_leading_block(self, rng, m, n):
+        # from_blocks keeps the factor its definiteness check computed, and
+        # factorize continues from it: the same bits as L[:m, :m]
+        s = make_saddle(m, n, 1e8, rng)[0]
+        assert not s.l11.flags.writeable
+        assert s.l11.shape == (m, m)
+        assert np.array_equal(s.l11.view(np.uint64), factorize(s).L[:m, :m].view(np.uint64))
+        assert "l11" not in repr(s)
+        assert s == SaddleMatrix(s.spec, s.K, np.eye(m))  # derived from K, not compared
 
     def test_overflowing_factor_is_a_kernel_failure(self):
         # a valid saddle matrix whose L21 = 1e200 / 1e-150 overflows
@@ -277,3 +297,123 @@ class TestSaddleText:
         back = read_saddle(path)
         assert back.spec == s.spec
         assert np.array_equal(back.K, s.K)
+
+
+# --- bit pins of the hand kernels ---------------------------------------------
+#
+# Each reference below is the kernel spelled out with numpy scalars and one
+# index per step.  The kernels must keep its bits exactly: the campaigns'
+# output bytes are built on them.
+
+
+def reference_cholesky(mat):
+    n = mat.shape[0]
+    l = np.zeros((n, n))
+    for j in range(n):
+        d = float(mat[j, j]) - float(l[j, :j] @ l[j, :j])
+        if d <= 0.0:
+            return d
+        l[j, j] = math.sqrt(d)
+        if j + 1 < n:
+            l[j + 1 :, j] = (mat[j + 1 :, j] - l[j + 1 :, :j] @ l[j, :j]) / l[j, j]
+    return l
+
+
+def reference_solve(l, rhs):
+    diag = np.diagonal(l)
+    x = np.zeros_like(rhs)
+    for i in range(l.shape[0]):
+        x[i, :] = (rhs[i, :] - l[i, :i] @ x[:i, :]) / diag[i]
+    return x
+
+
+def reference_fro(x):
+    col = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    if col.shape[0] == 0:
+        return 0.0
+    amax = np.abs(col).max(axis=-2)
+    t = col / np.where(amax == 0.0, 1.0, amax)[..., None, :]
+    return float((amax * np.sqrt(np.add.accumulate(t * t, axis=-2)[..., -1, :]))[0])
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def pinned_draws():
+    """make_saddle draws of every m + n from 1 to 12 with n <= m, n = 0
+    included, at cond 1e2 and 1e8, each with its factor."""
+    rng = np.random.default_rng(20261020)
+    for cond in (1e2, 1e8):
+        for p in range(1, 13):
+            for n in range(p // 2 + 1):
+                s = make_saddle(p - n, n, cond, rng)[0]
+                yield s, factorize(s), rng
+
+
+# 0 x 0 and 1 x 1 inputs, signed zeros, and entries near the ends of the range
+SMALL_SPD = [
+    np.zeros((0, 0)),
+    np.array([[4.0]]),
+    np.array([[2.0, -0.0, 0.0], [-0.0, 3.0, -0.0], [0.0, -0.0, 5.0]]),
+    np.array([[4.0, -1.0], [-1.0, 3.0]]) * 1e150,
+    np.array([[4.0, -1.0], [-1.0, 3.0]]) * 1e-150,
+]
+SMALL_IDS = ["0x0", "1x1", "signed-zeros", "1e150", "1e-150"]
+
+
+class TestKernelBitPins:
+    def test_cholesky_on_draws(self):
+        for s, f, _ in pinned_draws():
+            m = s.spec.m
+            a = s.K[:m, :m]
+            assert same_bits(_cholesky_lower(a, "A", 0, "K"), reference_cholesky(a))
+            l21 = f.L[m:, :m]
+            schur = -s.K[m:, m:] + matmul(l21, l21.T)
+            assert same_bits(_cholesky_lower(schur, "Schur", m, "K"), reference_cholesky(schur))
+
+    @pytest.mark.parametrize("mat", SMALL_SPD, ids=SMALL_IDS)
+    def test_cholesky_on_small_and_scaled(self, mat):
+        assert same_bits(_cholesky_lower(mat, "A", 0, "K"), reference_cholesky(mat))
+
+    def test_cholesky_breakdown_value(self):
+        mat = np.array([[1.0, 2.0, 0.5], [2.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
+        with pytest.raises(FactorizationError) as err:
+            _cholesky_lower(mat, "A", 0, "K")
+        assert same_bits(err.value.value, reference_cholesky(mat))
+        assert err.value.pivot == 2
+
+    def test_solve_and_inverse_on_draws(self):
+        # the factor core's right-hand side B^T (a transposed view), one
+        # column, twelve columns, and the identity of the inverse
+        for s, f, rng in pinned_draws():
+            m, p = s.spec.m, s.p
+            l11 = f.L[:m, :m]
+            bt = s.K[m:, :m].T
+            assert same_bits(lower_tri_solve(l11, bt), reference_solve(l11, bt))
+            for cols in (1, 12):
+                rhs = rng.standard_normal((p, cols))
+                assert same_bits(lower_tri_solve(f.L, rhs), reference_solve(f.L, rhs))
+            assert same_bits(lower_tri_inverse(f.L), reference_solve(f.L, np.eye(p)))
+
+    @pytest.mark.parametrize("mat", SMALL_SPD, ids=SMALL_IDS)
+    def test_solve_on_small_and_scaled(self, mat):
+        l = reference_cholesky(mat)
+        for rhs in (np.ones((len(l), 1)), -np.zeros((len(l), 12)), mat):
+            assert same_bits(lower_tri_solve(l, rhs), reference_solve(l, rhs))
+        assert same_bits(lower_tri_inverse(l), reference_solve(l, np.eye(len(l))))
+
+    def test_fro_norm_on_draws(self):
+        for s, f, rng in pinned_draws():
+            b = s.K[s.spec.m :, : s.spec.m]
+            for x in (s.K, f.L, f.L.T, b, rng.standard_normal(s.p)):
+                assert same_bits(fro_norm(x), reference_fro(x))
+
+    @pytest.mark.parametrize("x", [
+        np.zeros((0, 0)), np.zeros(0), [[-0.0]], [[3.0]], [-0.0, 0.0, -0.0],
+        [[1.0, -0.0], [-2.0, 0.0]], np.arange(-5.0, 7.0) * 1e150,
+        np.arange(-5.0, 7.0) * 1e-150,
+    ], ids=["0x0", "empty", "minus-zero", "1x1", "signed-zeros", "mixed-zeros", "1e150", "1e-150"])
+    def test_fro_norm_on_small_and_scaled(self, x):
+        assert same_bits(fro_norm(x), reference_fro(x))

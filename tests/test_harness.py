@@ -280,6 +280,28 @@ class TestNormwiseCampaign:
         run_componentwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
         assert sv_calls == [("lapack", (3, 4)), ("lapack", (7, 7, 7))]
 
+    def test_hand_choleskys_per_trial(self, monkeypatch):
+        # A is factored once per draw: from_blocks' definiteness check keeps
+        # its factor and factorize continues from it.  A componentwise trial
+        # then factors A, the Schur block of K, and both blocks of K + dK (4);
+        # a normwise 4+3 trial at four levels, A, K's Schur block, and both
+        # blocks of each level's K + dK (10)
+        from genchol import factorization
+
+        calls = []
+        original = factorization._cholesky_lower
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(factorization, "_cholesky_lower", counting)
+        run_componentwise_campaign(EnsembleConfig(m=6, n=6, trials=1, seed=0))
+        assert calls == ["A", "Schur", "A", "Schur"]
+        calls.clear()
+        run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
+        assert calls == ["A", "Schur"] + ["A", "Schur"] * 4
+
     def test_the_jacobi_serves_only_the_evaluator(self, sv_calls):
         # the Jacobi's only call is the evaluator's set-up stack; every other
         # spectral norm, a trial's measured dLs included, is LAPACK's

@@ -226,7 +226,7 @@ class TestCompensatedResidual:
             np.fill_diagonal(l, np.abs(np.diagonal(l)) + 1.0)
             f = GenCholFactor.from_dense(l, m, n)
             k = reconstruct(f)
-            s = SaddleMatrix(BlockSpec(m, n), k)  # the constructor does not validate
+            s = SaddleMatrix(BlockSpec(m, n), k, f.L[:m, :m])  # the constructor does not validate
             assert np.array_equal(compensated_residual(f, s), np.zeros((p, p)))
 
     def test_within_gamma_envelope(self, rng):

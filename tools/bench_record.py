@@ -19,9 +19,10 @@ BLAS runs on one thread.  The JSON object holds:
   command of the README's "Experiments" block, start-up included (one run
   swings by half of its time with the host);
 - ``layers``: the median ms of repeated in-process calls of each campaign
-  layer on fixed draws: ``factorize``, the ``NormwiseEvaluator`` set-up,
-  ``reports`` per level, ``build_w`` + ``w_inverse_norm``, the componentwise
-  report and ``compensated_residual``;
+  layer on fixed draws: ``make_saddle`` (the draw with its checks, from a
+  generator made afresh at one seed), ``factorize``, the
+  ``NormwiseEvaluator`` set-up, ``reports`` per level, ``build_w`` +
+  ``w_inverse_norm``, the componentwise report and ``compensated_residual``;
 - ``kernels``: the median ms of ``singular_values`` and of
   ``spectral_norm`` (one matrix and a stack of 7 each; in trees before the
   LAPACK ``spectral_norm``, it is the Jacobi's), ``sym_eigenvalues``,
@@ -125,7 +126,8 @@ def layers(quick: bool) -> list[dict]:
 
     out = []
     for m, n, cond in ((2, 1, 1e4),) if quick else LAYER_SHAPES:
-        rng = np.random.default_rng(20261019)
+        seed = 20261019
+        rng = np.random.default_rng(seed)
         s = harness.make_saddle(m, n, cond, rng)[0]
         f = factorize(s)
         ev = bounds.NormwiseEvaluator(f, s.K)
@@ -135,6 +137,7 @@ def layers(quick: bool) -> list[dict]:
         dls = [oracle.actual_delta_l(f, s.K, dk) for dk in dks]
         dk_fros = [fro_norm(dk) for dk in dks]
         calls = {
+            "make_saddle": lambda: harness.make_saddle(m, n, cond, np.random.default_rng(seed)),
             "factorize": lambda: factorize(s),
             "normwise_init": lambda: bounds.NormwiseEvaluator(f, s.K),
             "reports_per_level": lambda: ev.reports(dk_fros, dls),

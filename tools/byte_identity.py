@@ -36,6 +36,8 @@ _K = [a + [b[i] for b in _B] for i, a in enumerate(_A)]
 _K += [b + [-c for c in crow] for b, crow in zip(_B, _C)]
 _DK = [[1e-3 * ((i * j) % 3 - 1) for j in range(7)] for i in range(7)]
 _DK_ASYM = [[float((i, j) == (0, 1)) for j in range(7)] for i in range(7)]  # not symmetric
+# -10 on the diagonal of A: K + dK breaks down at its first pivot, 4 - 10
+_DK_BREAK = [[-10.0 if i == j < 4 else 0.0 for j in range(7)] for i in range(7)]
 
 
 def _rows(matrix) -> str:
@@ -52,6 +54,9 @@ INPUTS = {
     # L = [[1e-155]]: ||L^-1||_2^2 overflows, but its product with ||dK||_F is 1e-10
     "k_tiny.txt": "1 0\n1e-310\n",
     "dk_tiny.txt": "1 1\n1e-320\n",
+    "dk_break43.txt": "7 7\n" + _rows(_DK_BREAK),
+    # symmetric, but A = [[-1]] is not positive definite
+    "k_indef.txt": "2 1\n-1 0 1\n0 1 0\n1 0 0\n",
 }
 
 COMMANDS = [
@@ -84,6 +89,9 @@ COMMANDS = [
     "bounds k43.txt dk_asym43.txt",
     "bounds k_overflow.txt dk43.txt",
     "sweep --kind remark33 --gammas 1e200,1 --out sweep.csv",
+    # breakdowns: A checked on read, and K + dK factored for the measured dL
+    "factor k_indef.txt l_indef.txt",
+    "bounds k43.txt dk_break43.txt",
 ]
 
 
