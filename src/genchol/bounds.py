@@ -20,11 +20,14 @@ from stacked calls, with the bits of separate calls: one for an evaluator's
 set-up, the one call of the Jacobi (see ``densela``); one for the measured
 dLs of all the levels ``NormwiseEvaluator.reports`` is given; and one for a
 componentwise report and its measured dL.  The last two are LAPACK's, so a
-measured ||dL||_2 has the same bits in either report.
+measured ||dL||_2 has the same bits in either report.  The levels' ||dL||_F
+and ||L^-1 dL||_F come from one stacked call each too, with the bits of
+separate calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -37,6 +40,7 @@ from .densela import (
     gamma_k,
     lower_tri_inverse,
     matmul,
+    matmul_stack,
     require_lower_triangular,
     singular_values,
     spectral_norm,
@@ -69,6 +73,17 @@ def scaling_candidates(l_dense, bauer=None) -> tuple[tuple[str, np.ndarray], ...
         row_max = np.maximum(bauer.max(axis=1), _POSITIVE_FLOOR)
         candidates.append(("row-equilibrate-bauer", 1.0 / row_max))
     return tuple(candidates)
+
+
+@functools.lru_cache(maxsize=32)
+def _lower_positions(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns (ii, jj) of the lower triangle of a p x p matrix in
+    column-stacked order, the bases of ``oracle.build_w``; read-only, built
+    once per order."""
+    jj, ii = np.triu_indices(p)
+    ii.setflags(write=False)
+    jj.setflags(write=False)
+    return ii, jj
 
 
 # --- shared scalar formulas --------------------------------------------------
@@ -106,6 +121,57 @@ def eps_componentwise(m: int, n: int) -> tuple[float, float]:
     the leading and the Schur block.  The paper prints the smaller ("min-paper");
     the larger dominates both blocks ("max-safe")."""
     return gamma_k(3 * m + 1), gamma_k(3 * n + 1)
+
+
+def _scaled_w_inverse(
+    l: np.ndarray, linv: np.ndarray, jvec: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """The explicit q x q W^-1 for W(X) = X J L^T + L J X^T, divided by
+    2^exponent, and that exponent; ``linv`` is L^-1 and ``jvec`` diag(J).
+
+    For symmetric G, W^-1(G) = L low(L^-1 G L^-T) J, where low keeps the
+    lower triangle and halves the diagonal.  Column b of W^-1
+    (q = p(p+1)/2, in the bases of ``oracle.build_w``) is the image of the
+    duvec basis element at lower position (i, j): G = E_ij + E_ji, so
+    L^-1 G L^-T = u_i u_j^T + u_j u_i^T with u_i column i of L^-1, and half
+    that when i == j, where G = E_ii.  W^-1 is quadratic in L^-1 and linear
+    in L, so each is scaled by an exact power of two to entries below 1,
+    and the exponent is 2e + el: a tiny or huge factor neither overflows
+    nor underflows them, and a factor scaled by a power of two gives the
+    same matrix, so its norm scales exactly.
+
+    The product L [low_1 ... low_q] adds, for k = 0, 1, ..., the terms of
+    column k of L times row k of each low_b to a zero start, and only where
+    they can be nonzero: rows k and below (L is lower triangular) and
+    columns up to k of each low_b (each is lower triangular).  Every skipped
+    term is an exact zero, a finite number times a stored zero.  Skipping
+    an exact zero in a sum from +0 keeps its bits: x + (+-0) = x for
+    x != 0, +0 + (+-0) = +0, and such a sum is never -0.  So each entry has
+    the bits of the full product summed in order from zero, as
+    ``densela.matmul`` forms it.
+    """
+    e = math.frexp(float(np.abs(linv).max()))[1]
+    el = math.frexp(float(np.abs(l).max()))[1]
+    l, linv = np.ldexp(l, -el), np.ldexp(linv, -e)
+    p = l.shape[0]
+    ii, jj = _lower_positions(p)
+    q = ii.size
+    ui = linv[:, ii].T
+    uj = linv[:, jj].T
+    g = ui[:, :, None] * uj[:, None, :]
+    g = g + g.transpose(0, 2, 1)
+    g[ii == jj] *= 0.5
+    low = np.tril(g)
+    low[:, np.arange(p), np.arange(p)] *= 0.5
+    # L [low_1 ... low_q] with its columns ordered (c, b): row k of the
+    # right-hand block, lowk[k, c*q + b] = low_b[k, c], is zero past
+    # column (k + 1) q, and column k of L above row k
+    lowk = low.transpose(1, 2, 0).reshape(p, p * q)
+    x = np.zeros((p, p * q))
+    for k in range(p):
+        x[k:, : (k + 1) * q] += l[k:, k, None] * lowk[k, : (k + 1) * q]
+    winv = x.reshape(p, p, q)[ii, jj] * jvec[jj, None]
+    return winv, 2 * e + el
 
 
 # --- reports ------------------------------------------------------------------
@@ -212,58 +278,38 @@ class NormwiseEvaluator:
         self.kappa_min = self.kappas[self.kappa_label]
 
     def _w_inverse_norm(self, jvec: np.ndarray) -> float:
-        """||W^-1||_2 for W(X) = X J L^T + L J X^T, from the closed-form inverse.
-
-        For symmetric G, W^-1(G) = L low(L^-1 G L^-T) J, where low keeps the
-        lower triangle and halves the diagonal.  Column k of the explicit
-        q x q W^-1 (q = p(p+1)/2, in the bases of ``oracle.build_w``) is the
-        image of the duvec basis element at lower position (i, j):
-        G = E_ij + E_ji, so L^-1 G L^-T = u_i u_j^T + u_j u_i^T with u_i
-        column i of L^-1, and half that when i == j, where G = E_ii.
+        """||W^-1||_2 for W(X) = X J L^T + L J X^T: the largest singular value
+        of ``_scaled_w_inverse``'s matrix, scaled back by its power of two.
         ``oracle.build_w`` followed by ``oracle.w_inverse_norm`` computes the
-        same norm by definition.  W^-1 is quadratic in L^-1 and linear in L,
-        so each is scaled by an exact power of two to entries below 1, and
-        the norm back by 2^(2e + el): a tiny or huge factor neither overflows
-        nor underflows them, and a factor scaled by a power of two gives the
-        same W^-1 to the SVD, so the norm scales exactly.
-        """
-        e = math.frexp(float(np.abs(self.linv).max()))[1]
-        el = math.frexp(float(np.abs(self.l).max()))[1]
-        l, linv = np.ldexp(self.l, -el), np.ldexp(self.linv, -e)
-        p = l.shape[0]
-        jj, ii = np.triu_indices(p)  # lower positions (ii, jj) in column-stacked order
-        q = ii.size
-        ui = linv[:, ii].T
-        uj = linv[:, jj].T
-        g = ui[:, :, None] * uj[:, None, :]
-        g = g + g.transpose(0, 2, 1)
-        g[ii == jj] *= 0.5
-        low = np.tril(g)
-        low[:, np.arange(p), np.arange(p)] *= 0.5
-        # one deterministic product over the stacked (p, q*p) block L [low_1 ... low_q]
-        x = matmul(l, low.transpose(1, 0, 2).reshape(p, q * p))
-        x = x.reshape(p, q, p).transpose(1, 0, 2) * jvec[None, None, :]
-        winv = x[:, ii, jj].T
+        same norm by definition."""
+        winv, exponent = _scaled_w_inverse(self.l, self.linv, jvec)
         try:
-            return float(np.ldexp(np.linalg.svd(winv, compute_uv=False)[0], 2 * e + el))
+            return float(np.ldexp(np.linalg.svd(winv, compute_uv=False)[0], exponent))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"SVD of W^-1 failed: {exc}") from exc
 
     def reports(self, dk_fros, actual_dls) -> list[NormwiseBoundReport]:
         """One report per level: ||dK||_F ``dk_fros[i]`` with the measured dL
         ``actual_dls[i]``, or None for none.  A campaign factors K + dK at all
-        its levels first; then every measured ||dL||_2 comes from one stacked
-        LAPACK call, whose members are the single-matrix norms bit for bit."""
+        its levels first; then every measured ||dL||_F, ||dL||_2 and
+        ||L^-1 dL||_F (inequality 3.8) comes from one stacked call each, whose
+        members are the single-matrix values bit for bit."""
         measured = [dl for dl in actual_dls if dl is not None]
-        dl2 = iter(spectral_norm(np.stack(measured)) if measured else ())
-        return [self._report(dk_fro, dl, None if dl is None else next(dl2))
+        norms = iter(())
+        if measured:
+            dls = np.stack(measured)
+            norms = zip(fro_norm(dls), spectral_norm(dls),
+                        fro_norm(matmul_stack(self.linv, dls)))
+        return [self._report(dk_fro, None if dl is None else next(norms))
                 for dk_fro, dl in zip(dk_fros, actual_dls, strict=True)]
 
     def report(self, dk_fro: float, actual_dl=None) -> NormwiseBoundReport:
         """The report at one level: ``reports`` of that level alone."""
         return self.reports([dk_fro], [actual_dl])[0]
 
-    def _report(self, dk_fro: float, actual_dl, actual_2: float | None) -> NormwiseBoundReport:
+    def _report(self, dk_fro: float, measured) -> NormwiseBoundReport:
+        """The report at one level; ``measured`` is None, or the measured dL's
+        (||dL||_F, ||dL||_2, ||L^-1 dL||_F)."""
         near = []
         x = _square_times(self.linv2, dk_fro)
         cond31 = x < 0.5
@@ -316,11 +362,11 @@ class NormwiseEvaluator:
                 best317 = value
                 best317_label = label
         cond318 = best317 is not None
-        actual_f = diag38 = None
-        if actual_dl is not None:
-            actual_f = fro_norm(actual_dl)
+        actual_f = actual_2 = diag38 = None
+        if measured is not None:
+            actual_f, actual_2, linv_dl_f = measured
             rhs38 = (1.0 - math.sqrt(max(1.0 - 2.0 * x, 0.0))) / SQRT2
-            diag38 = fro_norm(matmul(self.linv, actual_dl)) <= rhs38 + VIOLATION_SLACK
+            diag38 = linv_dl_f <= rhs38 + VIOLATION_SLACK
 
         return NormwiseBoundReport(
             dk_fro=dk_fro,

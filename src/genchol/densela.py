@@ -5,6 +5,11 @@ is one product per term, summed in order from zero: each entry has the bits
 of the scalar loop over the inner index, whichever of its two forms (one
 accumulate, or a loop for large outputs) runs.  The Euclidean norm
 accumulates strictly top to bottom, so repeated runs give identical bits.
+Stacks of matrices have the same contract as single calls, member by
+member: ``matmul_stack``, ``fro_norm`` and ``lower_tri_solve`` of a
+(b, r, c) stack give each member the bits of its own call, because their
+steps are elementwise, run along one member's entries, or are one batched
+``np.matmul``, which makes each member's own BLAS call.
 The one-sided Jacobi SVD's one sweep loop rotates a whole stack with the
 bits of each matrix alone: each inner product is the same contiguous
 reduction, every other step is elementwise, and a matrix a sweep leaves
@@ -74,6 +79,7 @@ def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     its k outer-product terms in one broadcast after a zero slice and sums
     them with one ``np.add.accumulate``; a larger one adds them to a zero
     matrix in a loop, which is faster there and forms no (k, r, c) stack.
+    Stacks go to ``matmul_stack``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -81,14 +87,43 @@ def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ShapeError("matmul operands must be 2-D")
     if x.shape[1] != y.shape[0]:
         raise ShapeError(f"cannot multiply {x.shape} by {y.shape}")
-    rows, inner, cols = x.shape[0], x.shape[1], y.shape[1]
-    if rows * cols > _ACCUMULATE_MAX_ENTRIES:
-        out = np.zeros((rows, cols))
-        for k in range(inner):
-            out += x[:, k, None] * y[k, :]
+    return _summed_terms(x.T[:, :, None], y[:, None, :], (x.shape[0], y.shape[1]))
+
+
+def matmul_stack(x, y) -> np.ndarray:
+    """``matmul`` of each member pair of a (b, r, k) and a (b, k, c) stack,
+    as a (b, r, c) stack; either operand may be one 2-D matrix, which then
+    multiplies every member of the other.  Member i has the bits of
+    ``matmul(x[i], y[i])``: its entries are the same terms, summed in the
+    same order from zero, and every step is elementwise.  It is a kernel of
+    its own, not a form of ``matmul``: code that wraps ``matmul`` (the
+    benchmark's tracer) reads its operands as 2-D."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if {x.ndim, y.ndim} not in ({3}, {2, 3}):
+        raise ShapeError("matmul_stack expects a stack and a stack or a 2-D matrix")
+    if x.shape[-1] != y.shape[-2] or (x.ndim == y.ndim == 3 and len(x) != len(y)):
+        raise ShapeError(f"cannot multiply {x.shape} by {y.shape}")
+    # term k of member i is xt[k, i] * yt[k, i], a 2-D operand's on every member
+    xt = np.moveaxis(x, -1, 0)[..., None] if x.ndim == 3 else x.T[:, None, :, None]
+    yt = np.moveaxis(y, -2, 0)[..., None, :] if y.ndim == 3 else y[:, None, None, :]
+    shape = (len(x if x.ndim == 3 else y), x.shape[-2], y.shape[-1])
+    return _summed_terms(xt, yt, shape)
+
+
+def _summed_terms(xt: np.ndarray, yt: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The body of ``matmul`` and ``matmul_stack``: the sum of the products
+    ``xt[k] * yt[k]`` (each of the output's ``shape`` by broadcasting) over
+    k in order from a zero start.  Up to ``_ACCUMULATE_MAX_ENTRIES`` output
+    entries, one broadcast forms every term after a zero slice and one
+    ``np.add.accumulate`` sums them; above it, a loop adds them to zeros."""
+    if math.prod(shape) > _ACCUMULATE_MAX_ENTRIES:
+        out = np.zeros(shape)
+        for xk, yk in zip(xt, yt):
+            out += xk * yk
         return out
-    terms = np.zeros((inner + 1, rows, cols))
-    np.multiply(x.T[:, :, None], y[:, None, :], out=terms[1:])
+    terms = np.zeros((len(xt) + 1,) + shape)
+    np.multiply(xt, yt, out=terms[1:])
     return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
@@ -105,12 +140,23 @@ def column_norms(x: np.ndarray) -> np.ndarray:
     return amax * np.sqrt(np.add.accumulate(t * t, axis=-2)[..., -1, :])
 
 
-def fro_norm(x) -> float:
+def fro_norm(x) -> float | list[float]:
     """Frobenius norm (the Euclidean norm of a vector), overflow-safe: the
     column kernel's steps on the entries in row order, as one column.  Its
     largest magnitude scales them, and their squares are added top to bottom
-    by one ``np.add.accumulate``, with no BLAS call and no pairwise sum."""
-    v = np.asarray(x, dtype=np.float64).ravel()
+    by one ``np.add.accumulate``, with no BLAS call and no pairwise sum.
+    A (b, r, c) stack gives the list of its members' norms, each with the
+    bits of its own call: every step is elementwise or runs along a member's
+    own entries."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 3:
+        v = x.reshape(x.shape[0], x.shape[1] * x.shape[2])
+        if not v.shape[1]:
+            return [0.0] * v.shape[0]
+        amax = np.abs(v).max(axis=1)
+        t = v / np.where(amax == 0.0, 1.0, amax)[:, None]
+        return (amax * np.sqrt(np.add.accumulate(t * t, axis=1)[:, -1])).tolist()
+    v = x.ravel()
     if not v.size:
         return 0.0
     amax = float(np.abs(v).max())
@@ -141,8 +187,11 @@ def _slot_schedule(n: int) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ..
     then per round h and the gather that takes the stack into that round's
     slot order from the one before (round 0's from the last round's)."""
     schedule = _pair_schedule(n)
-    orders = [np.concatenate([ii, jj, np.setdiff1d(np.arange(n), np.union1d(ii, jj))])
-              for ii, jj in schedule]
+    orders = []
+    for ii, jj in schedule:
+        paired = set(ii.tolist()) | set(jj.tolist())  # plain sets: np.union1d imports numpy.ma
+        bye = np.array([j for j in range(n) if j not in paired], dtype=np.intp)
+        orders.append(np.concatenate([ii, jj, bye]))
     steps = [np.argsort(prev)[cur] for prev, cur in zip(orders[-1:] + orders[:-1], orders)]
     for arr in orders[-1:] + steps:
         arr.setflags(write=False)
@@ -258,12 +307,31 @@ def lower_tri_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Row i takes exactly one BLAS call, the ``dgemv`` of ``L[i, :i]`` with the
     solved rows, then one subtraction and one division by the Python float
     ``L[i, i]``: the bits of the scalar loop over the columns of RHS.
+    A (b, n, n) stack of L with a (b, n, c) stack of RHS solves every member
+    at once, and member k has the bits of ``lower_tri_solve(l[k], rhs[k])``:
+    row i of all members is one batched ``np.matmul``, which makes each
+    member's own ``dgemv`` on a solution laid out as its own call's (numpy's
+    ``zeros_like`` keeps each member's layout), and the division is
+    elementwise.  A zero pivot in any member raises the error of the first
+    such member.
     """
     l = np.asarray(l, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
-    n = l.shape[0]
-    if l.ndim != 2 or l.shape[1] != n:
+    n = l.shape[-1]
+    if l.ndim not in (2, 3) or l.shape[-2] != n:
         raise ShapeError("triangular solve expects a square matrix")
+    if l.ndim == 3:
+        if rhs.ndim != 3 or rhs.shape[:2] != l.shape[:2]:
+            raise ShapeError("right-hand side stack does not match the matrix stack")
+        diag = np.diagonal(l, axis1=1, axis2=2)
+        if not diag.all():
+            for lk, rk in zip(l, rhs):  # raises the first member's error
+                lower_tri_solve(lk, rk)
+        x = np.zeros_like(rhs)
+        for i in range(n):
+            solved = (l[:, i, None, :i] @ x[:, :i, :])[:, 0, :]
+            x[:, i, :] = (rhs[:, i, :] - solved) / diag[:, i, None]
+        return x
     if rhs.shape[0] != n:
         raise ShapeError("right-hand side has incompatible row count")
     diag = np.diagonal(l).tolist()

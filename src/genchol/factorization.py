@@ -20,6 +20,7 @@ from .densela import (
     is_psd,
     lower_tri_solve,
     matmul,
+    matmul_stack,
     parse_matrix,
     require_lower_triangular,
     format_matrix,
@@ -83,8 +84,11 @@ def _cholesky_lower(
     Column j takes exactly two BLAS calls, one ``ddot`` of row j for its pivot
     and one ``dgemv`` for the entries below it; the diagonal is read once as
     Python floats, and the pivot's subtraction, square root and division
-    round as numpy's scalars would.
+    round as numpy's scalars would.  A (b, n, n) stack goes to
+    ``_cholesky_lower_stack``.
     """
+    if mat.ndim == 3:
+        return _cholesky_lower_stack(mat, block, offset, matrix_label)
     n = mat.shape[0]
     l = np.zeros((n, n))
     for j, diag in enumerate(np.diagonal(mat).tolist()):
@@ -96,6 +100,34 @@ def _cholesky_lower(
         l[j, j] = pivot
         if j + 1 < n:
             l[j + 1 :, j] = (mat[j + 1 :, j] - l[j + 1 :, :j] @ row) / pivot
+    return l
+
+
+def _cholesky_lower_stack(
+    mat: np.ndarray, block: str, offset: int, matrix_label: str
+) -> np.ndarray:
+    """``_cholesky_lower`` of every member of a (b, n, n) stack at once;
+    member k has the bits of its own call.  Column j of all members is one
+    batched ``np.matmul`` for the pivots and one for the entries below them,
+    and numpy's batched matmul makes each member's own ``ddot`` and
+    ``dgemv``; every other step is elementwise, and numpy's square root and
+    division round as Python's do.  A nonpositive pivot in any member
+    factors the members one by one, so the error raised is the first
+    member's, as a loop over the members would raise it."""
+    b, n = mat.shape[0], mat.shape[-1]
+    l = np.zeros((b, n, n))
+    diag = np.diagonal(mat, axis1=1, axis2=2)
+    for j in range(n):
+        row = l[:, j, :j, None]
+        d = diag[:, j] - (row.swapaxes(1, 2) @ row)[:, 0, 0]
+        if (d <= 0.0).any():  # as in a call of its own, a NaN pivot is no breakdown
+            for member in mat:
+                _cholesky_lower(member, block, offset, matrix_label)
+        pivot = np.sqrt(d)
+        l[:, j, j] = pivot
+        if j + 1 < n:
+            below = (l[:, j + 1 :, :j] @ row)[..., 0]
+            l[:, j + 1 :, j] = (mat[:, j + 1 :, j] - below) / pivot[:, None]
     return l
 
 
@@ -196,39 +228,60 @@ class GenCholFactor:
 
 def _factor_core(
     k: np.ndarray, l11: np.ndarray, m: int, n: int, matrix_label: str
-) -> GenCholFactor:
-    """The factor of ``k`` given ``l11``, the Cholesky factor of its A block."""
-    l = np.zeros((m + n, m + n))
-    l[:m, :m] = l11
+) -> np.ndarray:
+    """The read-only factor of ``k`` given ``l11``, the Cholesky factor of its
+    A block; of a (b, p, p) stack with a stack of ``l11``, the (b, p, p)
+    stack of its members' factors, each with the bits of its own call."""
+    l = np.zeros(k.shape)
+    l[..., :m, :m] = l11
     with np.errstate(over="ignore", invalid="ignore"):
         if n > 0:
             # L21 solves L21 L11^T = B, i.e. L11 L21^T = B^T by forward
             # substitution.  B^T is taken as the transpose of the lower block, not
             # as the upper block: the two hold the same values but have different
             # memory layouts, and the layout picks the BLAS path of the solve.
-            l21 = lower_tri_solve(l11, k[m:, :m].T).T
-            l[m:, :m] = l21
-            schur = -k[m:, m:] + matmul(l21, l21.T)
-            l[m:, m:] = _cholesky_lower(schur, "Schur", m, matrix_label)
+            l21 = lower_tri_solve(l11, k[..., m:, :m].swapaxes(-1, -2)).swapaxes(-1, -2)
+            l[..., m:, :m] = l21
+            l21t = l21.swapaxes(-1, -2)
+            gram = matmul(l21, l21t) if k.ndim == 2 else matmul_stack(l21, l21t)
+            l[..., m:, m:] = _cholesky_lower(-k[..., m:, m:] + gram, "Schur", m, matrix_label)
     # lower triangular with a positive diagonal by construction; finite is not promised
     if not np.isfinite(l).all():
         raise ConvergenceError(f"{matrix_label}: the factor overflows")
     l.setflags(write=False)
-    return GenCholFactor(BlockSpec(m, n), l)
+    return l
 
 
 def factorize(s: SaddleMatrix) -> GenCholFactor:
     """Factor a validated saddle matrix as K = L J L^T."""
-    return _factor_core(s.K, s.l11, s.spec.m, s.spec.n, "K")
+    return GenCholFactor(s.spec, _factor_core(s.K, s.l11, s.spec.m, s.spec.n, "K"))
 
 
-def factorize_dense(k, m: int, n: int, matrix_label: str = "K") -> GenCholFactor:
+def factorize_dense(k, m: int, n: int, matrix_label: str = "K"):
     """Factor a dense symmetric matrix with the given block split.
 
     No saddle-structure validation beyond exact symmetry: the factorization
     exists whenever both Cholesky eliminations succeed, which covers
     perturbed matrices whose trailing block is indefinite.
+
+    A (b, p, p) stack gives a tuple of b factors, each with the bits of its
+    own call: the kernels run on the whole stack (see ``_cholesky_lower_stack``,
+    ``densela.lower_tri_solve`` and ``densela.matmul_stack``).  When any member
+    fails a check, breaks down or overflows, the members are factored one by
+    one in order, so the error is exactly the one a loop over them raises.
     """
+    if np.ndim(k) == 3:
+        k = np.asarray(k, dtype=np.float64)
+        p = m + n
+        if k.shape[1:] == (p, p) and np.isfinite(k).all() and np.array_equal(k, k.swapaxes(1, 2)):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    l11 = _cholesky_lower(k[:, :m, :m], "A", 0, matrix_label)
+                spec = BlockSpec(m, n)
+                return tuple(GenCholFactor(spec, l) for l in _factor_core(k, l11, m, n, matrix_label))
+            except (ArithmeticError, ConvergenceError, ValueError):
+                pass  # the loop below raises the error
+        return tuple(factorize_dense(member, m, n, matrix_label) for member in k)
     k = as_matrix(k)
     p = m + n
     if k.shape != (p, p):
@@ -237,7 +290,8 @@ def factorize_dense(k, m: int, n: int, matrix_label: str = "K") -> GenCholFactor
         raise ShapeError("matrix is not exactly symmetric")
     with np.errstate(over="ignore", invalid="ignore"):
         l11 = _cholesky_lower(k[:m, :m], "A", 0, matrix_label)
-    return _factor_core(k, l11, m, n, matrix_label)
+    spec = BlockSpec(m, n)
+    return GenCholFactor(spec, _factor_core(k, l11, m, n, matrix_label))
 
 
 def reconstruct(f: GenCholFactor) -> np.ndarray:

@@ -346,8 +346,10 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
 
     Every level meets condition 3.1, under which K + dK has a factor, so a
     breakdown of K + dK propagates as FactorizationError and is not redrawn.
-    A trial factors K + dK at all its levels first, and then its reports
-    take every level's ||dL||_2 from one stacked norm call.
+    A trial forms its levels' dKs as one (levels, p, p) stack and factors
+    every K + dK in one stacked call; its reports then take the measured
+    norms of all levels from one stacked call each.  Each member has the
+    bits of its own single-matrix call.
     """
     records: list[NormwiseTrialRecord] = []
     for trial in range(cfg.trials):
@@ -355,9 +357,9 @@ def run_normwise_campaign(cfg: EnsembleConfig) -> list[NormwiseTrialRecord]:
         s, factor, kappa_a, kappa_s = _draw(cfg, rng, trial)
         ev = NormwiseEvaluator(factor, s.K)
         direction = gen_sym_perturbation(cfg.p, 1.0, rng)
-        dks = [direction * (level / (ev.linv2 * ev.linv2)) for level in cfg.dk_levels]
-        dls = [actual_delta_l(factor, s.K, dk) for dk in dks]
-        reports = ev.reports([fro_norm(dk) for dk in dks], dls)
+        scales = np.array(cfg.dk_levels) / (ev.linv2 * ev.linv2)
+        dks = direction * scales[:, None, None]
+        reports = ev.reports(fro_norm(dks), actual_delta_l(factor, s.K, dks))
         records += [
             NormwiseTrialRecord(
                 trial=trial,

@@ -96,7 +96,18 @@ def w_inverse_norm(w) -> float:
 
 
 def check_perturbation(dk, p: int) -> np.ndarray:
-    """A float copy of ``dk``; ShapeError unless it is p x p and exactly symmetric."""
+    """A float copy of ``dk``; ShapeError unless it is p x p and exactly symmetric.
+    A (b, p, p) stack is checked member by member, and the first member
+    that fails raises its own error."""
+    if np.ndim(dk) == 3:
+        dk = np.array(dk, dtype=np.float64)
+        if not (dk.shape[1:] == (p, p) and np.isfinite(dk).all()
+                and np.array_equal(dk, dk.swapaxes(1, 2))):
+            for member in dk:
+                check_perturbation(member, p)
+            if dk.shape[1:] != (p, p):  # a stack with no member to fail
+                raise ShapeError(f"perturbations must be {p} x {p}, got {dk.shape[1:]}")
+        return dk
     dk = as_matrix(dk)
     if dk.shape != (p, p):
         raise ShapeError(f"perturbation must be {p} x {p}, got {dk.shape}")
@@ -109,11 +120,18 @@ def actual_delta_l(factor: GenCholFactor, k, dk) -> np.ndarray:
     """Ground-truth factor perturbation L(K + dK) - L by refactorization.
 
     ``factor`` is the factor L of K; K + dK is factored with its block split.
-    A breakdown raises FactorizationError labelled "K+dK".
+    A breakdown raises FactorizationError labelled "K+dK".  A (b, p, p) stack
+    of dKs gives the (b, p, p) stack of their dLs, from one stacked
+    ``factorize_dense``: each member has the bits of its own call.  Every
+    member is checked before any is factored; then a breakdown or an
+    overflow raises the error of the first member that fails, as a loop over
+    the members would.
     """
     dk = check_perturbation(dk, factor.p)
     perturbed = factorize_dense(k + dk, factor.spec.m, factor.spec.n, "K+dK")
-    return perturbed.L - factor.L
+    if dk.ndim == 2:
+        return perturbed.L - factor.L
+    return np.array([f.L for f in perturbed]).reshape(dk.shape) - factor.L
 
 
 # --- compensated residual ---------------------------------------------------

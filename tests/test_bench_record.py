@@ -30,8 +30,8 @@ def test_quick_record_has_the_schema(tool, tmp_path):
     assert rec["tier1"] is rec["perfbench"] is rec["experiments"] is None
     assert set(rec["git"]) == {"head", "measured", "dirty"}
     assert [e["name"] for e in rec["layers"]] == [
-        "make_saddle", "factorize", "normwise_init", "reports_per_level", "build_w+w_inverse_norm",
-        "componentwise_report", "compensated_residual"]
+        "make_saddle", "factorize", "refactor_levels", "normwise_init", "reports_per_level",
+        "build_w+w_inverse_norm", "componentwise_report", "compensated_residual"]
     assert [e["name"] for e in rec["kernels"]] == [
         "singular_values", "singular_values_stack7", "spectral_norm",
         "spectral_norm_stack7", "sym_eigenvalues", "lower_tri_solve", "matmul"]

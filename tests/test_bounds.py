@@ -19,6 +19,8 @@ from genchol.densela import (
 from genchol.bounds import (
     NormwiseEvaluator,
     SQRT2,
+    W_BOUND_MAX_ORDER,
+    _scaled_w_inverse,
     _square_times,
     build_componentwise_report,
     eps_componentwise,
@@ -433,6 +435,61 @@ class TestOperatorInverseNorm:
     def test_rejects_bad_input(self):
         with pytest.raises(SingularMatrixError):
             NormwiseEvaluator(as_factor(np.diag([1.0, 0.0]), m=1), np.eye(2))
+
+
+def full_product_w_inverse(l, linv, jvec):
+    """The scaled explicit W^-1 and its exponent, with every term of
+    L [low_1 ... low_q] formed and summed by ``matmul``: the build before it
+    skipped the terms that are exact zeros."""
+    e = math.frexp(float(np.abs(linv).max()))[1]
+    el = math.frexp(float(np.abs(l).max()))[1]
+    l, linv = np.ldexp(l, -el), np.ldexp(linv, -e)
+    p = l.shape[0]
+    jj, ii = np.triu_indices(p)
+    q = ii.size
+    ui = linv[:, ii].T
+    uj = linv[:, jj].T
+    g = ui[:, :, None] * uj[:, None, :]
+    g = g + g.transpose(0, 2, 1)
+    g[ii == jj] *= 0.5
+    low = np.tril(g)
+    low[:, np.arange(p), np.arange(p)] *= 0.5
+    x = matmul(l, low.transpose(1, 0, 2).reshape(p, q * p))
+    x = x.reshape(p, q, p).transpose(1, 0, 2) * jvec[None, None, :]
+    return x[:, ii, jj].T, 2 * e + el
+
+
+class TestWInverseBitPin:
+    """The W^-1 built from its nonzero terms has the full product's bits."""
+
+    def test_every_order_with_a_bound_3_15(self):
+        rng = np.random.default_rng(20261021)
+        for p in range(1, W_BOUND_MAX_ORDER + 1):
+            for n in sorted({0, p // 2}):
+                for cond in (1e2, 1e8):
+                    f = factorize(make_saddle(p - n, n, cond, rng)[0])
+                    jvec = f.spec.signature()
+                    for scale in (1.0, 2.0**600, 2.0**-600, 1e-155):
+                        l = f.L * scale
+                        linv = lower_tri_inverse(l)
+                        got, exponent = _scaled_w_inverse(l, linv, jvec)
+                        expected, expected_exponent = full_product_w_inverse(l, linv, jvec)
+                        assert exponent == expected_exponent, (p, n, cond, scale)
+                        assert got.shape == expected.shape == (p * (p + 1) // 2,) * 2
+                        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (
+                            p, n, cond, scale)
+
+    def test_signed_entries_and_the_norm(self, rng):
+        # factors with entries of both signs, and the norm the evaluator
+        # takes from the matrix
+        for p in (1, 2, 5, 12, 24):
+            f = GenCholFactor.from_dense(random_lower(p, rng), p - p // 2, p // 2)
+            ev = NormwiseEvaluator(f, reconstruct(f))
+            expected, exponent = full_product_w_inverse(ev.l, ev.linv, f.spec.signature())
+            got = _scaled_w_inverse(ev.l, ev.linv, f.spec.signature())[0]
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), p
+            sigma = np.linalg.svd(expected, compute_uv=False)[0]
+            assert ev.w_inv_norm == float(np.ldexp(sigma, exponent))
 
 
 class TestBound317:

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from genchol.densela import (
     gamma_k,
     is_psd,
     lower_tri_inverse,
+    lower_tri_solve,
     matmul,
+    matmul_stack,
     parse_matrix,
     format_json_scalar,
     format_matrix,
@@ -90,6 +96,83 @@ class TestMatmul:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def same_members(stack, members) -> bool:
+    """A stacked kernel's output has each member's bits of its own call."""
+    stack = np.asarray(stack, dtype=np.float64)
+    members = np.asarray(members, dtype=np.float64).reshape(stack.shape)
+    return np.array_equal(stack.view(np.uint64), members.view(np.uint64))
+
+
+# scales of the members of a stack: near both ends of the range, and a sign
+MEMBER_SCALES = (1.0, 1e150, 1e-150, -3.0, 0.5, 7.0, 1e-3, 2.0)
+
+
+class TestStackedMatmulAndNorms:
+    """``matmul_stack`` and ``fro_norm`` of a stack: each member's bits."""
+
+    @pytest.mark.parametrize("b", [1, 4, 8])
+    def test_members_are_their_own_calls(self, rng, b):
+        # both output forms (the loop above 300 entries in the whole stack),
+        # a 2-D operand on either side, an empty inner dimension
+        for r, k, c in [(1, 1, 1), (3, 4, 5), (7, 7, 7), (12, 12, 12), (3, 0, 4), (1, 13, 1)]:
+            scales = np.array(MEMBER_SCALES[:b])[:, None, None]
+            x = rng.standard_normal((b, r, k)) * scales
+            y = rng.standard_normal((b, k, c))
+            assert same_members(matmul_stack(x, y), [matmul(xi, yi) for xi, yi in zip(x, y)])
+            assert same_members(matmul_stack(x[0], y), [matmul(x[0], yi) for yi in y])
+            assert same_members(matmul_stack(x, y[0]), [matmul(xi, y[0]) for xi in x])
+            for mats in (x, y):
+                assert same_members(fro_norm(mats), [fro_norm(mi) for mi in mats])
+
+    @pytest.mark.parametrize("b", [1, 4, 8])
+    def test_signed_zeros(self, rng, b):
+        x = rng.choice([-0.0, 0.0, -1.5, 2.0], (b, 4, 3))
+        y = rng.choice([-0.0, 0.0, 3.0], (b, 3, 5))
+        x[:, 0] = -0.0  # row 0 of each product sums only -0.0 and 0.0 terms
+        got = matmul_stack(x, y)
+        assert same_members(got, [matmul(xi, yi) for xi, yi in zip(x, y)])
+        assert not np.any(np.signbit(got[:, 0]))
+        zeros = -np.zeros((b, 2, 3))
+        zeros[0, 1, 1] = 0.0
+        assert same_members(fro_norm(zeros), [0.0] * b)
+        assert same_members(fro_norm(x), [fro_norm(xi) for xi in x])
+
+    def test_empty_stacks(self):
+        assert matmul_stack(np.zeros((0, 2, 3)), np.zeros((0, 3, 4))).shape == (0, 2, 4)
+        assert matmul_stack(np.zeros((2, 3)), np.zeros((0, 3, 4))).shape == (0, 2, 4)
+        assert fro_norm(np.zeros((0, 2, 2))) == []
+        assert fro_norm(np.zeros((3, 0, 0))) == [0.0, 0.0, 0.0]
+
+    def test_shapes_checked(self):
+        for x, y in [(np.zeros((2, 2)), np.zeros((2, 2))),  # no stack: that is matmul's
+                     (np.zeros((2, 2, 3)), np.zeros((2, 2, 3))),
+                     (np.zeros((2, 2, 3)), np.zeros((3, 3, 4))),
+                     (np.zeros((2, 2, 2, 2)), np.zeros((2, 2)))]:
+            with pytest.raises(ShapeError):
+                matmul_stack(x, y)
+
+    @pytest.mark.parametrize("b", [1, 4, 8])
+    def test_triangular_solve_members(self, rng, b):
+        # C- and F-ordered right-hand sides (the factor core's B^T is a
+        # transposed view), signed zeros, and scaled members
+        for n, c in [(1, 1), (4, 3), (7, 12), (12, 1)]:
+            scales = np.array(MEMBER_SCALES[:b])[:, None, None]
+            l = (np.tril(rng.standard_normal((b, n, n))) + 3.0 * np.eye(n)) * scales
+            for rhs in (rng.standard_normal((b, n, c)),
+                        rng.standard_normal((b, c, n)).swapaxes(1, 2),
+                        rng.choice([-0.0, 0.0, 1.0], (b, n, c))):
+                assert same_members(lower_tri_solve(l, rhs),
+                                    [lower_tri_solve(li, ri) for li, ri in zip(l, rhs)])
+
+    def test_triangular_solve_zero_pivot_is_the_first_members(self):
+        l = np.stack([np.eye(3)] * 4)
+        l[1, 2, 2] = l[3, 0, 0] = 0.0
+        with pytest.raises(SingularMatrixError, match="position 3"):
+            lower_tri_solve(l, np.ones((4, 3, 2)))
+        with pytest.raises(ShapeError):
+            lower_tri_solve(l, np.ones((3, 3, 2)))
 
 
 class TestFroNorm:
@@ -204,6 +287,34 @@ class TestPairSchedule:
             for arr in (ii, jj):
                 with pytest.raises(ValueError):
                     arr[0] = 0
+
+
+class TestSlotSchedule:
+    def test_matches_the_set_operation_build(self):
+        # the bye of each round from numpy's set routines, as it was built
+        # before they were replaced; they import numpy.ma
+        for n in range(1, 30):
+            last, rounds = densela._slot_schedule(n)
+            orders = [np.concatenate([ii, jj, np.setdiff1d(np.arange(n), np.union1d(ii, jj))])
+                      for ii, jj in densela._pair_schedule(n)]
+            steps = [np.argsort(prev)[cur] for prev, cur in zip(orders[-1:] + orders[:-1], orders)]
+            assert last.dtype == orders[-1].dtype and np.array_equal(last, orders[-1])
+            assert [h for h, _ in rounds] == [ii.size for ii, _ in densela._pair_schedule(n)]
+            for (_, step), expected in zip(rounds, steps, strict=True):
+                assert step.dtype == expected.dtype and np.array_equal(step, expected)
+
+    def test_campaigns_do_not_import_numpy_ma(self):
+        # numpy's set routines import numpy.ma, about 12 ms and 1 MB at the
+        # first Jacobi call of a process; a campaign imports it nowhere
+        code = ("import sys\n"
+                "from genchol.harness import EnsembleConfig, run_normwise_campaign\n"
+                "run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=3))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
 
 
 def jacobi_norm(x) -> float:

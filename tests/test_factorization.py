@@ -11,6 +11,8 @@ from genchol.densela import (
     lower_tri_inverse,
     lower_tri_solve,
     matmul,
+    matmul_stack,
+    spectral_norm,
 )
 from genchol.factorization import (
     BlockSpec,
@@ -25,7 +27,8 @@ from genchol.factorization import (
     reconstruct,
     write_saddle,
 )
-from genchol.harness import make_saddle
+from genchol.harness import gen_sym_perturbation, make_saddle
+from genchol.oracle import actual_delta_l, check_perturbation
 
 U = UNIT_ROUNDOFF
 
@@ -417,3 +420,164 @@ class TestKernelBitPins:
     ], ids=["0x0", "empty", "minus-zero", "1x1", "signed-zeros", "mixed-zeros", "1e150", "1e-150"])
     def test_fro_norm_on_small_and_scaled(self, x):
         assert same_bits(fro_norm(x), reference_fro(x))
+
+
+# --- stacks: each member has the bits of its own call ----------------------------
+
+STACK_SIZES = (1, 4, 8)
+
+
+def pinned_stacks():
+    """For every m + n from 1 to 12 with n <= m (n = 0 included), at cond 1e2
+    and 1e8: eight make_saddle draws of that shape with their factors; the
+    tests take their first 1, 4 and 8."""
+    rng = np.random.default_rng(20261021)
+    for cond in (1e2, 1e8):
+        for p in range(1, 13):
+            for n in range(p // 2 + 1):
+                draws = [make_saddle(p - n, n, cond, rng)[0] for _ in range(max(STACK_SIZES))]
+                yield draws, [factorize(s) for s in draws], rng
+
+
+def first_error(call, members):
+    """The error a loop of ``call`` over ``members`` raises first."""
+    for member in members:
+        try:
+            call(member)
+        except Exception as exc:  # noqa: BLE001 - any error is the one to match
+            return exc
+    raise AssertionError("no member fails")
+
+
+def same_error(got, expected) -> bool:
+    """Same type and text, and for a breakdown the same block, pivot, label
+    and value bits."""
+    if type(got) is not type(expected) or str(got) != str(expected):
+        return False
+    if isinstance(expected, FactorizationError):
+        where = (got.block, got.pivot, got.matrix_label)
+        if where != (expected.block, expected.pivot, expected.matrix_label):
+            return False
+        return same_bits(got.value, expected.value)
+    return True
+
+
+class TestStackedKernelBitPins:
+    def test_cholesky_on_draws(self):
+        for draws, factors, _ in pinned_stacks():
+            m = draws[0].spec.m
+            a = np.stack([s.K[:m, :m] for s in draws])
+            l21 = np.stack([f.L[m:, :m] for f in factors])
+            schur = np.stack([-s.K[m:, m:] for s in draws]) + np.stack([matmul(x, x.T) for x in l21])
+            for b in STACK_SIZES:
+                for mats, block in ((a[:b], "A"), (schur[:b], "Schur")):
+                    got = _cholesky_lower(mats, block, 0, "K")
+                    assert same_bits(got, [_cholesky_lower(x, block, 0, "K") for x in mats])
+
+    @pytest.mark.parametrize("mat", SMALL_SPD, ids=SMALL_IDS)
+    @pytest.mark.parametrize("b", STACK_SIZES)
+    def test_cholesky_on_small_and_scaled(self, mat, b):
+        mats = np.stack([mat * w for w in (1.0, 3.0, 0.5, 7.0, 1 / 3, 2.0, 5.0, 0.1)[:b]])
+        assert same_bits(_cholesky_lower(mats, "A", 0, "K"),
+                         [_cholesky_lower(x, "A", 0, "K") for x in mats])
+
+    def test_solve_on_draws(self):
+        # the factor core's right-hand sides B^T (transposed views of the
+        # stack), and one- and twelve-column ones against the whole factor
+        for draws, factors, rng in pinned_stacks():
+            m, p = draws[0].spec.m, draws[0].p
+            ks = np.stack([s.K for s in draws])
+            l11 = np.stack([f.L[:m, :m] for f in factors])
+            ls = np.stack([f.L for f in factors])
+            for b in STACK_SIZES:
+                bt = ks[:b, m:, :m].swapaxes(1, 2)
+                assert same_bits(lower_tri_solve(l11[:b], bt),
+                                 [lower_tri_solve(x, y) for x, y in zip(l11, bt)])
+                for cols in (1, 12):
+                    rhs = rng.standard_normal((b, p, cols))
+                    assert same_bits(lower_tri_solve(ls[:b], rhs),
+                                     [lower_tri_solve(x, y) for x, y in zip(ls, rhs)])
+
+    @pytest.mark.parametrize("mat", SMALL_SPD, ids=SMALL_IDS)
+    @pytest.mark.parametrize("b", STACK_SIZES)
+    def test_solve_on_small_and_scaled(self, mat, b):
+        l = reference_cholesky(mat)
+        ls = np.stack([l * w for w in (1.0, -0.5, 3.0, 1e-3, 7.0, 2.0, 0.25, 9.0)[:b]])
+        for rhs in (np.ones((b, len(l), 1)), -np.zeros((b, len(l), 12)), np.stack([mat] * b)):
+            assert same_bits(lower_tri_solve(ls, rhs),
+                             [lower_tri_solve(x, y) for x, y in zip(ls, rhs)])
+
+    def test_factorize_dense_and_norms_on_draws(self):
+        # K itself, and K + dK at levels of one direction as a campaign
+        # stacks them; with the norms of the stack and L^-1 times it
+        for draws, factors, rng in pinned_stacks():
+            m, n, p = draws[0].spec.m, draws[0].spec.n, draws[0].p
+            k, f = draws[0].K, factors[0]
+            linv = lower_tri_inverse(f.L)
+            direction = gen_sym_perturbation(p, 1.0, rng) / spectral_norm(linv) ** 2
+            levels = np.array([1e-12, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.49])
+            for b in STACK_SIZES:
+                dks = direction * levels[:b, None, None]
+                for mats in (np.stack([s.K for s in draws[:b]]), k + dks):
+                    stacked = factorize_dense(mats, m, n, "K+dK")
+                    assert len(stacked) == b
+                    for got, x in zip(stacked, mats):
+                        assert same_bits(got.L, factorize_dense(x, m, n, "K+dK").L)
+                dls = actual_delta_l(f, k, dks)
+                assert same_bits(dls, [actual_delta_l(f, k, dk) for dk in dks])
+                assert same_bits(fro_norm(dls), [fro_norm(x) for x in dls])
+                assert same_bits(matmul_stack(linv, dls), [matmul(linv, x) for x in dls])
+
+    def test_cholesky_breakdown_is_the_first_members(self):
+        # member 2 breaks down at pivot 3, member 4 earlier, at pivot 1
+        spd = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
+        late, early = spd.copy(), spd.copy()
+        late[2, 2] = 0.25
+        early[0, 0] = -1.0
+        mats = np.stack([spd, late, spd * 2.0, early])
+        with pytest.raises(FactorizationError) as err:
+            _cholesky_lower(mats, "Schur", 4, "K+dK")
+        expected = first_error(lambda x: _cholesky_lower(x, "Schur", 4, "K+dK"), mats)
+        assert same_error(err.value, expected) and err.value.pivot == 7
+
+    def test_level_stack_breakdowns_raise_the_loops_error(self):
+        # members 2 and 4 of a level stack break down at different pivots, in
+        # either order of the blocks: the stack raises member 2's error
+        s = make_saddle(4, 3, 1e4, np.random.default_rng(3))[0]
+        f = factorize(s)
+        a_break, schur_break = np.zeros((7, 7)), np.zeros((7, 7))
+        a_break[2, 2] = -10.0  # A's pivot 3
+        schur_break[5, 5] = 10.0  # K's (2,2) block is -C: the Schur pivot 6
+        for second, fourth in ((schur_break, a_break), (a_break, schur_break)):
+            dks = np.stack([np.zeros((7, 7)), second, np.eye(7) * 1e-9, fourth])
+            with pytest.raises(FactorizationError) as err:
+                actual_delta_l(f, s.K, dks)
+            assert same_error(err.value, first_error(lambda dk: actual_delta_l(f, s.K, dk), dks))
+            assert err.value.matrix_label == "K+dK"
+        assert err.value.block == "A" and err.value.pivot == 3
+
+    def test_overflowing_member_raises_the_loops_error(self):
+        # L21 = 1e200 / 1e-150 overflows in member 2; member 3 breaks down
+        fine = [[1.0, 0.5], [0.5, -1.0]]
+        overflow = [[1e-300, 1e200], [1e200, 0.0]]
+        breaking = [[-1.0, 0.5], [0.5, -1.0]]
+        for mats in ([fine, overflow], [fine, overflow, breaking, fine]):
+            mats = np.array(mats)
+            with pytest.raises(ConvergenceError) as err:
+                factorize_dense(mats, 1, 1, "K+dK")
+            assert same_error(err.value, first_error(lambda x: factorize_dense(x, 1, 1, "K+dK"), mats))
+
+    def test_refused_members_raise_the_loops_error(self):
+        # a perturbation stack is checked member by member, in order
+        p = 3
+        asym = np.zeros((p, p))
+        asym[0, 1] = 1.0
+        nonfinite = np.full((p, p), np.inf)
+        for dks in ([np.zeros((p, p)), asym, nonfinite], [np.zeros((p, p)), nonfinite, asym]):
+            dks = np.array(dks)
+            with pytest.raises(ValueError) as err:
+                check_perturbation(dks, p)
+            assert same_error(err.value, first_error(lambda dk: check_perturbation(dk, p), dks))
+        with pytest.raises(ShapeError):
+            check_perturbation(np.zeros((0, 2, 2)), p)
+        assert check_perturbation(np.zeros((0, p, p)), p).shape == (0, p, p)

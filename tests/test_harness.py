@@ -283,24 +283,28 @@ class TestNormwiseCampaign:
     def test_hand_choleskys_per_trial(self, monkeypatch):
         # A is factored once per draw: from_blocks' definiteness check keeps
         # its factor and factorize continues from it.  A componentwise trial
-        # then factors A, the Schur block of K, and both blocks of K + dK (4);
-        # a normwise 4+3 trial at four levels, A, K's Schur block, and both
-        # blocks of each level's K + dK (10)
+        # then factors A, the Schur block of K, and both blocks of K + dK (4
+        # single calls); a normwise 4+3 trial factors A and K's Schur block,
+        # then both blocks of every level's K + dK as one stack each.  Each
+        # call is recorded with its block and its stack shape, () for one matrix
         from genchol import factorization
 
         calls = []
         original = factorization._cholesky_lower
 
         def counting(*args):
-            calls.append(args[1])
+            calls.append((args[1], np.shape(args[0])[:-2]))
             return original(*args)
 
         monkeypatch.setattr(factorization, "_cholesky_lower", counting)
         run_componentwise_campaign(EnsembleConfig(m=6, n=6, trials=1, seed=0))
-        assert calls == ["A", "Schur", "A", "Schur"]
+        assert calls == [("A", ()), ("Schur", ())] * 2
         calls.clear()
         run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=1, seed=0))
-        assert calls == ["A", "Schur"] + ["A", "Schur"] * 4
+        assert calls == [("A", ()), ("Schur", ()), ("A", (4,)), ("Schur", (4,))]
+        calls.clear()
+        run_normwise_campaign(EnsembleConfig(m=4, n=3, trials=2, seed=0, dk_levels=(1e-8,) * 8))
+        assert calls == [("A", ()), ("Schur", ()), ("A", (8,)), ("Schur", (8,))] * 2
 
     def test_the_jacobi_serves_only_the_evaluator(self, sv_calls):
         # the Jacobi's only call is the evaluator's set-up stack; every other
@@ -511,9 +515,9 @@ class TestReplay:
 
         inputs = []  # (K, dK) of every level of every trial, in record order
 
-        def capturing(factor, k, dk):
-            inputs.append((k, dk))
-            return actual_delta_l(factor, k, dk)
+        def capturing(factor, k, dks):  # a trial's levels, as one stack
+            inputs.extend((k, dk) for dk in dks)
+            return actual_delta_l(factor, k, dks)
 
         monkeypatch.setattr(harness, "actual_delta_l", capturing)
         records = run_normwise_campaign(

@@ -20,8 +20,9 @@ BLAS runs on one thread.  The JSON object holds:
   swings by half of its time with the host);
 - ``layers``: the median ms of repeated in-process calls of each campaign
   layer on fixed draws: ``make_saddle`` (the draw with its checks, from a
-  generator made afresh at one seed), ``factorize``, the
-  ``NormwiseEvaluator`` set-up, ``reports`` per level, ``build_w`` +
+  generator made afresh at one seed), ``factorize``, ``refactor_levels``
+  (every default level's K + dK factored for its dL, as a campaign trial
+  does), the ``NormwiseEvaluator`` set-up, ``reports`` per level, ``build_w`` +
   ``w_inverse_norm``, the componentwise report and ``compensated_residual``;
 - ``kernels``: the median ms of ``singular_values`` and of
   ``spectral_norm`` (one matrix and a stack of 7 each; in trees before the
@@ -133,12 +134,13 @@ def layers(quick: bool) -> list[dict]:
         ev = bounds.NormwiseEvaluator(f, s.K)
         direction = harness.gen_sym_perturbation(s.p, 1.0, rng)
         levels = harness.EnsembleConfig(m=m, n=n, trials=1).dk_levels
-        dks = [direction * (level / ev.linv2**2) for level in levels]
+        dks = np.stack([direction * (level / ev.linv2**2) for level in levels])
         dls = [oracle.actual_delta_l(f, s.K, dk) for dk in dks]
         dk_fros = [fro_norm(dk) for dk in dks]
         calls = {
             "make_saddle": lambda: harness.make_saddle(m, n, cond, np.random.default_rng(seed)),
             "factorize": lambda: factorize(s),
+            "refactor_levels": _refactor_levels(oracle, f, s.K, dks),
             "normwise_init": lambda: bounds.NormwiseEvaluator(f, s.K),
             "reports_per_level": lambda: ev.reports(dk_fros, dls),
             "build_w+w_inverse_norm": lambda: oracle.w_inverse_norm(oracle.build_w(f)),
@@ -151,6 +153,16 @@ def layers(quick: bool) -> list[dict]:
             timed["ms"] /= len(levels) if name == "reports_per_level" else 1
             out.append({"name": name, "m": m, "n": n, **timed})
     return out
+
+
+def _refactor_levels(oracle, f, k, dks):
+    """The call that gives every level's dL: one stacked ``actual_delta_l``,
+    or in trees whose ``actual_delta_l`` takes one dK, one call per level."""
+    try:
+        oracle.actual_delta_l(f, k, dks)
+    except ValueError:
+        return lambda: [oracle.actual_delta_l(f, k, dk) for dk in dks]
+    return lambda: oracle.actual_delta_l(f, k, dks)
 
 
 def kernels(quick: bool) -> list[dict]:

@@ -67,6 +67,10 @@ COMMANDS = [
     "verify --cond-target 1e20 --trials 20 --out verify.csv",
     "verify --trials 1000 --seed 20250810 --out normwise.csv",
     "verify --m 5 --n 0 --format json --out verify.json",  # no Schur block
+    # p = 24, the largest order whose W^-1 is built for bound 3.15
+    "verify --m 12 --n 12 --trials 5 --format json --out verify.json",
+    # a stack of eight levels per trial
+    "verify --dk-levels 1e-12,1e-8,1e-6,1e-4,1e-2,0.1,0.3,0.49 --trials 50 --out verify.csv",
     "backward --out backward.csv",
     "backward --format json --out backward.json",
     "backward --m 6 --n 6 --out backward.csv",
