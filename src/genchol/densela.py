@@ -5,11 +5,14 @@ is one product per term, summed in order from zero: each entry has the bits
 of the scalar loop over the inner index, whichever of its two forms (one
 accumulate, or a loop for large outputs) runs.  The Euclidean norm
 accumulates strictly top to bottom, so repeated runs give identical bits.
-Stacks of matrices have the same contract as single calls, member by
-member: ``matmul_stack``, ``fro_norm`` and ``lower_tri_solve`` of a
-(b, r, c) stack give each member the bits of its own call, because their
-steps are elementwise, run along one member's entries, or are one batched
-``np.matmul``, which makes each member's own BLAS call.
+The stack contract: a kernel given a (b, r, c) stack gives each member
+the bits of its own call on that member, because its steps are
+elementwise, run along one member's entries, or are one batched
+``np.matmul``, which makes each member's own BLAS call.  A stack that fails
+raises the first error its stacked steps meet, which need not be the one a
+loop over the members would raise first.  Where that differs, for a
+trial's K + dK levels, the loop's error is made in one place,
+``oracle.actual_delta_l``.
 The one-sided Jacobi SVD's one sweep loop rotates a whole stack with the
 bits of each matrix alone: each inner product is the same contiguous
 reduction, every other step is elementwise, and a matrix a sweep leaves
@@ -145,17 +148,11 @@ def fro_norm(x) -> float | list[float]:
     column kernel's steps on the entries in row order, as one column.  Its
     largest magnitude scales them, and their squares are added top to bottom
     by one ``np.add.accumulate``, with no BLAS call and no pairwise sum.
-    A (b, r, c) stack gives the list of its members' norms, each with the
-    bits of its own call: every step is elementwise or runs along a member's
-    own entries."""
+    A (b, r, c) stack gives the list of its members' norms: the
+    ``column_norms`` of its members laid out as columns."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
-        v = x.reshape(x.shape[0], x.shape[1] * x.shape[2])
-        if not v.shape[1]:
-            return [0.0] * v.shape[0]
-        amax = np.abs(v).max(axis=1)
-        t = v / np.where(amax == 0.0, 1.0, amax)[:, None]
-        return (amax * np.sqrt(np.add.accumulate(t * t, axis=1)[:, -1])).tolist()
+        return column_norms(x.reshape(x.shape[0], x.shape[1] * x.shape[2]).T).tolist()
     v = x.ravel()
     if not v.size:
         return 0.0
@@ -307,38 +304,30 @@ def lower_tri_solve(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Row i takes exactly one BLAS call, the ``dgemv`` of ``L[i, :i]`` with the
     solved rows, then one subtraction and one division by the Python float
     ``L[i, i]``: the bits of the scalar loop over the columns of RHS.
-    A (b, n, n) stack of L with a (b, n, c) stack of RHS solves every member
-    at once, and member k has the bits of ``lower_tri_solve(l[k], rhs[k])``:
-    row i of all members is one batched ``np.matmul``, which makes each
-    member's own ``dgemv`` on a solution laid out as its own call's (numpy's
-    ``zeros_like`` keeps each member's layout), and the division is
-    elementwise.  A zero pivot in any member raises the error of the first
-    such member.
+    A (b, n, n) stack of L with a (b, n, c) stack of RHS runs row i of all
+    members as one batched ``np.matmul`` on a solution laid out as each
+    member's own call's (numpy's ``zeros_like`` keeps each member's layout),
+    and the division is elementwise.  A zero pivot names the first member's
+    first one.
     """
     l = np.asarray(l, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     n = l.shape[-1]
     if l.ndim not in (2, 3) or l.shape[-2] != n:
         raise ShapeError("triangular solve expects a square matrix")
+    if rhs.ndim != l.ndim or rhs.shape[:-1] != l.shape[:-1]:
+        raise ShapeError("right-hand side has incompatible row count")
+    diag = np.diagonal(l, axis1=-2, axis2=-1)
+    if np.count_nonzero(diag) < diag.size:
+        first = np.argwhere(diag == 0.0)[0, -1]  # C order: the first member's first zero
+        raise SingularMatrixError(f"zero diagonal entry at position {first + 1}")
+    x = np.zeros_like(rhs)
     if l.ndim == 3:
-        if rhs.ndim != 3 or rhs.shape[:2] != l.shape[:2]:
-            raise ShapeError("right-hand side stack does not match the matrix stack")
-        diag = np.diagonal(l, axis1=1, axis2=2)
-        if not diag.all():
-            for lk, rk in zip(l, rhs):  # raises the first member's error
-                lower_tri_solve(lk, rk)
-        x = np.zeros_like(rhs)
         for i in range(n):
             solved = (l[:, i, None, :i] @ x[:, :i, :])[:, 0, :]
             x[:, i, :] = (rhs[:, i, :] - solved) / diag[:, i, None]
         return x
-    if rhs.shape[0] != n:
-        raise ShapeError("right-hand side has incompatible row count")
-    diag = np.diagonal(l).tolist()
-    if 0.0 in diag:
-        raise SingularMatrixError(f"zero diagonal entry at position {diag.index(0.0) + 1}")
-    x = np.zeros_like(rhs)
-    for i, d in enumerate(diag):
+    for i, d in enumerate(diag.tolist()):
         x[i, :] = (rhs[i, :] - l[i, :i] @ x[:i, :]) / d
     return x
 

@@ -84,13 +84,27 @@ def _cholesky_lower(
     Column j takes exactly two BLAS calls, one ``ddot`` of row j for its pivot
     and one ``dgemv`` for the entries below it; the diagonal is read once as
     Python floats, and the pivot's subtraction, square root and division
-    round as numpy's scalars would.  A (b, n, n) stack goes to
-    ``_cholesky_lower_stack``.
+    round as numpy's scalars would.  A (b, n, n) stack runs column j of all
+    members as one batched ``np.matmul`` for the pivots and one for the
+    entries below them, and numpy's square root and division round as
+    Python's do; it raises the first breakdown it meets, that of the first
+    member to break at the lowest column (the stack contract: ``densela``).
     """
+    n = mat.shape[-1]
+    l = np.zeros(mat.shape)
     if mat.ndim == 3:
-        return _cholesky_lower_stack(mat, block, offset, matrix_label)
-    n = mat.shape[0]
-    l = np.zeros((n, n))
+        diag = np.diagonal(mat, axis1=1, axis2=2)
+        for j in range(n):
+            row = l[:, j, :j, None]
+            d = diag[:, j] - (row.swapaxes(1, 2) @ row)[:, 0, 0]
+            if (d <= 0.0).any():  # as in a call of its own, a NaN pivot is no breakdown
+                raise FactorizationError(block, offset + j + 1, float(d[d <= 0.0][0]), matrix_label)
+            pivot = np.sqrt(d)
+            l[:, j, j] = pivot
+            if j + 1 < n:
+                below = (l[:, j + 1 :, :j] @ row)[..., 0]
+                l[:, j + 1 :, j] = (mat[:, j + 1 :, j] - below) / pivot[:, None]
+        return l
     for j, diag in enumerate(np.diagonal(mat).tolist()):
         row = l[j, :j]
         d = diag - float(row @ row)
@@ -100,34 +114,6 @@ def _cholesky_lower(
         l[j, j] = pivot
         if j + 1 < n:
             l[j + 1 :, j] = (mat[j + 1 :, j] - l[j + 1 :, :j] @ row) / pivot
-    return l
-
-
-def _cholesky_lower_stack(
-    mat: np.ndarray, block: str, offset: int, matrix_label: str
-) -> np.ndarray:
-    """``_cholesky_lower`` of every member of a (b, n, n) stack at once;
-    member k has the bits of its own call.  Column j of all members is one
-    batched ``np.matmul`` for the pivots and one for the entries below them,
-    and numpy's batched matmul makes each member's own ``ddot`` and
-    ``dgemv``; every other step is elementwise, and numpy's square root and
-    division round as Python's do.  A nonpositive pivot in any member
-    factors the members one by one, so the error raised is the first
-    member's, as a loop over the members would raise it."""
-    b, n = mat.shape[0], mat.shape[-1]
-    l = np.zeros((b, n, n))
-    diag = np.diagonal(mat, axis1=1, axis2=2)
-    for j in range(n):
-        row = l[:, j, :j, None]
-        d = diag[:, j] - (row.swapaxes(1, 2) @ row)[:, 0, 0]
-        if (d <= 0.0).any():  # as in a call of its own, a NaN pivot is no breakdown
-            for member in mat:
-                _cholesky_lower(member, block, offset, matrix_label)
-        pivot = np.sqrt(d)
-        l[:, j, j] = pivot
-        if j + 1 < n:
-            below = (l[:, j + 1 :, :j] @ row)[..., 0]
-            l[:, j + 1 :, j] = (mat[:, j + 1 :, j] - below) / pivot[:, None]
     return l
 
 
@@ -231,7 +217,7 @@ def _factor_core(
 ) -> np.ndarray:
     """The read-only factor of ``k`` given ``l11``, the Cholesky factor of its
     A block; of a (b, p, p) stack with a stack of ``l11``, the (b, p, p)
-    stack of its members' factors, each with the bits of its own call."""
+    stack of its members' factors (the stack contract: ``densela``)."""
     l = np.zeros(k.shape)
     l[..., :m, :m] = l11
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,36 +248,25 @@ def factorize_dense(k, m: int, n: int, matrix_label: str = "K"):
 
     No saddle-structure validation beyond exact symmetry: the factorization
     exists whenever both Cholesky eliminations succeed, which covers
-    perturbed matrices whose trailing block is indefinite.
-
-    A (b, p, p) stack gives a tuple of b factors, each with the bits of its
-    own call: the kernels run on the whole stack (see ``_cholesky_lower_stack``,
-    ``densela.lower_tri_solve`` and ``densela.matmul_stack``).  When any member
-    fails a check, breaks down or overflows, the members are factored one by
-    one in order, so the error is exactly the one a loop over them raises.
+    perturbed matrices whose trailing block is indefinite.  A (b, p, p)
+    stack gives a tuple of b factors, under the stack contract of
+    ``densela``.
     """
-    if np.ndim(k) == 3:
-        k = np.asarray(k, dtype=np.float64)
-        p = m + n
-        if k.shape[1:] == (p, p) and np.isfinite(k).all() and np.array_equal(k, k.swapaxes(1, 2)):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    l11 = _cholesky_lower(k[:, :m, :m], "A", 0, matrix_label)
-                spec = BlockSpec(m, n)
-                return tuple(GenCholFactor(spec, l) for l in _factor_core(k, l11, m, n, matrix_label))
-            except (ArithmeticError, ConvergenceError, ValueError):
-                pass  # the loop below raises the error
-        return tuple(factorize_dense(member, m, n, matrix_label) for member in k)
-    k = as_matrix(k)
+    k = np.array(k, dtype=np.float64, order="C")
     p = m + n
-    if k.shape != (p, p):
+    if k.ndim not in (2, 3):
+        raise ShapeError(f"expected a 2-D matrix, got ndim={k.ndim}")
+    if k.size and not np.isfinite(k).all():
+        raise ValueError("matrix entries must be finite")
+    if k.shape[-2:] != (p, p):
         raise ShapeError(f"expected a {p} x {p} matrix, got {k.shape}")
-    if not np.array_equal(k, k.T):
+    if not np.array_equal(k, k.swapaxes(-1, -2)):
         raise ShapeError("matrix is not exactly symmetric")
     with np.errstate(over="ignore", invalid="ignore"):
-        l11 = _cholesky_lower(k[:m, :m], "A", 0, matrix_label)
+        l11 = _cholesky_lower(k[..., :m, :m], "A", 0, matrix_label)
     spec = BlockSpec(m, n)
-    return GenCholFactor(spec, _factor_core(k, l11, m, n, matrix_label))
+    l = _factor_core(k, l11, m, n, matrix_label)
+    return GenCholFactor(spec, l) if k.ndim == 2 else tuple(GenCholFactor(spec, x) for x in l)
 
 
 def reconstruct(f: GenCholFactor) -> np.ndarray:

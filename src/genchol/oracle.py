@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .densela import (
+    ConvergenceError,
     ShapeError,
     as_matrix,
     lower_tri_inverse,
@@ -96,22 +97,16 @@ def w_inverse_norm(w) -> float:
 
 
 def check_perturbation(dk, p: int) -> np.ndarray:
-    """A float copy of ``dk``; ShapeError unless it is p x p and exactly symmetric.
-    A (b, p, p) stack is checked member by member, and the first member
-    that fails raises its own error."""
-    if np.ndim(dk) == 3:
-        dk = np.array(dk, dtype=np.float64)
-        if not (dk.shape[1:] == (p, p) and np.isfinite(dk).all()
-                and np.array_equal(dk, dk.swapaxes(1, 2))):
-            for member in dk:
-                check_perturbation(member, p)
-            if dk.shape[1:] != (p, p):  # a stack with no member to fail
-                raise ShapeError(f"perturbations must be {p} x {p}, got {dk.shape[1:]}")
-        return dk
-    dk = as_matrix(dk)
-    if dk.shape != (p, p):
+    """A float copy of ``dk``, a matrix or a (b, p, p) stack; ShapeError
+    unless it is p x p and exactly symmetric."""
+    dk = np.array(dk, dtype=np.float64, order="C")
+    if dk.ndim not in (2, 3):
+        raise ShapeError(f"expected a 2-D matrix, got ndim={dk.ndim}")
+    if dk.size and not np.isfinite(dk).all():
+        raise ValueError("matrix entries must be finite")
+    if dk.shape[-2:] != (p, p):
         raise ShapeError(f"perturbation must be {p} x {p}, got {dk.shape}")
-    if not np.array_equal(dk, dk.T):
+    if not np.array_equal(dk, dk.swapaxes(-1, -2)):
         raise ShapeError("perturbation is not exactly symmetric")
     return dk
 
@@ -122,16 +117,26 @@ def actual_delta_l(factor: GenCholFactor, k, dk) -> np.ndarray:
     ``factor`` is the factor L of K; K + dK is factored with its block split.
     A breakdown raises FactorizationError labelled "K+dK".  A (b, p, p) stack
     of dKs gives the (b, p, p) stack of their dLs, from one stacked
-    ``factorize_dense``: each member has the bits of its own call.  Every
-    member is checked before any is factored; then a breakdown or an
-    overflow raises the error of the first member that fails, as a loop over
-    the members would.
+    ``factorize_dense`` (the stack contract: ``densela``).  This is where a
+    stack's error becomes a loop's: if the stacked check or factorization
+    fails, every member is checked and then every member factored, in
+    order, so a refused member wins over any breakdown, and the error is
+    that of the first member to fail.  If none fails alone, the stack's own
+    error is raised.
     """
-    dk = check_perturbation(dk, factor.p)
-    perturbed = factorize_dense(k + dk, factor.spec.m, factor.spec.n, "K+dK")
-    if dk.ndim == 2:
+    m, n = factor.spec.m, factor.spec.n
+    try:
+        checked = check_perturbation(dk, factor.p)
+        perturbed = factorize_dense(k + checked, m, n, "K+dK")
+    except (ArithmeticError, ConvergenceError, ValueError):
+        if np.ndim(dk) == 3:
+            members = [check_perturbation(member, factor.p) for member in dk]
+            for member in members:
+                factorize_dense(k + member, m, n, "K+dK")
+        raise
+    if checked.ndim == 2:
         return perturbed.L - factor.L
-    return np.array([f.L for f in perturbed]).reshape(dk.shape) - factor.L
+    return np.array([f.L for f in perturbed]).reshape(checked.shape) - factor.L
 
 
 # --- compensated residual ---------------------------------------------------

@@ -529,7 +529,25 @@ class TestStackedKernelBitPins:
                 assert same_bits(matmul_stack(linv, dls), [matmul(linv, x) for x in dls])
 
     def test_cholesky_breakdown_is_the_first_members(self):
-        # member 2 breaks down at pivot 3, member 4 earlier, at pivot 1
+        # members 2 and 4 break down in the Schur block, member 2 at pivot 7
+        # and member 4 earlier, at pivot 5: the stacked kernels meet member
+        # 4's breakdown first, and actual_delta_l raises member 2's
+        s = make_saddle(4, 3, 1e4, np.random.default_rng(3))[0]
+        f = factorize(s)
+        late, early = np.zeros((7, 7)), np.zeros((7, 7))
+        late[6, 6] = early[4, 4] = 10.0  # K's (2,2) block is -C
+        dks = np.stack([np.zeros((7, 7)), late, np.eye(7) * 1e-9, early])
+        with pytest.raises(FactorizationError) as err:
+            actual_delta_l(f, s.K, dks)
+        assert same_error(err.value, first_error(lambda dk: actual_delta_l(f, s.K, dk), dks))
+        assert (err.value.block, err.value.pivot) == ("Schur", 7)
+        with pytest.raises(FactorizationError) as met:
+            factorize_dense(s.K + dks, 4, 3, "K+dK")
+        assert met.value.pivot == 5
+
+    def test_stacked_cholesky_raises_the_breakdown_it_meets(self):
+        # member 2 breaks down at pivot 3 (7 with the offset), member 4 at
+        # pivot 1: the stacked kernel raises member 4's, the lowest column's
         spd = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
         late, early = spd.copy(), spd.copy()
         late[2, 2] = 0.25
@@ -537,8 +555,8 @@ class TestStackedKernelBitPins:
         mats = np.stack([spd, late, spd * 2.0, early])
         with pytest.raises(FactorizationError) as err:
             _cholesky_lower(mats, "Schur", 4, "K+dK")
-        expected = first_error(lambda x: _cholesky_lower(x, "Schur", 4, "K+dK"), mats)
-        assert same_error(err.value, expected) and err.value.pivot == 7
+        expected = first_error(lambda x: _cholesky_lower(x, "Schur", 4, "K+dK"), mats[3:])
+        assert same_error(err.value, expected) and err.value.pivot == 5
 
     def test_level_stack_breakdowns_raise_the_loops_error(self):
         # members 2 and 4 of a level stack break down at different pivots, in
@@ -557,27 +575,86 @@ class TestStackedKernelBitPins:
         assert err.value.block == "A" and err.value.pivot == 3
 
     def test_overflowing_member_raises_the_loops_error(self):
-        # L21 = 1e200 / 1e-150 overflows in member 2; member 3 breaks down
-        fine = [[1.0, 0.5], [0.5, -1.0]]
-        overflow = [[1e-300, 1e200], [1e200, 0.0]]
-        breaking = [[-1.0, 0.5], [0.5, -1.0]]
-        for mats in ([fine, overflow], [fine, overflow, breaking, fine]):
-            mats = np.array(mats)
+        # K + dK's L21 = 1e200 / 1e-150 overflows in member 2; member 3
+        # breaks down at A's pivot, which the stacked kernels meet first
+        k = np.array([[1e-300, 1e-160], [1e-160, -1.0]])
+        f = factorize_dense(k, 1, 1)
+        fine, overflow, breaking = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
+        overflow[0, 1] = overflow[1, 0] = 1e200
+        breaking[0, 0] = -1.0
+        for dks in ([fine, overflow], [fine, overflow, breaking, fine]):
+            dks = np.array(dks)
             with pytest.raises(ConvergenceError) as err:
-                factorize_dense(mats, 1, 1, "K+dK")
-            assert same_error(err.value, first_error(lambda x: factorize_dense(x, 1, 1, "K+dK"), mats))
+                actual_delta_l(f, k, dks)
+            assert same_error(err.value, first_error(lambda dk: actual_delta_l(f, k, dk), dks))
+        with pytest.raises(FactorizationError):
+            factorize_dense(k + dks, 1, 1, "K+dK")
 
     def test_refused_members_raise_the_loops_error(self):
         # a perturbation stack is checked member by member, in order
-        p = 3
+        s = make_saddle(2, 1, 1e2, np.random.default_rng(5))[0]
+        f, p = factorize(s), s.p
         asym = np.zeros((p, p))
         asym[0, 1] = 1.0
         nonfinite = np.full((p, p), np.inf)
         for dks in ([np.zeros((p, p)), asym, nonfinite], [np.zeros((p, p)), nonfinite, asym]):
             dks = np.array(dks)
             with pytest.raises(ValueError) as err:
-                check_perturbation(dks, p)
-            assert same_error(err.value, first_error(lambda dk: check_perturbation(dk, p), dks))
+                actual_delta_l(f, s.K, dks)
+            assert same_error(err.value, first_error(lambda dk: actual_delta_l(f, s.K, dk), dks))
         with pytest.raises(ShapeError):
-            check_perturbation(np.zeros((0, 2, 2)), p)
-        assert check_perturbation(np.zeros((0, p, p)), p).shape == (0, p, p)
+            actual_delta_l(f, s.K, np.zeros((0, 2, 2)))
+        assert actual_delta_l(f, s.K, np.zeros((0, p, p))).shape == (0, p, p)
+
+    def test_refused_member_wins_over_a_breakdown(self):
+        # member 1 breaks down at A's first pivot and member 2 is not
+        # symmetric: every member is checked before any is factored
+        s = make_saddle(2, 1, 1e2, np.random.default_rng(5))[0]
+        f, p = factorize(s), s.p
+        breaking, asym = np.zeros((p, p)), np.zeros((p, p))
+        breaking[0, 0] = -1e3
+        asym[0, 1] = 1.0
+        dks = np.array([breaking, asym])
+        with pytest.raises(ShapeError) as err:
+            actual_delta_l(f, s.K, dks)
+        assert same_error(err.value, first_error(lambda dk: check_perturbation(dk, p), dks))
+        with pytest.raises(FactorizationError):
+            actual_delta_l(f, s.K, breaking)
+
+
+class TestStackedEntryPoints:
+    """``check_perturbation``, ``factorize_dense`` and ``actual_delta_l``
+    take a matrix or a stack through one set of checks."""
+
+    @staticmethod
+    def calls():
+        s = make_saddle(2, 1, 1e2, np.random.default_rng(7))[0]
+        f = factorize(s)
+        return [lambda x: check_perturbation(x, 3),
+                lambda x: factorize_dense(x, 2, 1, "K+dK"),
+                lambda x: actual_delta_l(f, s.K, x)]
+
+    def test_nonfinite_member(self):
+        dks = np.zeros((3, 3, 3))
+        dks[1, 2, 2] = np.nan
+        for call in self.calls():
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                call(dks)
+
+    def test_wrong_member_shape(self):
+        for call in self.calls():
+            with pytest.raises(ShapeError, match="must be 3 x 3, got|a 3 x 3 matrix, got"):
+                call(np.zeros((2, 3, 4)))
+
+    def test_empty_stack_keeps_its_shape(self):
+        check, factor, delta = self.calls()
+        assert check(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert factor(np.zeros((0, 3, 3))) == ()
+        assert delta(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3, 3)], ids=["1-D", "4-D"])
+    def test_other_ranks_keep_their_text(self, shape):
+        for call in self.calls():
+            with pytest.raises(ShapeError) as err:
+                call(np.zeros(shape))
+            assert str(err.value) == f"expected a 2-D matrix, got ndim={len(shape)}"

@@ -96,6 +96,9 @@ COMMANDS = [
     # breakdowns: A checked on read, and K + dK factored for the measured dL
     "factor k_indef.txt l_indef.txt",
     "bounds k43.txt dk_break43.txt",
+    # a level stack two of whose members break down, in trial 28 (exit 2):
+    # the error is the first member's, made member by member
+    "verify --cond-target 1e20 --dk-levels 0.1,0.49,0.499999 --trials 30 --out verify.csv",
 ]
 
 
