@@ -288,24 +288,22 @@ class NormwiseEvaluator:
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"SVD of W^-1 failed: {exc}") from exc
 
-    def reports(self, dk_fros, actual_dls) -> list[NormwiseBoundReport]:
+    def reports(self, dk_fros, dls=None) -> list[NormwiseBoundReport]:
         """One report per level: ||dK||_F ``dk_fros[i]`` with the measured dL
-        ``actual_dls[i]``, or None for none.  A campaign factors K + dK at all
-        its levels first; then every measured ||dL||_F, ||dL||_2 and
-        ||L^-1 dL||_F (inequality 3.8) comes from one stacked call each, whose
-        members are the single-matrix values bit for bit."""
-        measured = [dl for dl in actual_dls if dl is not None]
-        norms = iter(())
-        if measured:
-            dls = np.stack(measured)
-            norms = zip(fro_norm(dls), spectral_norm(dls),
-                        fro_norm(matmul_stack(self.linv, dls)))
-        return [self._report(dk_fro, None if dl is None else next(norms))
-                for dk_fro, dl in zip(dk_fros, actual_dls, strict=True)]
+        ``dls[i]``.  ``dls`` is the (b, p, p) stack of every level's dL, or
+        None for none.  A campaign factors K + dK at all its levels first;
+        then every measured ||dL||_F, ||dL||_2 and ||L^-1 dL||_F (inequality
+        3.8) comes from one stacked call each, whose members are the
+        single-matrix values bit for bit."""
+        norms = [None] * len(dk_fros)
+        if dls is not None:
+            norms = zip(fro_norm(dls), spectral_norm(dls), fro_norm(matmul_stack(self.linv, dls)))
+        return [self._report(dk_fro, measured)
+                for dk_fro, measured in zip(dk_fros, norms, strict=True)]
 
     def report(self, dk_fro: float, actual_dl=None) -> NormwiseBoundReport:
         """The report at one level: ``reports`` of that level alone."""
-        return self.reports([dk_fro], [actual_dl])[0]
+        return self.reports([dk_fro], None if actual_dl is None else actual_dl[None])[0]
 
     def _report(self, dk_fro: float, measured) -> NormwiseBoundReport:
         """The report at one level; ``measured`` is None, or the measured dL's

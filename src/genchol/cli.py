@@ -150,7 +150,7 @@ def _build_parser() -> _Parser:
     )
     p_backward.add_argument(
         "--eps", type=float, default=EnsembleConfig.eps_synth,
-        help="synthetic componentwise envelope size",
+        help="synthetic componentwise envelope size, in [0, 0.5)",
     )
     p_backward.add_argument(
         "--eps-convention",

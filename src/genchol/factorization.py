@@ -189,7 +189,9 @@ class SaddleMatrix:
 @dataclass(frozen=True)
 class GenCholFactor:
     """Lower-triangular p x p factor L with positive diagonal, read-only; its
-    blocks are the slices L[:m, :m], L[m:, :m] and L[m:, m:]."""
+    blocks are the slices L[:m, :m], L[m:, :m] and L[m:, m:].  A stacked
+    ``factorize_dense`` gives one factor whose ``L`` is the (b, p, p) stack
+    of its members' factors."""
 
     spec: BlockSpec
     L: np.ndarray
@@ -249,8 +251,8 @@ def factorize_dense(k, m: int, n: int, matrix_label: str = "K"):
     No saddle-structure validation beyond exact symmetry: the factorization
     exists whenever both Cholesky eliminations succeed, which covers
     perturbed matrices whose trailing block is indefinite.  A (b, p, p)
-    stack gives a tuple of b factors, under the stack contract of
-    ``densela``.
+    stack gives one factor whose ``L`` is the (b, p, p) stack of its
+    members' factors, under the stack contract of ``densela``.
     """
     k = np.array(k, dtype=np.float64, order="C")
     p = m + n
@@ -264,9 +266,7 @@ def factorize_dense(k, m: int, n: int, matrix_label: str = "K"):
         raise ShapeError("matrix is not exactly symmetric")
     with np.errstate(over="ignore", invalid="ignore"):
         l11 = _cholesky_lower(k[..., :m, :m], "A", 0, matrix_label)
-    spec = BlockSpec(m, n)
-    l = _factor_core(k, l11, m, n, matrix_label)
-    return GenCholFactor(spec, l) if k.ndim == 2 else tuple(GenCholFactor(spec, x) for x in l)
+    return GenCholFactor(BlockSpec(m, n), _factor_core(k, l11, m, n, matrix_label))
 
 
 def reconstruct(f: GenCholFactor) -> np.ndarray:

@@ -59,7 +59,8 @@ class EnsembleConfig:
     the leading block and the Schur block.  ``dk_levels`` are the targeted
     values of ||L^-1||_2^2 ||dK||_F, each strictly inside (0, 1/2).
     ``eps_synth`` is the envelope size of the synthetic componentwise
-    protocol.
+    protocol, in [0, 1/2): at 1/2 and above condition 4.2 fails for every
+    factor, since cond_bs_L^2 >= p.
     """
 
     m: int
@@ -86,6 +87,9 @@ class EnsembleConfig:
             raise ValueError(f"unknown eps convention {self.eps_convention!r}")
         if not 0.0 <= self.eps_synth < math.inf:
             raise ValueError("eps_synth must be finite and nonnegative")
+        if self.eps_synth >= 0.5:
+            raise ValueError(f"eps_synth {self.eps_synth} is not below 0.5, where condition "
+                             "4.2 fails for every factor")
 
     @property
     def p(self) -> int:

@@ -116,12 +116,12 @@ def actual_delta_l(factor: GenCholFactor, k, dk) -> np.ndarray:
 
     ``factor`` is the factor L of K; K + dK is factored with its block split.
     A breakdown raises FactorizationError labelled "K+dK".  A (b, p, p) stack
-    of dKs gives the (b, p, p) stack of their dLs, from one stacked
-    ``factorize_dense`` (the stack contract: ``densela``).  This is where a
-    stack's error becomes a loop's: if the stacked check or factorization
-    fails, every member is checked and then every member factored, in
-    order, so a refused member wins over any breakdown, and the error is
-    that of the first member to fail.  If none fails alone, the stack's own
+    of dKs gives the (b, p, p) stack of their dLs, from the one stacked
+    factor of ``factorize_dense`` (the stack contract: ``densela``).  This
+    is where a stack's error becomes a loop's: if the stacked check or
+    factorization fails, every member is checked and then every member
+    factored, in order, so a refused member wins over any breakdown, and
+    the error is that of the first member to fail.  If none fails alone, the stack's own
     error is raised.
     """
     m, n = factor.spec.m, factor.spec.n
@@ -134,9 +134,7 @@ def actual_delta_l(factor: GenCholFactor, k, dk) -> np.ndarray:
             for member in members:
                 factorize_dense(k + member, m, n, "K+dK")
         raise
-    if checked.ndim == 2:
-        return perturbed.L - factor.L
-    return np.array([f.L for f in perturbed]).reshape(checked.shape) - factor.L
+    return perturbed.L - factor.L
 
 
 # --- compensated residual ---------------------------------------------------

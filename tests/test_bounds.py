@@ -662,21 +662,21 @@ class TestReports:
         assert ev.report(dk_fro).cond_3_18_strength_ok is False
 
     def test_levels_together_equal_levels_alone(self, rng):
-        # one call for a trial's levels, one of them without a measured dL,
-        # gives the one-level reports field for field
+        # one call for a trial's levels, with the dLs of all of them or of
+        # none, gives the one-level reports field for field
         s, _, _ = make_saddle(4, 3, 1e4, rng)
         f = factorize(s)
         ev = NormwiseEvaluator(f, s.K)
         direction = gen_sym_perturbation(7, 1.0, rng)
         dks = [direction * (level / ev.linv2**2) for level in (1e-8, 1e-4, 0.1, 0.4)]
-        dls = [factorize_dense(s.K + dk, 4, 3).L - f.L for dk in dks]
-        dls[1] = None
+        dls = np.stack([factorize_dense(s.K + dk, 4, 3).L - f.L for dk in dks])
         dk_fros = [fro_norm(dk) for dk in dks]
         together = ev.reports(dk_fros, dls)
         assert together == [ev.report(d, actual_dl=dl) for d, dl in zip(dk_fros, dls)]
-        for rep, dl in zip(together, dls):
-            assert rep.actual_dl_2 == (None if dl is None else spectral_norm(dl))
-        assert ev.reports([], []) == []
+        assert [rep.actual_dl_2 for rep in together] == [spectral_norm(dl) for dl in dls]
+        assert ev.reports(dk_fros) == [ev.report(d) for d in dk_fros]
+        assert all(rep.actual_dl_2 is None for rep in ev.reports(dk_fros))
+        assert ev.reports([]) == ev.reports([], np.zeros((0, 7, 7))) == []
 
     def test_componentwise_measured_dl_rides_in_the_stack(self, rng, monkeypatch):
         # the measured dL is the last member of the candidate stack and moves

@@ -339,6 +339,18 @@ class TestNonFiniteParameters:
         assert f"genchol: error: {field} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["0.5", "1e308"])
+    def test_eps_at_or_above_one_half(self, capsys, tmp_path, eps):
+        # refused by the config, before a draw can overflow the envelope
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["backward", "--m", "2", "--n", "1", "--eps", eps,
+                             "--trials", "2", "--out", str(out)])
+        assert code == 1 and caught == []
+        assert capsys.readouterr().err.startswith(f"genchol: error: eps_synth {float(eps)} ")
+        assert not out.exists()
+
 
 class TestBackward:
     def test_small_run(self, tmp_path):

@@ -714,5 +714,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-6])
     def test_eps_synth_finite_and_nonnegative(self, value):
-        with pytest.raises(ValueError, match="eps_synth"):
+        with pytest.raises(ValueError, match="^eps_synth must be finite and nonnegative$"):
             EnsembleConfig(m=2, n=1, trials=1, eps_synth=value)
+
+    @pytest.mark.parametrize("value", [0.5, 1e308])
+    def test_eps_synth_below_one_half(self, value):
+        # condition 4.2 reads cond_bs_L^2 eps < 1/2 with cond_bs_L^2 >= p
+        with pytest.raises(ValueError, match="^" + re.escape(f"eps_synth {value} is not below 0.5,")):
+            EnsembleConfig(m=2, n=1, trials=1, eps_synth=value)
+        EnsembleConfig(m=2, n=1, trials=1, eps_synth=math.nextafter(0.5, 0.0))

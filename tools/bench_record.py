@@ -22,7 +22,8 @@ BLAS runs on one thread.  The JSON object holds:
   layer on fixed draws: ``make_saddle`` (the draw with its checks, from a
   generator made afresh at one seed), ``factorize``, ``refactor_levels``
   (every default level's K + dK factored for its dL, as a campaign trial
-  does), the ``NormwiseEvaluator`` set-up, ``reports`` per level, ``build_w`` +
+  does), the ``NormwiseEvaluator`` set-up, ``reports`` per level (given
+  ``np.stack`` of every level's dL, as a campaign trial does), ``build_w`` +
   ``w_inverse_norm``, the componentwise report and ``compensated_residual``;
 - ``kernels``: the median ms of ``singular_values`` and of
   ``spectral_norm`` (one matrix and a stack of 7 each; in trees before the
@@ -135,7 +136,7 @@ def layers(quick: bool) -> list[dict]:
         direction = harness.gen_sym_perturbation(s.p, 1.0, rng)
         levels = harness.EnsembleConfig(m=m, n=n, trials=1).dk_levels
         dks = np.stack([direction * (level / ev.linv2**2) for level in levels])
-        dls = [oracle.actual_delta_l(f, s.K, dk) for dk in dks]
+        dls = np.stack([oracle.actual_delta_l(f, s.K, dk) for dk in dks])
         dk_fros = [fro_norm(dk) for dk in dks]
         calls = {
             "make_saddle": lambda: harness.make_saddle(m, n, cond, np.random.default_rng(seed)),
