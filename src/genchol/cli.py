@@ -28,6 +28,7 @@ import sys
 
 from .densela import (
     ConvergenceError,
+    as_symmetric,
     fro_norm,
     read_matrix,
     write_matrix,
@@ -58,7 +59,7 @@ from .harness import (
     run_normwise_campaign,
     summarize,
 )
-from .oracle import actual_delta_l, build_w, check_perturbation
+from .oracle import actual_delta_l, build_w
 
 DEFAULT_TRIALS = 100
 DEFAULT_GAMMAS = "10,100,1000"
@@ -183,7 +184,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_bounds(args) -> int:
     s = read_saddle(args.input)
-    dk = check_perturbation(read_matrix(args.perturbation), s.p)  # before K is factored
+    dk = as_symmetric(read_matrix(args.perturbation), s.p, "perturbation")  # before K is factored
     factor = factorize(s)
     if args.dump_w and s.p > W_BOUND_MAX_ORDER:
         raise _UsageError(f"--dump-w supports order at most {W_BOUND_MAX_ORDER}, got {s.p}")

@@ -73,6 +73,22 @@ def as_matrix(data) -> np.ndarray:
     return arr
 
 
+def as_symmetric(data, p: int, name: str) -> np.ndarray:
+    """A float64 copy of a p x p matrix or (b, p, p) stack, checked in order:
+    rank 2 or 3, finite entries, p x p members and exact symmetry.  ``name``
+    labels the last two errors."""
+    arr = np.array(data, dtype=np.float64, order="C")
+    if arr.ndim not in (2, 3):
+        raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if arr.size and not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    if arr.shape[-2:] != (p, p):
+        raise ShapeError(f"{name} must be {p} x {p}, got {arr.shape}")
+    if not np.array_equal(arr, arr.swapaxes(-1, -2)):
+        raise ShapeError(f"{name} is not exactly symmetric")
+    return arr
+
+
 def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix product: one product per term, summed in order from zero.
 
@@ -496,9 +512,12 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temporary file in the same directory, then rename."""
+    """Write via a temporary file in the same directory, then rename; errors name ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -17,6 +17,7 @@ from .densela import (
     ConvergenceError,
     ShapeError,
     as_matrix,
+    as_symmetric,
     is_psd,
     lower_tri_solve,
     matmul,
@@ -248,22 +249,13 @@ def factorize(s: SaddleMatrix) -> GenCholFactor:
 def factorize_dense(k, m: int, n: int, matrix_label: str = "K"):
     """Factor a dense symmetric matrix with the given block split.
 
-    No saddle-structure validation beyond exact symmetry: the factorization
-    exists whenever both Cholesky eliminations succeed, which covers
-    perturbed matrices whose trailing block is indefinite.  A (b, p, p)
-    stack gives one factor whose ``L`` is the (b, p, p) stack of its
-    members' factors, under the stack contract of ``densela``.
+    ``as_symmetric`` is the one check; no saddle structure is validated:
+    the factorization exists whenever both Cholesky eliminations succeed,
+    which covers perturbed matrices whose trailing block is indefinite.
+    A (b, p, p) stack gives one factor whose ``L`` is the (b, p, p) stack
+    of its members' factors, under the stack contract of ``densela``.
     """
-    k = np.array(k, dtype=np.float64, order="C")
-    p = m + n
-    if k.ndim not in (2, 3):
-        raise ShapeError(f"expected a 2-D matrix, got ndim={k.ndim}")
-    if k.size and not np.isfinite(k).all():
-        raise ValueError("matrix entries must be finite")
-    if k.shape[-2:] != (p, p):
-        raise ShapeError(f"expected a {p} x {p} matrix, got {k.shape}")
-    if not np.array_equal(k, k.swapaxes(-1, -2)):
-        raise ShapeError("matrix is not exactly symmetric")
+    k = as_symmetric(k, m + n, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         l11 = _cholesky_lower(k[..., :m, :m], "A", 0, matrix_label)
     return GenCholFactor(BlockSpec(m, n), _factor_core(k, l11, m, n, matrix_label))

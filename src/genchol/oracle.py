@@ -16,6 +16,7 @@ from .densela import (
     ConvergenceError,
     ShapeError,
     as_matrix,
+    as_symmetric,
     lower_tri_inverse,
     matmul,
     require_lower_triangular,
@@ -96,41 +97,27 @@ def w_inverse_norm(w) -> float:
     return spectral_norm(lower_tri_inverse(w))
 
 
-def check_perturbation(dk, p: int) -> np.ndarray:
-    """A float copy of ``dk``, a matrix or a (b, p, p) stack; ShapeError
-    unless it is p x p and exactly symmetric."""
-    dk = np.array(dk, dtype=np.float64, order="C")
-    if dk.ndim not in (2, 3):
-        raise ShapeError(f"expected a 2-D matrix, got ndim={dk.ndim}")
-    if dk.size and not np.isfinite(dk).all():
-        raise ValueError("matrix entries must be finite")
-    if dk.shape[-2:] != (p, p):
-        raise ShapeError(f"perturbation must be {p} x {p}, got {dk.shape}")
-    if not np.array_equal(dk, dk.swapaxes(-1, -2)):
-        raise ShapeError("perturbation is not exactly symmetric")
-    return dk
-
-
 def actual_delta_l(factor: GenCholFactor, k, dk) -> np.ndarray:
     """Ground-truth factor perturbation L(K + dK) - L by refactorization.
 
-    ``factor`` is the factor L of K; K + dK is factored with its block split.
-    A breakdown raises FactorizationError labelled "K+dK".  A (b, p, p) stack
+    ``factor`` is the factor L of K; dK passes ``as_symmetric`` as a
+    "perturbation", and K + dK is factored with its block split.  A
+    breakdown raises FactorizationError labelled "K+dK".  A (b, p, p) stack
     of dKs gives the (b, p, p) stack of their dLs, from the one stacked
     factor of ``factorize_dense`` (the stack contract: ``densela``).  This
     is where a stack's error becomes a loop's: if the stacked check or
     factorization fails, every member is checked and then every member
     factored, in order, so a refused member wins over any breakdown, and
-    the error is that of the first member to fail.  If none fails alone, the stack's own
-    error is raised.
+    the error is that of the first member to fail.  If none fails alone,
+    the stack's own error is raised.
     """
     m, n = factor.spec.m, factor.spec.n
     try:
-        checked = check_perturbation(dk, factor.p)
+        checked = as_symmetric(dk, factor.p, "perturbation")
         perturbed = factorize_dense(k + checked, m, n, "K+dK")
     except (ArithmeticError, ConvergenceError, ValueError):
         if np.ndim(dk) == 3:
-            members = [check_perturbation(member, factor.p) for member in dk]
+            members = [as_symmetric(member, factor.p, "perturbation") for member in dk]
             for member in members:
                 factorize_dense(k + member, m, n, "K+dK")
         raise

@@ -580,3 +580,14 @@ class TestAtomicWrites:
         assert not out.exists()
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("command", ["verify", "factor"])
+    def test_missing_directory_is_named(self, capsys, tmp_path, saddle_file, command):
+        # the error names the given path, not the temporary file that was never made
+        out = tmp_path / "missing" / "out.txt"
+        argv = (["verify", "--trials", "2", "--out", str(out)] if command == "verify"
+                else ["factor", str(saddle_file), str(out)])
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"genchol: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert sorted(tmp_path.iterdir()) == [saddle_file]

@@ -7,6 +7,7 @@ from genchol.densela import (
     UNIT_ROUNDOFF,
     ConvergenceError,
     ShapeError,
+    as_symmetric,
     fro_norm,
     lower_tri_inverse,
     lower_tri_solve,
@@ -28,7 +29,7 @@ from genchol.factorization import (
     write_saddle,
 )
 from genchol.harness import gen_sym_perturbation, make_saddle
-from genchol.oracle import actual_delta_l, check_perturbation
+from genchol.oracle import actual_delta_l
 
 U = UNIT_ROUNDOFF
 
@@ -617,20 +618,22 @@ class TestStackedKernelBitPins:
         dks = np.array([breaking, asym])
         with pytest.raises(ShapeError) as err:
             actual_delta_l(f, s.K, dks)
-        assert same_error(err.value, first_error(lambda dk: check_perturbation(dk, p), dks))
+        assert same_error(err.value, first_error(lambda dk: as_symmetric(dk, p, "perturbation"), dks))
         with pytest.raises(FactorizationError):
             actual_delta_l(f, s.K, breaking)
 
 
 class TestStackedEntryPoints:
-    """``check_perturbation``, ``factorize_dense`` and ``actual_delta_l``
-    take a matrix or a stack through one set of checks."""
+    """``as_symmetric``, ``factorize_dense`` and ``actual_delta_l`` take a
+    matrix or a stack through one set of checks, with one text per refusal."""
+
+    NAMES = ("perturbation", "matrix", "perturbation")  # each call's label
 
     @staticmethod
     def calls():
         s = make_saddle(2, 1, 1e2, np.random.default_rng(7))[0]
         f = factorize(s)
-        return [lambda x: check_perturbation(x, 3),
+        return [lambda x: as_symmetric(x, 3, "perturbation"),
                 lambda x: factorize_dense(x, 2, 1, "K+dK"),
                 lambda x: actual_delta_l(f, s.K, x)]
 
@@ -642,9 +645,36 @@ class TestStackedEntryPoints:
                 call(dks)
 
     def test_wrong_member_shape(self):
-        for call in self.calls():
-            with pytest.raises(ShapeError, match="must be 3 x 3, got|a 3 x 3 matrix, got"):
+        # actual_delta_l raises its first member's error: "got (3, 4)"
+        for call, name in zip(self.calls(), self.NAMES):
+            with pytest.raises(ShapeError, match=f"^{name} must be 3 x 3, got"):
                 call(np.zeros((2, 3, 4)))
+
+    def test_asymmetric_member(self):
+        dks = np.zeros((2, 3, 3))
+        dks[1, 0, 2] = 1.0
+        for call, name in zip(self.calls(), self.NAMES):
+            with pytest.raises(ShapeError) as err:
+                call(dks)
+            assert str(err.value) == f"{name} is not exactly symmetric"
+
+    def test_checks_run_in_order(self):
+        # rank, then finiteness, then member shape, then symmetry; each
+        # member fails the same checks, so a loop's error is the stack's
+        bad = np.zeros((2, 3, 4))
+        bad[:, 0, 1] = 1.0  # not symmetric, whatever its shape
+        nonfinite = bad.copy()
+        nonfinite[:, 2, 3] = np.inf
+        for call, name in zip(self.calls(), self.NAMES):
+            with pytest.raises(ValueError) as err:
+                call(nonfinite)
+            assert type(err.value) is ValueError
+            assert str(err.value) == "matrix entries must be finite"
+            with pytest.raises(ShapeError, match=f"^{name} must be 3 x 3, got"):
+                call(bad)
+            with pytest.raises(ShapeError) as err:
+                call(nonfinite[None])
+            assert str(err.value) == "expected a 2-D matrix, got ndim=4"
 
     def test_empty_stack_keeps_its_shape(self):
         check, factor, delta = self.calls()

@@ -79,6 +79,8 @@ COMMANDS = [
     "backward --trials 200 --seed 20250810 --out componentwise.csv",
     # every bound is 0, and a refactored dL can still be above it
     "backward --eps 0 --trials 200 --format json --out backward.json",
+    # every bound is tiny, and a measured dL far above it still passes
+    "backward --eps 1e-300 --trials 3 --format json --out backward.json",
     "sweep --kind remark32 --gammas 0.01,0.001,0.0001 --out sweep_column_scaling.csv",
     "sweep --kind remark33 --gammas 10,100,1000 --out sweep_operator_conditioning.csv",
     "factor k43.txt l43.txt",
